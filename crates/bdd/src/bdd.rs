@@ -8,6 +8,7 @@
 //! simulation (the paper's 32-bit LOD, 15-bit comparator and 12-bit
 //! three-operand adder).
 
+use crate::davio::{self, DavioBuild};
 use pd_anf::{Anf, Var};
 use std::collections::HashMap;
 use std::fmt;
@@ -313,27 +314,25 @@ impl Bdd {
         self.ite(f, ng, g)
     }
 
-    /// Builds the BDD of a Reed–Muller (ANF) expression by folding its
-    /// terms.
+    /// Builds the BDD of a Reed–Muller (ANF) expression by positive-Davio
+    /// expansion on the manager's order.
     ///
-    /// Intended for specs of moderate term count; multi-million-term
-    /// specifications should be compared netlist-to-netlist instead (see
-    /// [`crate::verify::check_netlists_equal`]).
+    /// With `x` the topmost variable of `expr`'s support, `expr = f₀ ⊕
+    /// x·f₂` (`f₀`: the terms without `x`; `f₂`: the terms with `x`, `x`
+    /// removed), so its BDD is the node `(x, B(f₀), B(f₀) ⊕ B(f₂))`. The
+    /// halves are built recursively over strictly lower levels: splitting
+    /// costs O(terms × support) and the only diagram operations are the
+    /// per-level XORs, which the ITE cache memoises. Intermediate
+    /// diagrams stay near the size of the result — unlike XOR-ing the
+    /// terms in one at a time, whose running sums can be orders of
+    /// magnitude larger than the function they end at. Variables not yet
+    /// registered are appended in term order.
     ///
     /// # Errors
     ///
     /// Returns [`CapacityError`] if the node table would exceed the cap.
     pub fn from_anf(&mut self, expr: &Anf) -> Result<BddRef, CapacityError> {
-        let mut acc = BddRef::FALSE;
-        for term in expr.terms() {
-            let mut prod = BddRef::TRUE;
-            for v in term.vars() {
-                let fv = self.try_var(v)?;
-                prod = self.and(prod, fv)?;
-            }
-            acc = self.xor(acc, prod)?;
-        }
-        Ok(acc)
+        davio::from_anf(self, expr)
     }
 
     /// Number of nodes reachable from `f` (including terminals).
@@ -705,6 +704,22 @@ impl Bdd {
                 stack.push(nd.hi);
             }
         }
+    }
+}
+
+impl DavioBuild for Bdd {
+    type Ref = BddRef;
+    type Error = CapacityError;
+    const ZERO: BddRef = BddRef::FALSE;
+    const ONE: BddRef = BddRef::TRUE;
+
+    fn register(&mut self, v: Var) -> u32 {
+        self.level(v)
+    }
+
+    fn davio_node(&mut self, level: u32, f0: BddRef, f2: BddRef) -> Result<BddRef, CapacityError> {
+        let hi = self.xor(f0, f2)?;
+        self.mk(level, f0, hi)
     }
 }
 

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod bdd;
+mod davio;
 mod zdd;
 
 pub mod dvo;

@@ -24,8 +24,10 @@
 //! # }
 //! ```
 
+use crate::davio::{self, DavioBuild};
 use pd_anf::{Anf, Monomial, Var};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
 /// A handle to an ANF (a family of monomials) in a [`Zdd`] manager.
@@ -250,13 +252,17 @@ impl Zdd {
     }
 
     /// Imports an explicit ANF.
+    ///
+    /// The ZDD of a term family splits on its topmost variable `x`
+    /// exactly as the family does: the node `(x, Z(f₀), Z(f₂))`, with
+    /// `f₀` the terms without `x` and `f₂` the terms with `x`, `x`
+    /// removed. Built bottom-up in O(terms × support) with no XOR at all.
+    /// Variables not yet registered are appended in term order.
     pub fn from_anf(&mut self, expr: &Anf) -> ZddRef {
-        let mut acc = ZddRef::ZERO;
-        for term in expr.terms() {
-            let m = self.monomial(term);
-            acc = self.xor(acc, m);
+        match davio::from_anf(self, expr) {
+            Ok(f) => f,
+            Err(never) => match never {},
         }
-        acc
     }
 
     /// The single-monomial family for `m`.
@@ -391,6 +397,21 @@ impl Zdd {
         let b = lo ^ (assignment(v) & hi);
         memo.insert(f, b);
         b
+    }
+}
+
+impl DavioBuild for Zdd {
+    type Ref = ZddRef;
+    type Error = Infallible;
+    const ZERO: ZddRef = ZddRef::ZERO;
+    const ONE: ZddRef = ZddRef::ONE;
+
+    fn register(&mut self, v: Var) -> u32 {
+        self.level(v)
+    }
+
+    fn davio_node(&mut self, level: u32, f0: ZddRef, f2: ZddRef) -> Result<ZddRef, Infallible> {
+        Ok(self.mk(level, f0, f2))
     }
 }
 

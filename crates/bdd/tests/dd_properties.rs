@@ -2,7 +2,7 @@
 //! ANF engine and with brute-force enumeration on random inputs.
 
 use pd_anf::{Anf, Monomial, Var, VarPool};
-use pd_bdd::{interleaved_order, verify, Bdd, BddRef, Zdd};
+use pd_bdd::{interleaved_order, verify, Bdd, BddRef, Zdd, ZddRef};
 use pd_netlist::Netlist;
 use proptest::prelude::*;
 
@@ -33,6 +33,47 @@ fn decode_anf(masks: &[u8], vars: &[Var]) -> Anf {
         })
         .collect();
     Anf::from_terms(terms)
+}
+
+/// Variables spanning both monomial encodings: indices ≥ 128 force
+/// `Monomial::Large` terms.
+fn wide_vars() -> Vec<Var> {
+    [0, 3, 64, 127, 128, 200].into_iter().map(Var).collect()
+}
+
+/// The `code`-th permutation of `vars` (Lehmer code; 0 is the identity).
+fn permuted(vars: &[Var], mut code: usize) -> Vec<Var> {
+    let mut rest = vars.to_vec();
+    let mut out = Vec::with_capacity(rest.len());
+    while !rest.is_empty() {
+        out.push(rest.remove(code % rest.len()));
+        code /= rest.len() + 1;
+    }
+    out
+}
+
+/// Reference construction: XOR the terms' products in one at a time.
+fn bdd_term_fold(bdd: &mut Bdd, expr: &Anf) -> BddRef {
+    let mut acc = BddRef::FALSE;
+    for term in expr.terms() {
+        let mut prod = BddRef::TRUE;
+        for v in term.vars() {
+            let fv = bdd.var(v);
+            prod = bdd.and(prod, fv).unwrap();
+        }
+        acc = bdd.xor(acc, prod).unwrap();
+    }
+    acc
+}
+
+/// Reference construction: XOR the terms' single-monomial families.
+fn zdd_term_fold(zdd: &mut Zdd, expr: &Anf) -> ZddRef {
+    let mut acc = ZddRef::ZERO;
+    for term in expr.terms() {
+        let m = zdd.monomial(term);
+        acc = zdd.xor(acc, m);
+    }
+    acc
 }
 
 proptest! {
@@ -70,6 +111,38 @@ proptest! {
             g = bdd.xor(g, prod).unwrap();
         }
         prop_assert_eq!(f, g);
+    }
+
+    #[test]
+    fn bdd_davio_build_equals_term_fold(masks in anf_strategy(), code in 0usize..720) {
+        // A non-identity order (most codes) shows the expansion follows
+        // levels, not variable indices.
+        let vars = wide_vars();
+        let expr = decode_anf(&masks, &vars);
+        let mut bdd = Bdd::with_order(permuted(&vars, code));
+        let f = bdd.from_anf(&expr).unwrap();
+        prop_assert_eq!(f, bdd_term_fold(&mut bdd, &expr));
+    }
+
+    #[test]
+    fn bdd_davio_build_registers_variables_like_term_fold(masks in anf_strategy()) {
+        let vars = wide_vars();
+        let expr = decode_anf(&masks, &vars);
+        let mut davio = Bdd::new();
+        davio.from_anf(&expr).unwrap();
+        let mut fold = Bdd::new();
+        bdd_term_fold(&mut fold, &expr);
+        prop_assert_eq!(davio.order(), fold.order());
+    }
+
+    #[test]
+    fn zdd_davio_build_equals_term_fold(masks in anf_strategy(), code in 0usize..720) {
+        let vars = wide_vars();
+        let expr = decode_anf(&masks, &vars);
+        let mut zdd = Zdd::with_order(permuted(&vars, code));
+        let f = zdd.from_anf(&expr);
+        prop_assert_eq!(f, zdd_term_fold(&mut zdd, &expr));
+        prop_assert_eq!(zdd.to_anf(f), expr);
     }
 
     #[test]
@@ -158,6 +231,32 @@ proptest! {
         let original = &outputs[0].1;
         prop_assert_ne!(original.eval(assign), corrupted.eval(assign));
     }
+}
+
+#[test]
+fn davio_builds_constants_and_large_monomials_like_term_fold() {
+    let vars = wide_vars();
+    let large = Monomial::from_vars([vars[1], vars[4], vars[5]]);
+    assert!(
+        large.as_small().is_none(),
+        "index >= 128 must spill to Large"
+    );
+    let mixed = Anf::from_terms(vec![Monomial::one(), large, Monomial::var(vars[2])]);
+    let reversed: Vec<Var> = vars.iter().rev().copied().collect();
+    for expr in [Anf::zero(), Anf::one(), mixed] {
+        let mut bdd = Bdd::with_order(reversed.iter().copied());
+        let f = bdd.from_anf(&expr).unwrap();
+        assert_eq!(f, bdd_term_fold(&mut bdd, &expr), "{expr:?}");
+        let mut zdd = Zdd::with_order(reversed.iter().copied());
+        let z = zdd.from_anf(&expr);
+        assert_eq!(z, zdd_term_fold(&mut zdd, &expr), "{expr:?}");
+    }
+    let mut bdd = Bdd::new();
+    assert_eq!(bdd.from_anf(&Anf::zero()).unwrap(), BddRef::FALSE);
+    assert_eq!(bdd.from_anf(&Anf::one()).unwrap(), BddRef::TRUE);
+    let mut zdd = Zdd::new();
+    assert_eq!(zdd.from_anf(&Anf::zero()), ZddRef::ZERO);
+    assert_eq!(zdd.from_anf(&Anf::one()), ZddRef::ONE);
 }
 
 #[test]

@@ -148,10 +148,23 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, pool: Arc<Worker
         if line.trim().is_empty() {
             continue;
         }
-        let response = handle_request(&line, &state, &pool);
+        let (response, shutdown) = handle_request(&line, &state, &pool);
         let mut text = response.pretty().replace('\n', " ");
         text.push('\n');
-        if writer.write_all(text.as_bytes()).is_err() {
+        let sent = writer
+            .write_all(text.as_bytes())
+            .and_then(|()| writer.flush());
+        if shutdown {
+            // Only now, with the reply on the wire: once the accept loop
+            // sees the flag, `run` returns and the process may exit,
+            // taking this thread with it.
+            state.shutdown.store(true, Ordering::SeqCst);
+            // The accept loop only observes the flag on its next
+            // connection; poke it so shutdown does not wait for one.
+            let _ = TcpStream::connect(state.addr);
+            return;
+        }
+        if sent.is_err() {
             return;
         }
     }
@@ -164,25 +177,22 @@ fn error_response(msg: &str) -> Json {
     ])
 }
 
-fn handle_request(line: &str, state: &Arc<ServerState>, pool: &Arc<WorkerPool>) -> Json {
+/// Answers one request line. The flag is `true` for `shutdown`, which
+/// the caller performs after writing the reply.
+fn handle_request(line: &str, state: &Arc<ServerState>, pool: &Arc<WorkerPool>) -> (Json, bool) {
     let doc = match Json::parse(line) {
         Ok(d) => d,
-        Err(e) => return error_response(&format!("bad request: {e}")),
+        Err(e) => return (error_response(&format!("bad request: {e}")), false),
     };
-    match doc.get("op").and_then(Json::as_str) {
+    let response = match doc.get("op").and_then(Json::as_str) {
         Some("submit") => submit(&doc, state, pool),
         Some("status") => status(&doc, state),
         Some("result") => result(&doc, state),
-        Some("shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            // The accept loop only observes the flag on its next
-            // connection; poke it so shutdown does not wait for one.
-            let _ = TcpStream::connect(state.addr);
-            Json::obj(vec![("ok", Json::from(true))])
-        }
+        Some("shutdown") => return (Json::obj(vec![("ok", Json::from(true))]), true),
         Some(other) => error_response(&format!("unknown op {other:?}")),
         None => error_response("missing \"op\""),
-    }
+    };
+    (response, false)
 }
 
 fn submit(doc: &Json, state: &Arc<ServerState>, pool: &Arc<WorkerPool>) -> Json {

@@ -11,7 +11,7 @@ use progressive_decomposition::arith::{
     Adder, Comparator, Counter, Gray, Lod, Lzd, Majority, Parity, ThreeInputAdder,
 };
 use progressive_decomposition::bdd::verify::{check_equal_interleaved, check_netlist_vs_anf};
-use progressive_decomposition::bdd::interleaved_order;
+use progressive_decomposition::bdd::{interleaved_order, Bdd};
 use progressive_decomposition::prelude::*;
 
 fn pd_netlist(pool: &VarPool, spec: Vec<(String, Anf)>) -> Netlist {
@@ -173,4 +173,25 @@ fn corrupted_netlist_is_rejected_at_full_width() {
         .unwrap()
         .expect("corruption must be detected");
     assert_eq!(m.output, name);
+}
+
+#[test]
+fn spec_bdds_build_without_intermediate_blowup() {
+    // Specs enter the oracle by positive-Davio expansion, whose
+    // intermediate diagrams stay near the size of the result: all of
+    // three8's and comparator10's outputs fit in a fresh manager in under
+    // 2,000 nodes, where XOR-ing their terms in one at a time allocated
+    // 1.85M and 425k. Node counts are deterministic — no timing involved.
+    let three = ThreeInputAdder::new(8);
+    let cmp = Comparator::new(10);
+    for (name, pool, spec) in [
+        ("three8", &three.pool, three.spec()),
+        ("comparator10", &cmp.pool, cmp.spec()),
+    ] {
+        let mut bdd = Bdd::with_order(interleaved_order(pool));
+        for (_, expr) in &spec {
+            bdd.from_anf(expr).unwrap();
+        }
+        assert!(bdd.len() <= 2_000, "{name}: {} nodes", bdd.len());
+    }
 }

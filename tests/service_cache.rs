@@ -4,10 +4,10 @@
 
 use progressive_decomposition::flow::json::Json;
 use progressive_decomposition::flow::{circuit_by_name, Flow, FlowConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Lines, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 
 fn pd() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pd"))
@@ -220,23 +220,29 @@ fn library_seeded_factoring_is_thread_invariant_and_never_regresses_golden() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
-#[test]
-fn serve_tcp_smoke() {
+/// Spawns `pd serve` on an ephemeral port. Returns the child, the address
+/// from its banner, and the rest of its stdout (kept open so the server
+/// never writes into a closed pipe).
+fn spawn_serve() -> (Child, String, Lines<BufReader<ChildStdout>>) {
     let mut child = pd()
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn pd serve");
-    let mut lines = BufReader::new(child.stdout.take().expect("piped"))
-        .lines()
-        .map_while(Result::ok);
-    let banner = lines.next().expect("banner line");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped")).lines();
+    let banner = lines.next().expect("banner line").expect("banner text");
     let addr = banner
         .split("listening on ")
         .nth(1)
         .and_then(|s| s.split_whitespace().next())
         .expect("address in banner")
         .to_owned();
+    (child, addr, lines)
+}
+
+#[test]
+fn serve_tcp_smoke() {
+    let (mut child, addr, _stdout) = spawn_serve();
 
     let mut conn = TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(conn.try_clone().unwrap());
@@ -267,4 +273,27 @@ fn serve_tcp_smoke() {
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
     let status = child.wait().expect("server exits");
     assert!(status.success());
+}
+
+#[test]
+fn serve_shutdown_reply_always_arrives() {
+    // The server may only let its accept loop end — and the process exit
+    // — once the `shutdown` reply is on the wire; otherwise exit can
+    // swallow it and the client reads end of input.
+    for cycle in 0..20 {
+        let (mut child, addr, _stdout) = spawn_serve();
+        let mut conn = TcpStream::connect(&addr).expect("connect");
+        conn.write_all(b"{\"op\": \"shutdown\"}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(&conn).read_line(&mut line).unwrap();
+        let r =
+            Json::parse(&line).unwrap_or_else(|e| panic!("cycle {cycle}: {e:?} parsing {line:?}"));
+        assert_eq!(
+            r.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "cycle {cycle}: {r:?}"
+        );
+        let status = child.wait().expect("server exits");
+        assert!(status.success(), "cycle {cycle}: {status}");
+    }
 }
