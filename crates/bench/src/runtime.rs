@@ -16,9 +16,10 @@
 //!
 //! The Factor stage's two implementations are A/B-tracked as
 //! `flow/<circuit>/factor-global` (the workspace-wide shared-divisor
-//! network) versus `factor-local` (the per-block `PD_LOCAL_FACTOR=1`
-//! path), each with its literal count *and mapped cell count*, so the
-//! cross-block sharing's QoR effect is recorded next to its cost.
+//! network) versus `factor-local` (the per-block `local` ladder rung,
+//! reached by injecting `factor:panic:1`), each with its literal count
+//! *and mapped cell count*, so the cross-block sharing's QoR effect is
+//! recorded next to its cost.
 //!
 //! The content-addressed stage cache is A/B-tracked as
 //! `flow/<circuit>/total-cold` (empty `PD_CACHE_DIR`-style store, every
@@ -32,13 +33,13 @@
 //! `flow/<circuit>/reduce-incremental` times `pd_core::refine` applied to
 //! a prebuilt stage-1 hierarchy (the default in-place worklist path), and
 //! `flow/<circuit>/reduce-full` times the from-scratch re-decomposition
-//! it replaced (the `PD_FULL_REDUCE=1` fallback), each with the literal
-//! count it reaches. A second pair, `reduce-budgeted` versus
+//! it replaced (the Reduce ladder's `full-reduce` rung), each with the
+//! literal count it reaches. A second pair, `reduce-budgeted` versus
 //! `reduce-unbudgeted`, pins the effort-budget work: the default
-//! config's learned arbitration-skip bound (plus the spec-keyed
-//! arbitration cache) against the same pass with the arbitration close
-//! always recomputed — equal `literals_after` across the pair is the
-//! recorded evidence that the budget reclaims time without costing QoR.
+//! config's learned arbitration-skip bound against the same pass with
+//! the arbitration close always recomputed — equal `literals_after`
+//! across the pair is the recorded evidence that the budget reclaims
+//! time without costing QoR.
 //!
 //! The BDD oracle's variable-order work is A/B-tracked as
 //! `verify/<circuit>/verify-interleaved` versus `verify-sifted`: the same
@@ -58,7 +59,7 @@ use pd_anf::{Anf, VarPool};
 use pd_arith::{Adder, Counter, Lzd, Majority};
 use pd_core::pairs::PairList;
 use pd_core::{PdConfig, ProgressiveDecomposer};
-use pd_flow::{circuit_by_name, Flow, FlowConfig, StageKind};
+use pd_flow::{circuit_by_name, FaultPlan, Flow, FlowConfig, StageKind};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -382,8 +383,8 @@ fn reduce_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
             live_nodes: None,
         });
         // The budgeted-arbitration A/B: the default config's learned
-        // skip bound + spec-keyed arbitration cache versus the same
-        // worklist pass with the arbitration close always recomputed.
+        // skip bound versus the same worklist pass with the arbitration
+        // close always recomputed.
         // Equal literals_after here *is* the quality claim — the budget
         // reclaims time, not QoR.
         for (suffix, cfg) in [
@@ -421,30 +422,28 @@ const FACTOR_AB_CIRCUITS: [&str; 3] = ["maj15", "counter12", "lzd12"];
 
 /// A/B comparison of the Factor stage's two implementations: the
 /// workspace-wide shared-divisor `GlobalNetwork` (`factor-global`, the
-/// default) versus the per-block resynthesis retained behind
-/// `PD_LOCAL_FACTOR=1` (`factor-local`). Decompose + Reduce run once per
-/// configuration; each repetition then clones that flow state and times
-/// the Factor stage alone, with the mapped cell count recorded so the
-/// QoR side of the trade is tracked next to the speed.
+/// default) versus the per-block resynthesis of the ladder's `local`
+/// rung (`factor-local`), reached by a `factor:panic:1` fault that kills
+/// the `global` rung before it starts. Decompose + Reduce run once per
+/// side; each repetition then clones that flow state and times the
+/// rung that ran (the report's `wall_ms`), with the mapped cell count
+/// recorded so the QoR side of the trade is tracked next to the speed.
 fn factor_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
     let mut out = Vec::new();
     let reps = opts.reps.max(1);
     for circuit in FACTOR_AB_CIRCUITS {
         let input = circuit_by_name(circuit).expect("bench circuits resolve");
-        let cfg = FlowConfig {
-            verify: false,
-            local_factor: false,
-            full_reduce: false,
-            ..FlowConfig::default()
-        };
-        // Decompose + Reduce are identical for both Factor paths; pay
-        // the (arbitrated-Reduce) prefix once and fork the flow state.
-        let mut pre = Flow::new(input, cfg);
-        pre.run_next().expect("decompose");
-        pre.run_next().expect("reduce");
         for local in [false, true] {
-            let mut pre = pre.clone();
-            pre.set_local_factor(local);
+            let cfg = FlowConfig {
+                verify: false,
+                fault: local.then(|| FaultPlan::parse("factor:panic:1").expect("valid plan")),
+                ..FlowConfig::default()
+            };
+            // Pay the Decompose + Reduce prefix once per side and fork
+            // the flow state for every repetition.
+            let mut pre = Flow::new(input.clone(), cfg);
+            pre.run_next().expect("decompose");
+            pre.run_next().expect("reduce");
             let mut wall: Vec<f64> = Vec::new();
             let mut literals = None;
             let mut cells = None;
@@ -452,6 +451,7 @@ fn factor_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
                 let mut flow = pre.clone();
                 {
                     let report = flow.run_next().expect("factor");
+                    assert_eq!(report.degraded.as_deref(), local.then_some("local"));
                     wall.push(report.wall_ms);
                     literals = report.literals;
                 }

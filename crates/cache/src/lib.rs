@@ -1,124 +1,22 @@
-//! # pd-cache — capped in-memory caches and a content-addressed disk store
+//! # pd-cache — a content-addressed disk store
 //!
-//! One home for every cache policy in the workspace, so eviction and
-//! accounting are implemented once:
+//! [`DiskStore`] is a content-addressed artifact directory (the flow's
+//! `PD_CACHE_DIR`). Artifacts are immutable once written — the key is a
+//! hash of everything that determines the value — so there is no
+//! eviction or invalidation: a stale entry is simply never addressed
+//! again. Writes go through a temp file and an atomic rename, so a
+//! crashed or concurrent writer can never leave a torn artifact where a
+//! reader will find it.
 //!
-//! * [`MemCache`] — a process-wide, thread-safe, capacity-capped map
-//!   with hit/miss counters. The eviction policy is *clear-on-full*:
-//!   when an insert would exceed the cap the whole map is dropped. That
-//!   is deliberately the policy PR 6's arbitration cache shipped with —
-//!   entries are expensive to compute but cheap to lose, keys arrive in
-//!   bursts per spec, and LRU bookkeeping would cost more than the rare
-//!   refill — and now `pd_core::refine` borrows it from here instead of
-//!   hand-rolling it.
-//! * [`DiskStore`] — a content-addressed artifact directory (the flow's
-//!   `PD_CACHE_DIR`). Artifacts are immutable once written — the key is
-//!   a hash of everything that determines the value — so there is no
-//!   eviction or invalidation: a stale entry is simply never addressed
-//!   again. Writes go through a temp file and an atomic rename, so a
-//!   crashed or concurrent writer can never leave a torn artifact where
-//!   a reader will find it.
-//!
-//! The crate is std-only and dependency-free so every layer (core,
-//! factor, flow) can use it without cycles.
+//! The crate is std-only and dependency-free so every layer can use it
+//! without cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Hit/miss counters, snapshotted by [`MemCache::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-}
-
-/// A thread-safe map capped at `cap` entries, cleared wholesale when an
-/// insert would overflow (see the crate docs for why), with cumulative
-/// hit/miss counters.
-///
-/// # Examples
-///
-/// ```
-/// use pd_cache::MemCache;
-/// let cache: MemCache<u32, String> = MemCache::new(2);
-/// assert_eq!(cache.get(&1), None);
-/// cache.insert(1, "one".into());
-/// assert_eq!(cache.get(&1).as_deref(), Some("one"));
-/// let stats = cache.stats();
-/// assert_eq!((stats.hits, stats.misses), (1, 1));
-/// ```
-#[derive(Debug)]
-pub struct MemCache<K, V> {
-    map: Mutex<HashMap<K, V>>,
-    cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<K: Eq + Hash, V: Clone> MemCache<K, V> {
-    /// Creates an empty cache holding at most `cap` entries (`cap` is
-    /// clamped to at least 1).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            map: Mutex::new(HashMap::new()),
-            cap: cap.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up `key`, cloning the value out and counting the outcome.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        match map.get(key) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `key → value`. If the map is full and `key` is new, the
-    /// whole map is cleared first (clear-on-full; see crate docs).
-    pub fn insert(&self, key: K, value: V) {
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() >= self.cap && !map.contains_key(&key) {
-            map.clear();
-        }
-        map.insert(key, value);
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Returns `true` if the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of the cumulative hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// Returns `true` if `key` is safe to use as a file name in the store:
 /// non-empty, and only lowercase hex, digits, `.`, `_`, `-`. Content
@@ -177,8 +75,7 @@ impl DiskStore {
     /// Writes `contents` under `key` atomically: a unique temp file in
     /// the same directory, then a rename over the final name.
     pub fn store(&self, key: &str, contents: &str) -> io::Result<()> {
-        use std::sync::atomic::AtomicU64 as Counter;
-        static SEQ: Counter = Counter::new(0);
+        static SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.checked_path(key)?;
         let tmp = self.root.join(format!(
             ".tmp.{}.{}.{key}",
@@ -209,26 +106,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pd-cache-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn mem_cache_counts_and_clears_on_full() {
-        let cache: MemCache<u32, u32> = MemCache::new(2);
-        assert_eq!(cache.get(&1), None);
-        cache.insert(1, 10);
-        cache.insert(2, 20);
-        assert_eq!(cache.get(&1), Some(10));
-        assert_eq!(cache.len(), 2);
-        // Third distinct key overflows the cap: clear-on-full drops both.
-        cache.insert(3, 30);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&1), None);
-        assert_eq!(cache.get(&3), Some(30));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 2));
-        // Re-inserting an existing key never clears.
-        cache.insert(3, 31);
-        assert_eq!(cache.get(&3), Some(31));
     }
 
     #[test]

@@ -47,4 +47,4 @@ pub mod size_reduce;
 
 pub use config::PdConfig;
 pub use decompose::{examples, Block, Decomposition, ProgressiveDecomposer, TraceEvent};
-pub use refine::{arbitration_cache_stats, refine, refine_metered, refine_with_library, RefineStats};
+pub use refine::{refine, refine_metered, refine_with_library, RefineStats};

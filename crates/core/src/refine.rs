@@ -73,8 +73,8 @@
 //! stage 1 grouped well (comparator10) the worklist result survives and
 //! wins outright; where it grouped poorly (the ROADMAP's lzd12 case,
 //! 117 vs 41 mapped cells before this pass) the re-decomposition does.
-//! The `pd-flow` fallback (`PD_FULL_REDUCE=1`) remains the pure
-//! from-scratch A/B path; every incremental rewrite is still exact, so
+//! The `pd-flow` Reduce ladder's last rung (`full-reduce`) remains the
+//! pure from-scratch path; every incremental rewrite is still exact, so
 //! correctness never depends on which side arbitration picks.
 
 use crate::config::PdConfig;
@@ -83,12 +83,9 @@ use crate::lindep;
 use crate::pairs::{Pair, PairList};
 use crate::size_reduce;
 use pd_anf::{Anf, Monomial, NullSpace, Var, VarSet};
-use pd_cache::MemCache;
 use pd_factor::{DivisorLibrary, DivisorTable};
 use pd_par::EffortMeter;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
 
 /// What one [`refine`] run did.
 #[derive(Clone, Copy, Debug, Default)]
@@ -119,14 +116,6 @@ pub struct RefineStats {
     /// worklist result's gate estimate was already within the learned
     /// bound ([`PdConfig::arbitration_skip_permille`]).
     pub arbitration_skipped: bool,
-    /// Whether the arbitration decomposition came from the process-wide
-    /// spec-keyed cache instead of being recomputed.
-    pub arbitration_cached: bool,
-    /// Cumulative process-wide arbitration-cache hits at the end of this
-    /// run (the cache is shared; in a server these counters span jobs).
-    pub arbitration_cache_hits: u64,
-    /// Cumulative process-wide arbitration-cache misses, as above.
-    pub arbitration_cache_misses: u64,
     /// Leaders of the refined hierarchy whose expression is recorded in
     /// the persistent divisor library (0 when refining without one).
     pub library_leaders: usize,
@@ -370,12 +359,12 @@ pub fn refine_metered(
             if skip {
                 stats.arbitration_skipped = true;
             } else {
-                let (alt, alt_gates, cached) = arbitration_decomposition(d, cfg, meter);
-                stats.arbitration_cached = cached;
-                let cache_stats = arbitration_cache_stats();
-                stats.arbitration_cache_hits = cache_stats.hits;
-                stats.arbitration_cache_misses = cache_stats.misses;
-                if alt_gates < gates_now {
+                let alt = ProgressiveDecomposer::new(cfg.clone()).decompose_metered(
+                    d.pool.clone(),
+                    d.spec.clone(),
+                    meter,
+                );
+                if gate_estimate(&alt) < gates_now {
                     *d = alt;
                     stats.arbitrated = true;
                 }
@@ -399,88 +388,6 @@ pub fn refine_metered(
     stats.literals_after = d.hierarchy_literal_count();
     debug_assert_eq!(d.validate(), Ok(()));
     stats
-}
-
-/// Key of one arbitration-cache entry: everything the from-scratch
-/// re-decomposition's result depends on. The variable-pool fingerprint
-/// matters because fresh leader numbering continues from the pool the
-/// refinement ends with — two refine calls reaching different pool
-/// states must not share an entry, or results would depend on cache
-/// warmth.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct ArbitrationKey {
-    /// Output names with per-output term counts and a term hash.
-    spec: Vec<(String, usize, u64)>,
-    /// `Debug` fingerprint of the decomposition config.
-    cfg: String,
-    /// Pool size and a hash of every variable name in allocation order.
-    pool_len: usize,
-    pool_names: u64,
-}
-
-/// Process-wide cache of arbitration re-decompositions, keyed by spec +
-/// config + pool state (see [`ArbitrationKey`]). Repeated synthesis of
-/// the same specification — benchmark repetitions, and `pd serve` jobs
-/// resubmitting a spec — pays the from-scratch close once. Entries are
-/// exact clones of a deterministic computation, so a hit returns
-/// bit-identical results to a fresh run. The capped map, its
-/// clear-on-full eviction, and the hit/miss counters all come from
-/// [`pd_cache::MemCache`] — one cache policy for the workspace.
-fn arbitration_cache() -> &'static MemCache<ArbitrationKey, (Decomposition, usize)> {
-    static CACHE: OnceLock<MemCache<ArbitrationKey, (Decomposition, usize)>> = OnceLock::new();
-    CACHE.get_or_init(|| MemCache::new(ARBITRATION_CACHE_CAP))
-}
-
-/// Bound on cached arbitration decompositions.
-const ARBITRATION_CACHE_CAP: usize = 32;
-
-/// Cumulative hit/miss counters of the process-wide arbitration cache.
-pub fn arbitration_cache_stats() -> pd_cache::CacheStats {
-    arbitration_cache().stats()
-}
-
-/// The from-scratch refined re-decomposition the arbitration close
-/// compares against, with its gate estimate, served from the process
-/// cache when possible. Returns `(decomposition, gate_estimate, cached)`.
-fn arbitration_decomposition(
-    d: &Decomposition,
-    cfg: &PdConfig,
-    meter: &mut EffortMeter,
-) -> (Decomposition, usize, bool) {
-    use std::collections::hash_map::DefaultHasher;
-    let key = ArbitrationKey {
-        spec: d
-            .spec
-            .iter()
-            .map(|(name, e)| {
-                let mut h = DefaultHasher::new();
-                for t in e.terms() {
-                    t.hash(&mut h);
-                }
-                (name.clone(), e.term_count(), h.finish())
-            })
-            .collect(),
-        cfg: format!("{cfg:?}"),
-        pool_len: d.pool.len(),
-        pool_names: {
-            let mut h = DefaultHasher::new();
-            for v in d.pool.iter() {
-                d.pool.name(v).hash(&mut h);
-            }
-            h.finish()
-        },
-    };
-    if let Some((alt, gates)) = arbitration_cache().get(&key) {
-        return (alt, gates, true);
-    }
-    let alt = ProgressiveDecomposer::new(cfg.clone()).decompose_metered(
-        d.pool.clone(),
-        d.spec.clone(),
-        meter,
-    );
-    let gates = gate_estimate(&alt);
-    arbitration_cache().insert(key, (alt.clone(), gates));
-    (alt, gates, false)
 }
 
 /// Live (output-reachable) gate count of the hierarchy's emitted netlist

@@ -22,98 +22,45 @@ pub struct BatchOutcome {
     pub name: String,
     /// The summary, or why the flow stopped.
     pub result: Result<FlowSummary, FlowError>,
-    /// Whether the circuit was re-run under the safe configuration after
-    /// its first attempt panicked or died of BDD capacity (see
-    /// [`run_batch`]); `result` then describes the retry.
-    pub retried: bool,
 }
 
 impl BatchOutcome {
-    /// Serialises the outcome: the summary object, or `{name, error}`;
-    /// either form gains `"retried": true` after a safe-config retry.
+    /// Serialises the outcome: the summary object, or `{name, error}`.
     pub fn to_json(&self) -> Json {
-        let mut doc = match &self.result {
+        match &self.result {
             Ok(summary) => summary.to_json(),
             Err(e) => Json::obj(vec![
                 ("name", Json::from(self.name.as_str())),
                 ("error", Json::from(e.to_string().as_str())),
             ]),
-        };
-        if self.retried {
-            if let Json::Obj(fields) = &mut doc {
-                fields.push(("retried".to_owned(), Json::from(true)));
-            }
         }
-        doc
     }
 }
 
-/// One fenced end-to-end flow attempt.
-fn attempt(input: FlowInput, cfg: FlowConfig) -> Result<FlowSummary, FlowError> {
-    // A panicking flow must not unwind into the pool worker (which
-    // would poison the whole batch); each flow's state is discarded
-    // on panic, so the unwind-safety assertion is sound.
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut flow = Flow::new(input, cfg);
-        flow.run_to_completion()
-    }))
-    .unwrap_or_else(|payload| Err(FlowError::Panicked(crate::panic_message(payload))))
-}
-
-/// Runs one circuit end to end, with the batch driver's fencing and
-/// retry policy: a flow that panics — every ladder rung dead, or an
-/// unwind escaping the flow itself — or dies of BDD capacity is retried
-/// **once** under the safe configuration (from-scratch Reduce, per-block
-/// Factor: the paths with the least machinery; and the oracle's order
-/// ladder re-enabled, since a capacity kill can only have come from
-/// `DvoMode::Off`) before the outcome reports the failure. The
-/// naive-kernel switch cannot join the safe config: it is a process-wide
-/// `OnceLock` read from `PD_NAIVE_KERNEL` at first use.
+/// Runs one circuit end to end behind a panic fence. Recovery lives in
+/// the stage ladders; a flow that still fails — every rung of a stage
+/// dead, the oracle out of capacity under `DvoMode::Off`, or an unwind
+/// escaping the flow itself — is reported as a typed [`FlowError`].
 ///
 /// This is the unit both drivers share: [`run_batch`] fans it out over
 /// the `pd-par` pool, the job server ([`crate::serve`]) routes it
 /// through its sharded worker pool.
 pub fn run_one(input: FlowInput, cfg: &FlowConfig) -> BatchOutcome {
     let name = input.name.clone();
-    match attempt(input.clone(), cfg.clone()) {
-        Err(first)
-            if matches!(
-                first,
-                FlowError::Panicked(_) | FlowError::Capacity { .. }
-            ) =>
-        {
-            let mut safe = cfg.clone();
-            safe.full_reduce = true;
-            safe.local_factor = true;
-            safe.dvo = pd_bdd::DvoMode::OnCapacity;
-            // The fault plan re-arms for the retry (Flow::new reads
-            // cfg.fault), so an injected panic stays deterministic
-            // across both attempts.
-            let first_msg = first.to_string();
-            let result = attempt(input, safe).map_err(|e| match e {
-                FlowError::Panicked(second) => FlowError::Panicked(format!(
-                    "{first_msg}; safe-config retry also panicked: {second}"
-                )),
-                other => other,
-            });
-            BatchOutcome {
-                name,
-                result,
-                retried: true,
-            }
-        }
-        result => BatchOutcome {
-            name,
-            result,
-            retried: false,
-        },
-    }
+    // A panicking flow must not unwind into the pool worker (which
+    // would poison the whole batch); each flow's state is discarded
+    // on panic, so the unwind-safety assertion is sound.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let mut flow = Flow::new(input, cfg.clone());
+        flow.run_to_completion()
+    }))
+    .unwrap_or_else(|payload| Err(FlowError::Panicked(crate::panic_message(payload))));
+    BatchOutcome { name, result }
 }
 
 /// Runs every circuit through a fresh [`Flow`] under a shared
 /// configuration, in parallel, preserving input order. Each circuit gets
-/// [`run_one`]'s fencing and safe-config retry; siblings are unaffected
-/// either way.
+/// [`run_one`]'s fencing; a failure stays in its own slot.
 pub fn run_batch(inputs: Vec<FlowInput>, cfg: &FlowConfig) -> Vec<BatchOutcome> {
     pd_par::par_map_vec(inputs, |input| run_one(input, cfg))
 }
@@ -190,11 +137,6 @@ mod tests {
                 if msg.contains("selector")),
             "unexpected error: {err}"
         );
-        assert!(
-            outcomes[1].retried,
-            "a panicking circuit gets one safe-config retry"
-        );
-        assert!(!outcomes[0].retried && !outcomes[2].retried);
         for i in [0, 2] {
             let summary = outcomes[i]
                 .result
@@ -213,25 +155,41 @@ mod tests {
     }
 
     #[test]
-    fn capacity_killed_circuit_gets_a_safe_config_retry() {
-        use crate::FaultPlan;
+    fn capacity_kill_under_dvo_off_is_a_typed_error_in_its_slot() {
+        use crate::{FaultPlan, StageKind};
         use pd_bdd::DvoMode;
 
         // DvoMode::Off turns the injected oracle starvation into a hard
-        // FlowError::Capacity; the safe-config retry re-enables the order
-        // ladder, so the re-armed fault degrades to `unverified` instead.
-        let cfg = FlowConfig {
+        // FlowError::Capacity: the user asked for no reordering, so
+        // nothing re-enables the order ladder behind their back.
+        let starved = FlowConfig {
             dvo: DvoMode::Off,
             fault: Some(FaultPlan::parse("decompose:capacity:1").unwrap()),
             ..FlowConfig::default()
         };
-        let outcomes = run_batch(vec![circuit_by_name("maj5").unwrap()], &cfg);
-        assert!(outcomes[0].retried, "capacity now qualifies for the retry");
-        let summary = outcomes[0]
+        let clean = FlowConfig::default();
+        let jobs = vec![
+            (circuit_by_name("parity8").unwrap(), &clean),
+            (circuit_by_name("maj5").unwrap(), &starved),
+            (circuit_by_name("gray6").unwrap(), &clean),
+        ];
+        let outcomes = pd_par::par_map_vec(jobs, |(input, cfg)| run_one(input, cfg));
+        assert_eq!(outcomes[1].name, "maj5");
+        let err = outcomes[1]
             .result
             .as_ref()
-            .expect("the retry's order ladder absorbs the starvation");
-        assert_eq!(summary.stages[0].verified, Some(false));
-        assert!(summary.stages[1..4].iter().all(|s| s.verified == Some(true)));
+            .expect_err("no retry rescues DvoMode::Off");
+        assert!(
+            matches!(err, FlowError::Capacity { stage: StageKind::Decompose, .. }),
+            "unexpected error: {err}"
+        );
+        for i in [0, 2] {
+            let summary = outcomes[i]
+                .result
+                .as_ref()
+                .unwrap_or_else(|e| panic!("sibling {i} disturbed: {e}"));
+            assert_eq!(summary.stages.len(), 5);
+            assert!(summary.stages[..4].iter().all(|s| s.verified == Some(true)));
+        }
     }
 }

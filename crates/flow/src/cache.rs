@@ -57,18 +57,16 @@ const ENTRY_SCHEMA: &str = "pd-stage-cache/v1";
 /// the module docs).
 pub fn config_fingerprint(cfg: &FlowConfig) -> String {
     format!(
-        "pd={:?};extract={:?};global={:?};local_factor={};factor_max_support={};\
-         minimize={};library={:?};verify={};full_reduce={};\
+        "pd={:?};extract={:?};global={:?};factor_max_support={};\
+         minimize={};library={:?};verify={};\
          budgets={}/{}/{};node_cap={};dvo={:?}",
         cfg.pd,
         cfg.extract,
         cfg.global_extract,
-        cfg.local_factor,
         cfg.factor_max_support,
         cfg.minimize,
         cfg.library,
         cfg.verify,
-        cfg.full_reduce,
         cfg.budget_decompose,
         cfg.budget_reduce,
         cfg.budget_factor,
@@ -668,8 +666,6 @@ pub fn report_from_json(j: &Json) -> Option<StageReport> {
         .map(str::to_owned);
     r.effort_spent = j.get("effort_spent").and_then(num_u64);
     r.cache = j.get("cache").and_then(Json::as_str).map(str::to_owned);
-    r.arbitration_cache_hits = j.get("arbitration_cache_hits").and_then(num_u64);
-    r.arbitration_cache_misses = j.get("arbitration_cache_misses").and_then(num_u64);
     r.library_seeds = j.get("library_seeds").and_then(num_usize);
     r.library_hits = j.get("library_hits").and_then(num_usize);
     r.library_leaders = j.get("library_leaders").and_then(num_usize);

@@ -13,12 +13,10 @@
 //!  ├──────────────▼──────────────┤
 //!  │ 2 Reduce      (pd-core)     │  incremental LinDep + SizeReduce
 //!  │                             │  (worklist + divisor-table reuse +
-//!  │                             │  arbitration close);
-//!  │                             │  PD_FULL_REDUCE=1 re-decomposes
+//!  │                             │  arbitration close)
 //!  ├──────────────▼──────────────┤
 //!  │ 3 Factor      (pd-factor)   │  workspace-wide shared-divisor
-//!  │                             │  extraction over all leaders;
-//!  │                             │  PD_LOCAL_FACTOR=1 per block
+//!  │                             │  extraction over all leaders
 //!  ├──────────────▼──────────────┤
 //!  │ 4 TechMap     (pd-cells)    │  pattern absorption onto the library
 //!  ├──────────────▼──────────────┤
@@ -142,19 +140,17 @@ pub enum StageKind {
     Decompose,
     /// Incremental refinement of the stage-1 hierarchy: linear-dependence
     /// minimisation (§5.3) and local size reduction (§5.4) applied in
-    /// place by `pd_core::refine`'s dirty-block worklist. With
-    /// [`FlowConfig::full_reduce`] (or `PD_FULL_REDUCE=1`) the stage
-    /// instead re-runs the whole decomposition with refinement enabled —
-    /// the original, slower from-scratch path, kept for A/B comparison.
+    /// place by `pd_core::refine`'s dirty-block worklist. The ladder's
+    /// last rung (`full-reduce`) instead re-runs the whole decomposition
+    /// with refinement enabled — the original, slower from-scratch path.
     Reduce,
     /// Workspace-wide shared-divisor resynthesis: every block's leaders
     /// and every output enter one `pd_factor::GlobalNetwork`, whose
     /// hash-consed divisor table extracts kernels/co-kernels shared
     /// across blocks and whose single synthesiser stitches the divisor
-    /// nets across cone boundaries. With [`FlowConfig::local_factor`]
-    /// (or `PD_LOCAL_FACTOR=1`) the stage instead runs the pre-global
-    /// per-block path (two-level minimisation + kernel extraction per
-    /// cone), kept for A/B comparison.
+    /// nets across cone boundaries. The ladder's `local` rung instead
+    /// runs the pre-global per-block path (two-level minimisation +
+    /// kernel extraction per cone).
     Factor,
     /// Technology mapping onto the cell library (`pd-cells`).
     TechMap,
@@ -370,12 +366,6 @@ pub struct FlowConfig {
     /// Workspace-wide extraction knobs for the `Factor` stage's default
     /// (global) path.
     pub global_extract: GlobalConfig,
-    /// Run the `Factor` stage per block (the pre-global behaviour:
-    /// each block's leaders minimised and kernel-extracted in isolation)
-    /// instead of through the workspace-wide [`GlobalNetwork`]. Defaults
-    /// to `false` unless the `PD_LOCAL_FACTOR` environment variable is
-    /// set — the A/B switch for comparing the two Factor paths.
-    pub local_factor: bool,
     /// Support cap for the per-block path's truth-table conversion;
     /// cones wider than this are synthesised directly instead of
     /// factored. No effect on the default (global) path, which never
@@ -390,12 +380,6 @@ pub struct FlowConfig {
     /// `true` unless the `PD_SKIP_VERIFY` environment variable is set —
     /// the escape hatch for benchmarking the transforms alone.
     pub verify: bool,
-    /// Run the `Reduce` stage as a from-scratch re-decomposition (the
-    /// pre-incremental behaviour) instead of refining the stage-1
-    /// hierarchy in place. Defaults to `false` unless the
-    /// `PD_FULL_REDUCE` environment variable is set — the A/B switch for
-    /// comparing the two Reduce paths.
-    pub full_reduce: bool,
     /// Effort budget (decomposer candidate trials) for the `Decompose`
     /// stage. The meter counts work, never wall-clock, so a budgeted run
     /// stops at the same place on every machine and thread count.
@@ -449,12 +433,10 @@ impl Default for FlowConfig {
             pd: PdConfig::default(),
             extract: ExtractConfig::default(),
             global_extract: GlobalConfig::default(),
-            local_factor: std::env::var_os("PD_LOCAL_FACTOR").is_some(),
             factor_max_support: 12,
             minimize: true,
             library: CellLibrary::umc130(),
             verify: std::env::var_os("PD_SKIP_VERIFY").is_none(),
-            full_reduce: std::env::var_os("PD_FULL_REDUCE").is_some(),
             budget_decompose: env_budget("PD_BUDGET_DECOMPOSE"),
             budget_reduce: env_budget("PD_BUDGET_REDUCE"),
             budget_factor: env_budget("PD_BUDGET_FACTOR"),
@@ -549,12 +531,6 @@ pub struct StageReport {
     /// `"miss"` (cache enabled, stage computed live and stored), or
     /// `None` (caching off or fenced off by an armed fault).
     pub cache: Option<String>,
-    /// Process-wide arbitration-cache hits observed by this stage's
-    /// refinement (incremental `Reduce` only).
-    pub arbitration_cache_hits: Option<u64>,
-    /// Process-wide arbitration-cache misses observed by this stage's
-    /// refinement (incremental `Reduce` only).
-    pub arbitration_cache_misses: Option<u64>,
     /// Divisor-library seeds offered to the global `Factor` search.
     pub library_seeds: Option<usize>,
     /// Offered seeds the search actually committed (global `Factor`).
@@ -590,8 +566,6 @@ impl StageReport {
             degradation_reason: None,
             effort_spent: None,
             cache: None,
-            arbitration_cache_hits: None,
-            arbitration_cache_misses: None,
             library_seeds: None,
             library_hits: None,
             library_leaders: None,
@@ -682,12 +656,6 @@ impl StageReport {
             if v == "hit" && self.verified == Some(true) {
                 fields.push(("verified_from_cache", Json::from(true)));
             }
-        }
-        if let Some(v) = self.arbitration_cache_hits {
-            fields.push(("arbitration_cache_hits", Json::Num(v as f64)));
-        }
-        if let Some(v) = self.arbitration_cache_misses {
-            fields.push(("arbitration_cache_misses", Json::Num(v as f64)));
         }
         if let Some(v) = self.library_seeds {
             fields.push(("library_seeds", Json::from(v)));
@@ -896,15 +864,6 @@ impl Flow {
     /// The stage [`Flow::run_next`] would execute, or `None` when done.
     pub fn next_stage(&self) -> Option<StageKind> {
         StageKind::ALL.get(self.next).copied()
-    }
-
-    /// Switches the `Factor` stage's implementation mid-flow (see
-    /// [`FlowConfig::local_factor`]). The stage reads the flag when it
-    /// runs, so an A/B harness can run Decompose + Reduce once, clone
-    /// the flow, and drive each clone down a different Factor path
-    /// without re-paying the shared prefix.
-    pub fn set_local_factor(&mut self, local: bool) {
-        self.cfg.local_factor = local;
     }
 
     /// The current netlist snapshot (set from the `Decompose` stage on).
@@ -1328,8 +1287,6 @@ impl Flow {
         report.refine_reuses = Some(stats.leader_reuses);
         report.refine_arbitrated = Some(stats.arbitrated);
         report.effort_spent = Some(stats.effort_spent);
-        report.arbitration_cache_hits = Some(stats.arbitration_cache_hits);
-        report.arbitration_cache_misses = Some(stats.arbitration_cache_misses);
         if library.is_some() {
             report.library_leaders = Some(stats.library_leaders);
         }
@@ -1365,26 +1322,24 @@ impl Flow {
         let budget = self.effective_budget(StageKind::Reduce);
         let mut base = self.cfg.pd.clone();
         base.effort_budget = base.effort_budget.min(budget);
-        let mut rungs: Vec<(&'static str, RungBody<'_>)> = Vec::new();
-        if !self.cfg.full_reduce {
-            let c1 = base.clone();
-            rungs.push((
+        let c1 = base.clone();
+        let c2 = base.clone().without_refine_arbitration();
+        // Last rung: the pre-incremental from-scratch re-decomposition.
+        let c3 = base;
+        let rungs: Vec<(&'static str, RungBody<'_>)> = vec![
+            (
                 "incremental",
                 Box::new(move |f: &mut Flow| f.reduce_incremental(c1)),
-            ));
-            let c2 = base.clone().without_refine_arbitration();
-            rungs.push((
+            ),
+            (
                 "worklist-only",
                 Box::new(move |f: &mut Flow| f.reduce_incremental(c2)),
-            ));
-        }
-        // Last rung (and the whole stage under PD_FULL_REDUCE): the
-        // pre-incremental from-scratch re-decomposition.
-        let c3 = base;
-        rungs.push((
-            "full-reduce",
-            Box::new(move |f: &mut Flow| f.run_decomposition_stage(StageKind::Reduce, c3)),
-        ));
+            ),
+            (
+                "full-reduce",
+                Box::new(move |f: &mut Flow| f.run_decomposition_stage(StageKind::Reduce, c3)),
+            ),
+        ];
         self.run_ladder(StageKind::Reduce, rungs)
     }
 
@@ -1461,30 +1416,21 @@ impl Flow {
         Ok(report)
     }
 
-    /// The `Factor` stage ladder: global → local → skip (the per-block
-    /// path is first under [`FlowConfig::local_factor`]).
+    /// The `Factor` stage ladder: global → local → skip.
     fn stage_factor(&mut self) -> Result<StageReport, FlowError> {
         let budget = self.effective_budget(StageKind::Factor);
-        let mut rungs: Vec<(&'static str, RungBody<'_>)> = Vec::new();
-        if !self.cfg.local_factor {
-            let mut cfg = self.cfg.global_extract.clone();
-            cfg.effort_budget = cfg.effort_budget.min(budget);
-            rungs.push((
-                "global",
-                Box::new(move |f: &mut Flow| f.factor_global(cfg)),
-            ));
-        }
-        rungs.push((
-            "local",
-            Box::new(|f: &mut Flow| f.stage_factor_local()),
-        ));
-        rungs.push(("skip", Box::new(|f: &mut Flow| f.factor_skip())));
+        let mut cfg = self.cfg.global_extract.clone();
+        cfg.effort_budget = cfg.effort_budget.min(budget);
+        let rungs: Vec<(&'static str, RungBody<'_>)> = vec![
+            ("global", Box::new(move |f: &mut Flow| f.factor_global(cfg))),
+            ("local", Box::new(|f: &mut Flow| f.stage_factor_local())),
+            ("skip", Box::new(|f: &mut Flow| f.factor_skip())),
+        ];
         self.run_ladder(StageKind::Factor, rungs)
     }
 
-    /// The retained per-block Factor path (`PD_LOCAL_FACTOR=1`): each
-    /// block resynthesised in isolation, divisors never shared across
-    /// blocks.
+    /// The per-block Factor rung: each block resynthesised in
+    /// isolation, divisors never shared across blocks.
     fn stage_factor_local(&mut self) -> Result<StageReport, FlowError> {
         let mut report = StageReport::new(StageKind::Factor);
         let d = self.decomposition.as_ref().expect("decompose ran");

@@ -6,9 +6,9 @@
 //! so one job's circuits run FIFO on one worker while other jobs
 //! proceed on the remaining shards. Per-job isolation is the batch
 //! driver's, unchanged: each circuit runs through
-//! [`crate::batch::run_one`] (panic fencing, safe-config retry), so a
-//! job whose every circuit panics still resolves with per-slot errors
-//! and never disturbs a sibling job.
+//! [`crate::batch::run_one`] (panic fencing), so a job whose every
+//! circuit panics still resolves with per-slot errors and never
+//! disturbs a sibling job.
 //!
 //! ## Protocol
 //!
@@ -31,7 +31,10 @@
 //! server unchanged. `"result"` on an unfinished job answers
 //! `{"ok": false, "error": …}` — poll `status` first. Requests the
 //! server cannot parse also answer `{"ok": false}`; the connection
-//! stays open either way.
+//! stays open either way. A request line longer than 1 MiB answers
+//! `{"ok": false, "error": "request too large"}` and closes the
+//! connection, so one client cannot grow the server's memory without
+//! bound.
 //!
 //! When a job's configuration has a cache directory, its stages read
 //! and write the content-addressed store like any batch run, and the
@@ -42,10 +45,14 @@ use crate::json::Json;
 use crate::{batch_to_json, FlowConfig, FlowSpec};
 use pd_par::WorkerPool;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Longest request line the server reads, newline included. Real
+/// submit lines are under a kilobyte.
+const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// One submitted job: its configuration and the per-circuit outcomes,
 /// filled in as the job's worker drains its circuits.
@@ -138,22 +145,25 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, pool: Arc<Worker
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        buf.clear();
+        match (&mut reader).take(MAX_REQUEST_BYTES).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
+        if buf.len() as u64 == MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            let _ = write_response(&mut writer, &error_response("request too large"));
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            return;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let (response, shutdown) = handle_request(&line, &state, &pool);
-        let mut text = response.pretty().replace('\n', " ");
-        text.push('\n');
-        let sent = writer
-            .write_all(text.as_bytes())
-            .and_then(|()| writer.flush());
+        let (response, shutdown) = handle_request(line, &state, &pool);
+        let sent = write_response(&mut writer, &response);
         if shutdown {
             // Only now, with the reply on the wire: once the accept loop
             // sees the flag, `run` returns and the process may exit,
@@ -168,6 +178,14 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, pool: Arc<Worker
             return;
         }
     }
+}
+
+/// Writes `response` as one JSON line.
+fn write_response(writer: &mut TcpStream, response: &Json) -> std::io::Result<()> {
+    let mut text = response.pretty().replace('\n', " ");
+    text.push('\n');
+    writer.write_all(text.as_bytes())?;
+    writer.flush()
 }
 
 fn error_response(msg: &str) -> Json {
@@ -346,8 +364,8 @@ mod tests {
 
         let mut conn = TcpStream::connect(addr).unwrap();
         // Four concurrent jobs — three healthy, one whose single
-        // circuit's every rung panics (injected fault, fires enough
-        // times to poison the safe-config retry too).
+        // circuit's every rung panics (injected fault, fires on every
+        // injection opportunity the flow offers).
         let healthy = ["parity8", "gray6", "maj5"];
         let mut job_ids = Vec::new();
         for name in healthy {
@@ -389,6 +407,44 @@ mod tests {
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
         let r = request(&mut conn, "{\"op\": \"frobnicate\"}");
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+
+        let r = request(&mut conn, "{\"op\": \"shutdown\"}");
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn over_long_request_line_is_refused_and_the_server_lives_on() {
+        let server = Server::bind("127.0.0.1:0", 1).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || server.run());
+
+        // Twice the cap with no newline: the server stops reading at the
+        // cap, answers with a typed error and closes the connection. The
+        // write may fail once the server hangs up; the reply still lands.
+        let mut hog = TcpStream::connect(addr).unwrap();
+        let _ = hog.write_all(&vec![b'x'; 2 * MAX_REQUEST_BYTES as usize]);
+        let mut reply = String::new();
+        BufReader::new(hog).read_line(&mut reply).unwrap();
+        let r = Json::parse(&reply).unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{r:?}");
+        assert_eq!(
+            r.get("error").and_then(Json::as_str),
+            Some("request too large"),
+            "{r:?}"
+        );
+
+        // A fresh connection still submits and completes a job.
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let r = request(
+            &mut conn,
+            "{\"op\": \"submit\", \"spec\": {\"circuits\": [\"maj5\"]}}",
+        );
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+        let job = r.get("job").and_then(Json::as_num).unwrap() as u64;
+        let done = wait_done(&mut conn, job);
+        let slot = &done.get("stats").unwrap().get("circuits").unwrap().as_arr().unwrap()[0];
+        assert!(slot.get("error").is_none(), "{done:?}");
 
         let r = request(&mut conn, "{\"op\": \"shutdown\"}");
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));

@@ -9,8 +9,6 @@
 //!   "group_size": 4,
 //!   "verify": true,
 //!   "minimize": true,
-//!   "full_reduce": false,
-//!   "local_factor": false,
 //!   "factor_max_support": 12,
 //!   "extract": { "max_rounds": 256, "min_gain": 1 },
 //!   "budget_decompose": 100000,
@@ -336,8 +334,6 @@ impl FlowSpec {
                 }
                 "verify" => spec.config.verify = boolean(value, key)?,
                 "minimize" => spec.config.minimize = boolean(value, key)?,
-                "full_reduce" => spec.config.full_reduce = boolean(value, key)?,
-                "local_factor" => spec.config.local_factor = boolean(value, key)?,
                 // Effort budgets: usize is enough headroom for any spec a
                 // human writes; unset keys stay unlimited.
                 "budget_decompose" => {
@@ -524,6 +520,24 @@ mod tests {
         // Explicit strict: true behaves like the default.
         let strict = FlowSpec::parse(r#"{"circuits": ["maj7"], "strict": true}"#).unwrap();
         assert!(strict.strict && strict.warnings.is_empty());
+    }
+
+    #[test]
+    fn removed_path_selectors_are_unknown_keys() {
+        // Picking a Reduce or Factor path is the ladders' job, so no
+        // spec key selects one.
+        for key in ["full_reduce", "local_factor"] {
+            let doc = format!(r#"{{"circuits": ["maj7"], "{key}": true}}"#);
+            let e = FlowSpec::parse(&doc).unwrap_err();
+            assert!(
+                matches!(&e, FlowError::BadSpec { position: None, message } if message.contains(key)),
+                "{e}"
+            );
+            let lax = format!(r#"{{"circuits": ["maj7"], "{key}": true, "strict": false}}"#);
+            let spec = FlowSpec::parse(&lax).unwrap();
+            assert_eq!(spec.warnings.len(), 1, "{:?}", spec.warnings);
+            assert!(spec.warnings[0].contains(key), "{:?}", spec.warnings);
+        }
     }
 
     #[test]

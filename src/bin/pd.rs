@@ -49,10 +49,6 @@
 //! FLOW-OPTIONS:
 //!   --out F        write the per-stage JSON stats to F
 //!   --no-verify    skip the BDD oracle (benchmarking; same as PD_SKIP_VERIFY=1)
-//!   --full-reduce  from-scratch Reduce instead of the incremental
-//!                  refinement (A/B; same as PD_FULL_REDUCE=1)
-//!   --local-factor per-block Factor instead of the workspace-wide
-//!                  shared-divisor network (A/B; same as PD_LOCAL_FACTOR=1)
 //!   -k <N>         group size override
 //!
 //! Robustness knobs (environment): `PD_BUDGET_DECOMPOSE` /
@@ -65,7 +61,10 @@
 //! killing the flow; and `PD_FAULT=<stage>:<mode>[:<count>]` (modes:
 //! panic, budget, mismatch, capacity) injects a deterministic fault to
 //! exercise each stage's degradation ladder — degradations are reported
-//! under the per-stage table and in the JSON stats.
+//! under the per-stage table and in the JSON stats. The ladders are the
+//! only recovery layer: from-scratch Reduce (`full-reduce`) and
+//! per-block Factor (`local`) run only when the rungs above them fail,
+//! e.g. under `PD_FAULT=reduce:panic:2` or `PD_FAULT=factor:panic:1`.
 //!
 //! CACHING: set `PD_CACHE_DIR=<dir>` to enable the content-addressed
 //! stage cache and the cross-run divisor library (see `pd_flow::cache`
@@ -197,8 +196,6 @@ fn run_flow(args: &[String]) -> Result<(), String> {
     };
     let mut out_path: Option<String> = None;
     let mut no_verify = false;
-    let mut full_reduce = false;
-    let mut local_factor = false;
     let mut group_size: Option<usize> = None;
     let mut target: Option<String> = None;
     let mut it = args.iter();
@@ -208,8 +205,6 @@ fn run_flow(args: &[String]) -> Result<(), String> {
                 out_path = Some(it.next().ok_or("--out needs a path")?.clone());
             }
             "--no-verify" => no_verify = true,
-            "--full-reduce" => full_reduce = true,
-            "--local-factor" => local_factor = true,
             "-k" => {
                 let v = it.next().ok_or("-k needs a value")?;
                 let k = v.parse().map_err(|_| format!("bad group size {v:?}"))?;
@@ -219,9 +214,10 @@ fn run_flow(args: &[String]) -> Result<(), String> {
                 group_size = Some(k);
             }
             "-h" | "--help" => {
-                return Err("usage: pd flow [--out F] [--no-verify] [--full-reduce] \
-                            [--local-factor] [-k N] <flow-spec.json | - | NAMES>"
-                    .into())
+                return Err(
+                    "usage: pd flow [--out F] [--no-verify] [-k N] <flow-spec.json | - | NAMES>"
+                        .into(),
+                )
             }
             other if target.is_none() => target = Some(other.to_owned()),
             other => return Err(format!("unexpected argument {other:?}")),
@@ -258,12 +254,6 @@ fn run_flow(args: &[String]) -> Result<(), String> {
     };
     if no_verify {
         cfg.verify = false;
-    }
-    if full_reduce {
-        cfg.full_reduce = true;
-    }
-    if local_factor {
-        cfg.local_factor = true;
     }
     if let Some(k) = group_size {
         cfg.pd.group_size = k;

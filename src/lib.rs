@@ -55,9 +55,9 @@
 //! from-scratch one (this closed the historical lzd12 regression, 117
 //! vs 41 cells). Every rewrite preserves `Σ inner·outer` exactly and
 //! the BDD oracle re-proves the boundary, so the refined hierarchy is
-//! equivalent by construction *and* by check. `PD_FULL_REDUCE=1` (or
-//! [`flow::FlowConfig::full_reduce`]) restores the from-scratch re-run
-//! for A/B comparison — `BENCH_RUNTIME.json` tracks both as
+//! equivalent by construction *and* by check. The from-scratch re-run
+//! survives as the Reduce ladder's last rung (`full-reduce`, below) —
+//! `BENCH_RUNTIME.json` tracks both as
 //! `flow/<circuit>/reduce-incremental` vs `flow/<circuit>/reduce-full`.
 //!
 //! The **Factor** stage is workspace-wide: every block's leaders and
@@ -70,10 +70,10 @@
 //! largest. Commits are priced with the synthesiser's own cost model —
 //! not literal counts — so OR/majority-shaped cones the emitter maps
 //! specially are left alone, and a final guard returns the unextracted
-//! emission if it is smaller. `PD_LOCAL_FACTOR=1` (or
-//! [`flow::FlowConfig::local_factor`]) restores the per-block path —
-//! `BENCH_RUNTIME.json` tracks both as `flow/<circuit>/factor-global`
-//! vs `flow/<circuit>/factor-local`, with mapped cell counts.
+//! emission if it is smaller. The per-block path survives as the Factor
+//! ladder's `local` rung (below) — `BENCH_RUNTIME.json` tracks both as
+//! `flow/<circuit>/factor-global` vs `flow/<circuit>/factor-local`, with
+//! mapped cell counts.
 //!
 //! ### Caching & serving
 //!
@@ -102,8 +102,8 @@
 //! the scheduler is the batch driver refactored into **sharded worker
 //! pools** (`pd_par::WorkerPool`, width `PD_WORKERS`) — one job's
 //! circuits run FIFO on one shard with the batch driver's panic fencing
-//! and safe-config retry intact, so a poisoned job resolves to per-slot
-//! errors while concurrent jobs stay green.
+//! intact, so a poisoned job resolves to per-slot errors while
+//! concurrent jobs stay green.
 //!
 //! ## Budgets, degradation ladders, fault injection
 //!
@@ -117,8 +117,7 @@
 //! keeps its best-so-far result, and records the exhaustion in its
 //! report. Within its budget, Reduce also *skips* the arbitration
 //! re-decomposition when the worklist result's gate estimate is already
-//! within a learned bound of the entry estimate (and serves repeated
-//! specs from a process-wide arbitration cache), reclaiming the
+//! within a learned bound of the entry estimate, reclaiming the
 //! incremental path's speed at the arbitrated path's quality —
 //! `BENCH_RUNTIME.json` pins the pair as `flow/<circuit>/reduce-budgeted`
 //! vs `flow/<circuit>/reduce-unbudgeted`.
@@ -137,11 +136,12 @@
 //! from the same pre-stage state. Any degradation is recorded in the
 //! stage's report (`degraded`, `degradation_reason`) and its JSON. Only
 //! when every rung of a ladder is dead does the flow return a typed
-//! [`flow::FlowError`]; a batch (`pd flow all`) then retries that one
-//! circuit once under the safe configuration (from-scratch Reduce,
-//! per-block Factor, capacity-tolerant oracle) before reporting the
-//! failure in its slot — the retry covers oracle capacity blowouts as
-//! well as panics.
+//! [`flow::FlowError`], which a batch (`pd flow all`) reports in that
+//! circuit's slot. The ladders are the only recovery layer: the lower
+//! rungs run only when the rungs above them fail, so one configuration
+//! means one code path. `PD_FAULT=reduce:panic:2` and
+//! `PD_FAULT=factor:panic:1` drive the `full-reduce` and `local` rungs
+//! directly.
 //!
 //! ## The BDD oracle at scale: node caps and variable reordering
 //!

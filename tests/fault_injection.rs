@@ -38,8 +38,6 @@ fn run_faulted(dir: &std::path::Path, fault: &str) -> (Option<i32>, Json) {
         .arg(&out_path)
         .env_remove("PD_NAIVE_KERNEL")
         .env_remove("PD_SKIP_VERIFY")
-        .env_remove("PD_FULL_REDUCE")
-        .env_remove("PD_LOCAL_FACTOR")
         .env_remove("PD_THREADS")
         .env_remove("PD_BUDGET_DECOMPOSE")
         .env_remove("PD_BUDGET_REDUCE")
@@ -220,8 +218,6 @@ fn degraded_reduce_stays_green_on_all_builtin_circuits() {
         .arg(&out_path)
         .env_remove("PD_NAIVE_KERNEL")
         .env_remove("PD_SKIP_VERIFY")
-        .env_remove("PD_FULL_REDUCE")
-        .env_remove("PD_LOCAL_FACTOR")
         .env_remove("PD_BUDGET_DECOMPOSE")
         .env_remove("PD_BUDGET_REDUCE")
         .env_remove("PD_BUDGET_FACTOR")
@@ -271,8 +267,6 @@ fn budget_crossings_are_deterministic_across_thread_counts() {
             .arg(&out_path)
             .env_remove("PD_NAIVE_KERNEL")
             .env_remove("PD_SKIP_VERIFY")
-            .env_remove("PD_FULL_REDUCE")
-            .env_remove("PD_LOCAL_FACTOR")
             .env_remove("PD_FAULT")
             .env_remove("PD_BUDGET_DECOMPOSE")
             .env_remove("PD_BUDGET_FACTOR")

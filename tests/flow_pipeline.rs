@@ -77,12 +77,13 @@ proptest! {
 }
 
 /// Seeded random spec files driven through `pd flow` child processes
-/// under all eight environment combinations: `PD_LOCAL_FACTOR` ×
-/// `PD_NAIVE_KERNEL` × `PD_THREADS` ∈ {1, 4}. The flow exits non-zero if
-/// any stage boundary fails the BDD oracle, and the emitted stats must be
-/// bit-identical across kernels and thread counts *within* each Factor
-/// path (the engine's determinism guarantee; the two Factor paths
-/// legitimately produce different netlists).
+/// under all eight environment combinations: Factor path ×
+/// `PD_NAIVE_KERNEL` × `PD_THREADS` ∈ {1, 4}. The per-block Factor path
+/// is the ladder's `local` rung, driven by `PD_FAULT=factor:panic:1`.
+/// The flow exits non-zero if any stage boundary fails the BDD oracle,
+/// and the emitted stats must be bit-identical across kernels and thread
+/// counts *within* each Factor path (the engine's determinism guarantee;
+/// the two Factor paths legitimately produce different netlists).
 #[test]
 fn env_combos_agree_and_verify_via_subprocess() {
     let dir = std::env::temp_dir().join(format!("pd-flow-prop-{}", std::process::id()));
@@ -99,8 +100,8 @@ fn env_combos_agree_and_verify_via_subprocess() {
         let spec_path = dir.join(format!("case{case}.pd"));
         std::fs::write(&spec_path, format!("y = {}\n", expr_text(&masks, n_vars)))
             .expect("write spec");
-        // stats[local_factor] collects the per-combo fingerprints that
-        // must agree with each other.
+        // stats[local] collects the per-combo fingerprints that must
+        // agree with each other.
         let mut stats: [Vec<(String, String)>; 2] = [Vec::new(), Vec::new()];
         for local in [false, true] {
             for (naive, threads) in [(false, "1"), (false, "4"), (true, "1"), (true, "4")] {
@@ -117,13 +118,12 @@ fn env_combos_agree_and_verify_via_subprocess() {
                     .env("PD_THREADS", threads)
                     .env_remove("PD_NAIVE_KERNEL")
                     .env_remove("PD_SKIP_VERIFY")
-                    .env_remove("PD_FULL_REDUCE")
-                    .env_remove("PD_LOCAL_FACTOR");
+                    .env_remove("PD_FAULT");
                 if naive {
                     cmd.env("PD_NAIVE_KERNEL", "1");
                 }
                 if local {
-                    cmd.env("PD_LOCAL_FACTOR", "1");
+                    cmd.env("PD_FAULT", "factor:panic:1");
                 }
                 let out = cmd.output().expect("spawn pd flow");
                 assert!(
@@ -138,6 +138,13 @@ fn env_combos_agree_and_verify_via_subprocess() {
                 let stages = circuits[0].get("stages").and_then(Json::as_arr).expect("stages");
                 for s in stages {
                     let name = s.get("stage").and_then(Json::as_str).unwrap_or("?");
+                    if name == "factor" {
+                        assert_eq!(
+                            s.get("degraded").and_then(Json::as_str),
+                            local.then_some("local"),
+                            "case {case} local={local}: factor rung"
+                        );
+                    }
                     if name != "sta" {
                         assert_eq!(
                             s.get("verified").and_then(Json::as_bool),
@@ -209,8 +216,6 @@ fn dvo_modes_agree_with_fixed_order_verdicts_via_subprocess() {
                     .env("PD_DVO", dvo)
                     .env_remove("PD_NAIVE_KERNEL")
                     .env_remove("PD_SKIP_VERIFY")
-                    .env_remove("PD_FULL_REDUCE")
-                    .env_remove("PD_LOCAL_FACTOR")
                     .env_remove("PD_NODE_CAP")
                     .env_remove("PD_FAULT");
                 if naive {
@@ -279,8 +284,9 @@ fn pd_flow_all_generators_verify() {
 }
 
 /// Both Reduce paths stay green end to end: the same circuit through the
-/// default (incremental) stage and through the `PD_FULL_REDUCE=1`
-/// from-scratch fallback, oracle on, single-threaded.
+/// default (incremental) stage and through the from-scratch `full-reduce`
+/// fallback rung (driven by `PD_FAULT=reduce:panic:2`, which kills the
+/// two rungs above it), oracle on, single-threaded.
 #[test]
 fn full_reduce_fallback_verifies_via_subprocess() {
     for full in [false, true] {
@@ -288,18 +294,23 @@ fn full_reduce_fallback_verifies_via_subprocess() {
         cmd.args(["flow", "maj7"])
             .env("PD_THREADS", "1")
             .env_remove("PD_SKIP_VERIFY")
-            .env_remove("PD_FULL_REDUCE");
+            .env_remove("PD_FAULT");
         if full {
-            cmd.env("PD_FULL_REDUCE", "1");
+            cmd.env("PD_FAULT", "reduce:panic:2");
         }
         let out = cmd.output().expect("spawn pd flow maj7");
         assert!(
             out.status.success(),
-            "full_reduce={full} failed:\n{}",
+            "full={full} failed:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("1/1 circuits clean"), "{stdout}");
+        assert_eq!(
+            stdout.contains("degraded to full-reduce"),
+            full,
+            "{stdout}"
+        );
     }
 }
 

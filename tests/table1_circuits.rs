@@ -6,7 +6,7 @@
 use progressive_decomposition::arith::{
     Adder, Comparator, Counter, Lod, Lzd, Majority, ThreeInputAdder,
 };
-use progressive_decomposition::flow::{circuit_by_name, StageKind};
+use progressive_decomposition::flow::{circuit_by_name, FaultPlan, StageKind};
 use progressive_decomposition::netlist::sim::check_equiv_anf;
 use progressive_decomposition::prelude::*;
 
@@ -156,9 +156,10 @@ const FLOW_GOLDEN: [(&str, [usize; 4]); 6] = [
     ("three8", [172, 160, 155, 63]),
 ];
 
-/// The same pins for the retained from-scratch Reduce path
-/// (`PD_FULL_REDUCE=1` / [`FlowConfig::full_reduce`]), so the A/B
-/// fallback is protected against silent drift too. Three circuits
+/// The same pins for the from-scratch Reduce path — the Reduce ladder's
+/// `full-reduce` rung, driven by a `reduce:panic:2` fault that kills the
+/// two rungs above it — so the fallback is protected against silent
+/// drift too. Three circuits
 /// suffice; the full battery runs on the incremental path. lzd12 is
 /// pinned here because it anchors the incremental-vs-full cell-gap bound
 /// below.
@@ -170,7 +171,13 @@ const FULL_REDUCE_GOLDEN: [(&str, [usize; 4]); 3] = [
 
 /// Runs each golden circuit through the flow under `cfg` and returns a
 /// human-readable diff of every mismatch (empty when all pins hold).
-fn flow_golden_diff(golden: &[(&str, [usize; 4])], cfg: &FlowConfig) -> String {
+/// Every circuit's Reduce stage must commit on `reduce_rung` (`None`:
+/// the top rung, no degradation).
+fn flow_golden_diff(
+    golden: &[(&str, [usize; 4])],
+    cfg: &FlowConfig,
+    reduce_rung: Option<&str>,
+) -> String {
     let mut diff = String::new();
     for (name, want) in golden {
         let input = circuit_by_name(name).expect("golden circuits resolve");
@@ -181,6 +188,12 @@ fn flow_golden_diff(golden: &[(&str, [usize; 4])], cfg: &FlowConfig) -> String {
         for s in &summary.stages {
             assert_ne!(s.verified, Some(false), "{name}/{} oracle red", s.stage);
         }
+        let reduce = summary
+            .stages
+            .iter()
+            .find(|s| s.stage == StageKind::Reduce)
+            .expect("reduce ran");
+        assert_eq!(reduce.degraded.as_deref(), reduce_rung, "{name}: reduce rung");
         let stage_literals = |kind: StageKind| {
             summary
                 .stages
@@ -219,14 +232,7 @@ fn flow_golden_diff(golden: &[(&str, [usize; 4])], cfg: &FlowConfig) -> String {
 
 #[test]
 fn full_flow_literal_counts_match_golden() {
-    // Pin the incremental path explicitly: unlike the other env knobs,
-    // an ambient PD_FULL_REDUCE=1 (read by FlowConfig::default) changes
-    // results, and these goldens are the incremental ones.
-    let cfg = FlowConfig {
-        full_reduce: false,
-        ..FlowConfig::default()
-    };
-    let diff = flow_golden_diff(&FLOW_GOLDEN, &cfg);
+    let diff = flow_golden_diff(&FLOW_GOLDEN, &FlowConfig::default(), None);
     assert!(
         diff.is_empty(),
         "flow output drifted from the golden Table-1 numbers:\n{diff}\
@@ -237,13 +243,13 @@ fn full_flow_literal_counts_match_golden() {
 #[test]
 fn full_reduce_fallback_matches_legacy_golden() {
     let cfg = FlowConfig {
-        full_reduce: true,
+        fault: Some(FaultPlan::parse("reduce:panic:2").expect("valid plan")),
         ..FlowConfig::default()
     };
-    let diff = flow_golden_diff(&FULL_REDUCE_GOLDEN, &cfg);
+    let diff = flow_golden_diff(&FULL_REDUCE_GOLDEN, &cfg, Some("full-reduce"));
     assert!(
         diff.is_empty(),
-        "the PD_FULL_REDUCE fallback drifted from PR 2's goldens:\n{diff}\
+        "the full-reduce fallback rung drifted from PR 2's goldens:\n{diff}\
          If the heuristic change is intentional, update FULL_REDUCE_GOLDEN."
     );
 }
@@ -310,14 +316,15 @@ fn global_factor_beats_local_factor_on_the_headline_circuits() {
     // The acceptance criterion of the global-factoring PR: on lzd12 and
     // maj15 the workspace-wide Factor stage must map to strictly fewer
     // cells than the per-block path, with every boundary still proved by
-    // the BDD oracle (flow_golden_diff already asserts green oracles).
+    // the BDD oracle. The per-block path is the Factor ladder's `local`
+    // rung, reached by a `factor:panic:1` fault on the `global` rung.
     for name in ["lzd12", "maj15"] {
         let mut cells = [0usize; 2];
         for (i, local) in [false, true].iter().enumerate() {
             let input = circuit_by_name(name).expect("headline circuits resolve");
             let cfg = FlowConfig {
-                local_factor: *local,
-                full_reduce: false,
+                fault: local
+                    .then(|| FaultPlan::parse("factor:panic:1").expect("valid plan")),
                 ..FlowConfig::default()
             };
             let mut flow = Flow::new(input, cfg);
@@ -327,6 +334,12 @@ fn global_factor_beats_local_factor_on_the_headline_circuits() {
             for s in &summary.stages {
                 assert_ne!(s.verified, Some(false), "{name}/{} oracle red", s.stage);
             }
+            let factor = summary
+                .stages
+                .iter()
+                .find(|s| s.stage == StageKind::Factor)
+                .expect("factor ran");
+            assert_eq!(factor.degraded.as_deref(), local.then_some("local"), "{name}");
             cells[i] = summary.cells;
         }
         assert!(
