@@ -451,6 +451,33 @@ impl Anf {
         if !self.contains_var(v) {
             return self.clone();
         }
+        let (quotient, rest) = self.split_on(v);
+        quotient.and(replacement).xor(&rest)
+    }
+
+    /// Splits `self = v·Q ⊕ R` into `(Q, R)`, neither mentioning `v`.
+    ///
+    /// Both parts come out canonical without renormalising: `R` is a
+    /// subsequence of the canonical terms, and removing `v` from the
+    /// distinct terms that contain it leaves them distinct. It also keeps
+    /// `u128`-mask terms in order; only index-slice ([`Monomial::Large`])
+    /// terms can fall out of order, and `Q` is then re-sorted.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pd_anf::{Anf, VarPool};
+    /// let mut pool = VarPool::new();
+    /// let x = Anf::parse("a*b ^ a ^ c", &mut pool).unwrap();
+    /// let a = pool.find("a").unwrap();
+    /// let (q, r) = x.split_on(a);
+    /// assert_eq!(q, Anf::parse("b ^ 1", &mut pool).unwrap());
+    /// assert_eq!(r, Anf::parse("c", &mut pool).unwrap());
+    /// // R and Q ⊕ R are the Shannon cofactors.
+    /// assert_eq!(r, x.restrict(a, false));
+    /// assert_eq!(q.xor(&r), x.restrict(a, true));
+    /// ```
+    pub fn split_on(&self, v: Var) -> (Anf, Anf) {
         let mut q: Vec<Monomial> = Vec::new();
         let mut rest: Vec<Monomial> = Vec::new();
         for t in &self.terms {
@@ -460,11 +487,10 @@ impl Anf {
                 rest.push(t.clone());
             }
         }
-        // Two distinct terms can collapse after removing `v`; renormalise.
-        let quotient = Anf::from_terms(q);
-        // `rest` is a subsequence of canonical terms: already sorted and
-        // duplicate-free.
-        quotient.and(replacement).xor(&Anf { terms: rest })
+        if !q.is_sorted() {
+            q.sort_unstable();
+        }
+        (Anf { terms: q }, Anf { terms: rest })
     }
 
     /// Cofactor: fixes `v := value` and renormalises.

@@ -21,6 +21,37 @@ fn anf() -> impl Strategy<Value = Anf> {
     })
 }
 
+/// Variable indices straddling the 128 boundary between mask-represented
+/// and index-slice monomials.
+const MIXED_VARS: [u32; 6] = [0, 3, 127, 128, 165, 300];
+
+/// Strategy for a random ANF over [`MIXED_VARS`].
+fn mixed_anf() -> impl Strategy<Value = Anf> {
+    proptest::collection::vec(0u8..(1 << MIXED_VARS.len()), 0..12).prop_map(|masks| {
+        Anf::from_terms(
+            masks
+                .into_iter()
+                .map(|m| {
+                    Monomial::from_vars(
+                        (0..MIXED_VARS.len())
+                            .filter(|i| m >> i & 1 == 1)
+                            .map(|i| Var(MIXED_VARS[i])),
+                    )
+                })
+                .collect(),
+        )
+    })
+}
+
+/// The value of variable `x` of [`MIXED_VARS`] at assignment `point`.
+fn eval_mixed(x: Var, point: u64) -> bool {
+    let slot = MIXED_VARS
+        .iter()
+        .position(|&m| m == x.0)
+        .expect("mixed variable");
+    point >> slot & 1 == 1
+}
+
 fn eval_on(e: &Anf, point: u64) -> bool {
     e.eval(|v| point >> v.0 & 1 == 1)
 }
@@ -82,6 +113,27 @@ proptest! {
         let forced_off = a.eval(|q| q != v && point >> q.0 & 1 == 1);
         prop_assert_eq!(eval_on(&on, point), forced_on);
         prop_assert_eq!(eval_on(&off, point), forced_off);
+    }
+
+    #[test]
+    fn split_on_gives_canonical_shannon_parts(
+        a in mixed_anf(),
+        which in 0usize..MIXED_VARS.len(),
+        point in 0u64..64,
+    ) {
+        let v = Var(MIXED_VARS[which]);
+        let (q, r) = a.split_on(v);
+        prop_assert!(!q.contains_var(v) && !r.contains_var(v));
+        // Both parts are already in canonical order: renormalising their
+        // own terms is the identity.
+        prop_assert_eq!(&Anf::from_terms(q.terms().cloned().collect()), &q);
+        prop_assert_eq!(&Anf::from_terms(r.terms().cloned().collect()), &r);
+        prop_assert_eq!(&Anf::var(v).and(&q).xor(&r), &a);
+        // R and Q ⊕ R are the cofactors at v = 0 and v = 1.
+        let f1 = q.xor(&r);
+        let at = |e: &Anf, value: bool| e.eval(|x| if x == v { value } else { eval_mixed(x, point) });
+        prop_assert_eq!(at(&r, false), at(&a, false));
+        prop_assert_eq!(at(&f1, true), at(&a, true));
     }
 
     #[test]

@@ -537,7 +537,8 @@ impl GlobalNetwork {
         scored.truncate(cfg.shortlist);
         // Gate-aware pricing of the shortlist: keep only per-cone
         // rewrites the cost model likes, then charge the divisor itself.
-        let mut best: Option<Candidate> = None;
+        // The incumbent carries its canonical key for the tie-break.
+        let mut best: Option<(Candidate, &Vec<Monomial>)> = None;
         for (_, key, d) in scored {
             let mut gain = -est.estimate(d);
             let mut lit_delta = -(d.literal_count() as isize);
@@ -567,15 +568,13 @@ impl GlobalNetwork {
             }
             let better = match &best {
                 None => true,
-                Some((g, b, _)) => {
-                    gain > *g || (gain == *g && *key < canonical_terms(b.terms().cloned().collect()))
-                }
+                Some(((g, _, _), best_key)) => gain > *g || (gain == *g && key < *best_key),
             };
             if better {
-                best = Some((gain, d.clone(), rewrites));
+                best = Some(((gain, d.clone(), rewrites), key));
             }
         }
-        (best, considered)
+        (best.map(|(c, _)| c), considered)
     }
 
     /// Total literal saving if `d` became a node substituted into every

@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fxhash;
 mod gate;
 mod netlist;
 mod sop;

@@ -12,11 +12,23 @@
 //!   majority detection, complement peeling of the constant term),
 //!
 //! with memoisation so structure shared between outputs is built once.
+//!
+//! Both expansions of a variable `v` come from one split
+//! `X = v·Q ⊕ R` ([`Anf::split_on`]): the Shannon cofactors are
+//! `X|v=0 = R` and `X|v=1 = Q ⊕ R`, so pricing a mux costs one XOR of
+//! the parts already in hand rather than two substitutions. Both memo
+//! tables are keyed through a seeded Fx-style hasher
+//! ([`crate::fxhash`]); neither is iterated, so plans and emitted gates
+//! do not depend on hash values.
 
+use crate::fxhash::FxHashMap;
 use crate::gate::NodeId;
 use crate::netlist::Netlist;
-use pd_anf::{Anf, Var};
+use pd_anf::{Anf, Var, VarSet};
 use std::collections::HashMap;
+
+#[cfg(test)]
+mod reference;
 
 /// Expressions larger than this skip Shannon-expansion cost probing (the
 /// factoring path alone is used), bounding synthesis time on the huge flat
@@ -81,12 +93,12 @@ enum Decision {
 #[derive(Debug, Default)]
 pub struct Synthesizer {
     /// Expression → node cache (shared subcircuits are built once).
-    memo: HashMap<Anf, NodeId>,
+    memo: FxHashMap<Anf, NodeId>,
     /// Variable → node bindings; defaults to primary inputs.
     env: HashMap<Var, NodeId>,
     /// Chosen decomposition, its estimated cost, and whether it was
     /// computed in degraded (over-budget) mode, per expression.
-    plan_memo: HashMap<Anf, (Decision, f64, bool)>,
+    plan_memo: FxHashMap<Anf, (Decision, f64, bool)>,
     /// Subexpressions planned so far (see [`PLAN_BUDGET`]).
     planned: usize,
 }
@@ -128,6 +140,11 @@ impl Synthesizer {
     /// cheapest — it is reused only while still over budget and recomputed
     /// once a later cone's fresh budget allows the full search, so a
     /// pathological cone cannot poison the cones synthesised after it.
+    ///
+    /// The flag records the budget state when the search *started*: a
+    /// search whose subtree crossed the budget partway through is stored
+    /// as a full plan, so `estimate` depends on memo history. Correcting
+    /// that changes plans, and with them Factor's commit sequence.
     fn plan(&mut self, expr: &Anf) -> (Decision, f64) {
         let over_budget = self.planned >= PLAN_BUDGET;
         if let Some(&(d, c, degraded)) = self.plan_memo.get(expr) {
@@ -153,18 +170,17 @@ impl Synthesizer {
         if expr.degree() <= 1 {
             return (Decision::Linear, (expr.term_count() - 1) as f64);
         }
-        if is_majority(expr) {
+        let support = expr.support();
+        if is_majority(expr, &support) {
             return (Decision::Majority, 1.0);
         }
-        if is_or_of_literals(expr) {
-            let n = expr.support().len();
-            return (Decision::OrOfLiterals, (n - 1) as f64);
+        if is_or_of_literals(expr, &support) {
+            return (Decision::OrOfLiterals, (support.len() - 1) as f64);
         }
-        let support: Vec<Var> = expr.support().iter().collect();
         let over_budget = self.planned >= PLAN_BUDGET;
         let candidates: Vec<Var> = if support.len() <= FULL_SEARCH_SUPPORT_LIMIT && !over_budget
         {
-            support
+            support.iter().collect()
         } else {
             vec![most_frequent_var(expr).expect("nonlinear expression has variables")]
         };
@@ -173,20 +189,22 @@ impl Synthesizer {
             && candidates.len() <= FULL_SEARCH_SUPPORT_LIMIT;
         let mut best = (Decision::Factor(candidates[0]), f64::INFINITY);
         for &v in &candidates {
-            let (q, r) = factor_out(expr, v);
+            let (q, r) = expr.split_on(v);
             if q.is_zero() {
                 continue; // v does not actually occur
             }
             let gate_cost =
                 f64::from(u8::from(!q.is_one())) + f64::from(u8::from(!r.is_zero()));
-            let c = gate_cost + self.cost(&q) + self.cost(&r);
+            let cost_q = self.cost(&q);
+            let cost_r = self.cost(&r);
+            let c = gate_cost + cost_q + cost_r;
             if c < best.1 {
                 best = (Decision::Factor(v), c);
             }
             if try_shannon {
-                let f0 = expr.restrict(v, false);
-                let f1 = expr.restrict(v, true);
-                let c = MUX_COST + self.cost(&f0) + self.cost(&f1);
+                // X|v=0 = R and X|v=1 = Q ⊕ R. Re-pricing R would be a
+                // memo hit that changes no state, so its cost is reused.
+                let c = MUX_COST + cost_r + self.cost(&q.xor(&r));
                 if c < best.1 {
                     best = (Decision::Shannon(v), c);
                 }
@@ -277,15 +295,14 @@ impl Synthesizer {
                 nl.or_many(&nodes)
             }
             Decision::Shannon(v) => {
-                let f0 = expr.restrict(v, false);
-                let f1 = expr.restrict(v, true);
-                let n0 = self.emit_inner(nl, &f0);
-                let n1 = self.emit_inner(nl, &f1);
+                let (q, r) = expr.split_on(v);
+                let n0 = self.emit_inner(nl, &r);
+                let n1 = self.emit_inner(nl, &q.xor(&r));
                 let sel = self.node_for_var(nl, v);
                 nl.mux(sel, n0, n1)
             }
             Decision::Factor(v) => {
-                let (q, r) = factor_out(expr, v);
+                let (q, r) = expr.split_on(v);
                 let nq = self.emit_inner(nl, &q);
                 let nv = self.node_for_var(nl, v);
                 let prod = nl.and(nv, nq);
@@ -298,20 +315,6 @@ impl Synthesizer {
             }
         }
     }
-}
-
-/// Splits `expr = v·Q ⊕ R`, returning `(Q, R)`.
-fn factor_out(expr: &Anf, v: Var) -> (Anf, Anf) {
-    let mut q = Vec::new();
-    let mut r = Vec::new();
-    for t in expr.terms() {
-        if t.contains(v) {
-            q.push(t.without(v));
-        } else {
-            r.push(t.clone());
-        }
-    }
-    (Anf::from_terms(q), Anf::from_terms(r))
 }
 
 /// Returns the variable occurring in the most terms (ties → lowest index).
@@ -328,9 +331,9 @@ fn most_frequent_var(expr: &Anf) -> Option<Var> {
         .map(|(v, _)| v)
 }
 
-/// Recognises `ab ⊕ bc ⊕ ca` over exactly three variables.
-fn is_majority(expr: &Anf) -> bool {
-    let support = expr.support();
+/// Recognises `ab ⊕ bc ⊕ ca` over exactly three variables (`support`
+/// is `expr`'s).
+fn is_majority(expr: &Anf, support: &VarSet) -> bool {
     if support.len() != 3 || expr.term_count() != 3 {
         return false;
     }
@@ -339,9 +342,9 @@ fn is_majority(expr: &Anf) -> bool {
 
 /// Recognises the OR of all support literals (whose ANF is the XOR of all
 /// `2^n − 1` nonempty subset products — e.g. the LZD's `V` leaders), so it
-/// can be built as a balanced OR tree instead of a Shannon chain.
-fn is_or_of_literals(expr: &Anf) -> bool {
-    let support = expr.support();
+/// can be built as a balanced OR tree instead of a Shannon chain
+/// (`support` is `expr`'s).
+fn is_or_of_literals(expr: &Anf, support: &VarSet) -> bool {
     let n = support.len();
     if !(2..=10).contains(&n) || expr.term_count() != (1usize << n) - 1 {
         return false;
@@ -370,6 +373,7 @@ mod tests {
     use super::*;
     use crate::sim::check_equiv_anf;
     use pd_anf::VarPool;
+    use proptest::prelude::*;
 
     fn check(src: &str) -> (Netlist, usize) {
         let mut pool = VarPool::new();
@@ -442,29 +446,155 @@ mod tests {
 
     #[test]
     fn larger_random_expressions_are_equivalent() {
-        // Deterministic pseudo-random ANFs over 6 vars.
-        let mut pool = VarPool::new();
-        let vars: Vec<Var> = (0..6)
-            .map(|i| pool.input(&format!("x{i}"), 0, i))
-            .collect();
+        // Deterministic pseudo-random ANFs over 6 variables at small
+        // indices, at indices ≥128 only, and mixed across 128: Factor's
+        // divisor variables sit above every pool index, so the cones it
+        // prices carry `Monomial::Large` terms.
+        let layouts: [[u32; 6]; 3] = [
+            [0, 1, 2, 3, 4, 5],
+            [128, 129, 140, 165, 200, 300],
+            [0, 5, 127, 128, 165, 1000],
+        ];
         let mut state = 0x12345678u64;
         let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         };
-        for _ in 0..12 {
-            let mut terms = Vec::new();
-            for _ in 0..(next() % 10 + 1) {
-                let mask = next() % 64;
-                terms.push(pd_anf::Monomial::from_vars(
-                    (0..6).filter(|i| mask >> i & 1 == 1).map(|i| vars[i as usize]),
-                ));
+        for vars in &layouts {
+            for _ in 0..12 {
+                let terms = (next() % 10 + 1) as usize;
+                let expr = random_anf(vars, terms, &mut next);
+                let outputs = vec![("y".to_owned(), expr)];
+                let nl = synthesize_outputs(&outputs);
+                assert_eq!(check_equiv_anf(&nl, &outputs, 4, 9), None);
             }
-            let expr = Anf::from_terms(terms);
-            let outputs = vec![("y".to_owned(), expr)];
-            let nl = synthesize_outputs(&outputs);
-            assert_eq!(check_equiv_anf(&nl, &outputs, 4, 9), None);
         }
+    }
+
+    /// A random ANF of `terms` monomials over `vars`, each term a random
+    /// subset drawn from `next`.
+    fn random_anf(vars: &[u32], terms: usize, mut next: impl FnMut() -> u64) -> Anf {
+        Anf::from_terms(
+            (0..terms)
+                .map(|_| {
+                    let mask = next();
+                    pd_anf::Monomial::from_vars(
+                        (0..vars.len())
+                            .filter(|&i| mask >> i & 1 == 1)
+                            .map(|i| Var(vars[i])),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// One call of the sequence the reference comparison replays on both
+    /// planners.
+    enum Call {
+        Estimate(Anf),
+        Emit(Anf),
+        /// Emit, then bind a variable to the result, the way
+        /// `Decomposition::to_netlist` wires a leader into later cones.
+        EmitBind(Anf, Var),
+    }
+
+    /// Replays `calls` on the fast planner and on the reference, and
+    /// asserts bit-equal estimates, equal returned nodes and node-for-node
+    /// equal netlists. Returns the largest per-call planning count, so
+    /// callers can check the budget path was reached.
+    fn replay_against_reference(calls: &[Call]) -> usize {
+        let (mut fast, mut slow) = (
+            Synthesizer::new(),
+            reference::ReferenceSynthesizer::default(),
+        );
+        let (mut nl_fast, mut nl_slow) = (Netlist::new(), Netlist::new());
+        let mut peak = 0;
+        for (i, call) in calls.iter().enumerate() {
+            match call {
+                Call::Estimate(e) => {
+                    let (a, b) = (fast.estimate(e), slow.estimate(e));
+                    assert_eq!(a.to_bits(), b.to_bits(), "call {i}: estimate {a} vs {b}");
+                }
+                Call::Emit(e) | Call::EmitBind(e, _) => {
+                    let (a, b) = (fast.emit(&mut nl_fast, e), slow.emit(&mut nl_slow, e));
+                    assert_eq!(a, b, "call {i}: emitted node");
+                    if let Call::EmitBind(_, v) = call {
+                        fast.bind(*v, a);
+                        slow.bind(*v, b);
+                    }
+                }
+            }
+            assert_eq!(fast.planned, slow.planned, "call {i}: planning count");
+            peak = peak.max(fast.planned);
+        }
+        let (a, b): (Vec<_>, Vec<_>) = (nl_fast.iter().collect(), nl_slow.iter().collect());
+        assert_eq!(a, b, "netlists differ");
+        peak
+    }
+
+    /// Variable layouts for the reference comparison: small indices only,
+    /// large only, and mixed (the shape of a cone that has absorbed a
+    /// fresh divisor variable).
+    const LAYOUTS: [[u32; 14]; 3] = [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
+        [
+            128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139, 140, 141,
+        ],
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 126, 127, 165, 300],
+    ];
+
+    fn call_strategy() -> impl Strategy<Value = Call> {
+        (0u8..3, 0usize..3, collection::vec(0u64..(1 << 14), 1..40)).prop_map(
+            |(kind, layout, masks)| {
+                let mut masks = masks.into_iter();
+                let e = random_anf(&LAYOUTS[layout], masks.len(), || {
+                    masks.next().expect("one mask per term")
+                });
+                match kind {
+                    0 => Call::Estimate(e),
+                    1 => Call::Emit(e),
+                    _ => Call::EmitBind(e, Var(LAYOUTS[layout][13])),
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn planner_matches_reference(calls in collection::vec(call_strategy(), 1..8)) {
+            replay_against_reference(&calls);
+        }
+    }
+
+    #[test]
+    fn planner_matches_reference_past_the_budget() {
+        // Wide flat cones push a single call past PLAN_BUDGET, so later
+        // calls meet degraded memo entries — re-planned under a fresh
+        // budget, reused while over it.
+        let mut state = 0x2545_f491u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 20
+        };
+        let mut calls = Vec::new();
+        for layout in &LAYOUTS {
+            let wide = random_anf(layout, 40, &mut next);
+            let narrow = random_anf(&layout[..8], 20, &mut next);
+            calls.push(Call::Estimate(wide.clone()));
+            calls.push(Call::Estimate(narrow.clone()));
+            calls.push(Call::Emit(wide.clone()));
+            calls.push(Call::EmitBind(narrow, Var(layout[13])));
+            calls.push(Call::Estimate(wide));
+        }
+        let peak = replay_against_reference(&calls);
+        assert!(
+            peak >= PLAN_BUDGET,
+            "no call crossed the budget (peak {peak})"
+        );
     }
 
     #[test]
