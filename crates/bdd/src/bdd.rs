@@ -433,278 +433,6 @@ impl Bdd {
         }
         cur == BddRef::TRUE
     }
-
-    /// The level a registered variable currently occupies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` has never been mentioned to this manager.
-    pub(crate) fn var_level(&self, v: Var) -> usize {
-        let l = self.level_of_var[v.index()];
-        assert_ne!(l, TERMINAL_LEVEL, "variable not registered");
-        l as usize
-    }
-
-    /// Opens a reorder session pinning `roots`: computes reference counts
-    /// and per-level node indices over everything reachable from the
-    /// roots, purges unreachable nodes from the unique table (so they can
-    /// never be resurrected with stale levels), and clears the operation
-    /// cache (whose entries may name nodes that die during the session).
-    ///
-    /// While a session is open the manager must only be mutated through
-    /// [`Bdd::swap_adjacent`]; handles to *live* (root-reachable)
-    /// functions remain valid across any number of swaps.
-    pub(crate) fn begin_reorder(&mut self, roots: &[BddRef]) -> ReorderSession {
-        self.ite_cache.clear();
-        let mut refs = vec![0u32; self.nodes.len()];
-        let mut seen = vec![false; self.nodes.len()];
-        seen[0] = true;
-        seen[1] = true;
-        let mut stack: Vec<u32> = Vec::new();
-        for r in roots {
-            refs[r.index()] += 1;
-            if !seen[r.index()] {
-                seen[r.index()] = true;
-                stack.push(r.0);
-            }
-        }
-        while let Some(i) = stack.pop() {
-            let n = self.nodes[i as usize];
-            for c in [n.lo, n.hi] {
-                refs[c.index()] += 1;
-                if !seen[c.index()] {
-                    seen[c.index()] = true;
-                    stack.push(c.0);
-                }
-            }
-        }
-        self.unique.retain(|_, r| seen[r.index()]);
-        let mut at_level: Vec<Vec<u32>> = vec![Vec::new(); self.var_of_level.len()];
-        let mut live = 0usize;
-        for (i, n) in self.nodes.iter().enumerate().skip(2) {
-            if seen[i] && n.level != TERMINAL_LEVEL {
-                at_level[n.level as usize].push(i as u32);
-                live += 1;
-            }
-        }
-        ReorderSession {
-            refs,
-            at_level,
-            live,
-        }
-    }
-
-    /// Swaps adjacent levels `i` and `i+1` in place.
-    ///
-    /// Function-preserving for every live node: a handle that was
-    /// reachable from the session's roots refers to the same Boolean
-    /// function afterwards (its internal structure may differ). Dead
-    /// nodes are tombstoned — removed from the unique table, their slots
-    /// never reused — and the session's live count updated, which is the
-    /// sifting objective.
-    pub(crate) fn swap_adjacent(&mut self, s: &mut ReorderSession, i: usize) {
-        let j = i + 1;
-        assert!(j < self.var_of_level.len(), "swap below the last level");
-        let (li, lj) = (i as u32, j as u32);
-        // Live nodes currently at the two levels (per-level lists are
-        // pruned lazily: dead or since-moved entries are filtered here).
-        let take = |list: Vec<u32>, refs: &[u32], nodes: &[Node], level: u32| -> Vec<u32> {
-            list.into_iter()
-                .filter(|&n| refs[n as usize] > 0 && nodes[n as usize].level == level)
-                .collect()
-        };
-        let upper = take(std::mem::take(&mut s.at_level[i]), &s.refs, &self.nodes, li);
-        let lower = take(std::mem::take(&mut s.at_level[j]), &s.refs, &self.nodes, lj);
-        // Both levels leave the unique table; survivors re-enter below
-        // under their post-swap keys.
-        for &n in upper.iter().chain(&lower) {
-            let nd = self.nodes[n as usize];
-            self.unique.remove(&(nd.level, nd.lo, nd.hi));
-        }
-        // Partition the upper level by dependence on the lower variable,
-        // capturing cofactor pairs before any relabelling below.
-        let mut rewires: Vec<(u32, [BddRef; 4])> = Vec::new();
-        let mut independent: Vec<u32> = Vec::new();
-        for &n in &upper {
-            let nd = self.nodes[n as usize];
-            let dep_lo = self.nodes[nd.lo.index()].level == lj;
-            let dep_hi = self.nodes[nd.hi.index()].level == lj;
-            if !dep_lo && !dep_hi {
-                independent.push(n);
-                continue;
-            }
-            let (f00, f01) = if dep_lo {
-                let c = self.nodes[nd.lo.index()];
-                (c.lo, c.hi)
-            } else {
-                (nd.lo, nd.lo)
-            };
-            let (f10, f11) = if dep_hi {
-                let c = self.nodes[nd.hi.index()];
-                (c.lo, c.hi)
-            } else {
-                (nd.hi, nd.hi)
-            };
-            rewires.push((n, [f00, f01, f10, f11]));
-        }
-        // Lower-level nodes keep their structure; their variable moves
-        // up. (Their children sit strictly below level j, so they cannot
-        // collide with the restructured nodes inserted at level i below,
-        // which always own at least one level-j child.)
-        for &n in &lower {
-            self.nodes[n as usize].level = li;
-            let nd = self.nodes[n as usize];
-            self.unique.insert((li, nd.lo, nd.hi), BddRef(n));
-            s.at_level[i].push(n);
-        }
-        // Upper-level nodes independent of the lower variable keep their
-        // structure; their variable moves down. Re-inserted before the
-        // rewires so a restructured node's child lookup finds them
-        // instead of duplicating the function.
-        for &n in &independent {
-            self.nodes[n as usize].level = lj;
-            let nd = self.nodes[n as usize];
-            self.unique.insert((lj, nd.lo, nd.hi), BddRef(n));
-            s.at_level[j].push(n);
-        }
-        // Dependent upper nodes are restructured in place: the node keeps
-        // its handle (external references stay valid) but now branches on
-        // the swapped-up variable, over level-j children branching on the
-        // swapped-down one.
-        for (n, [f00, f01, f10, f11]) in rewires {
-            let nd = self.nodes[n as usize];
-            let (old_lo, old_hi) = (nd.lo, nd.hi);
-            let a = self.mk_in_session(s, lj, f00, f10);
-            let b = self.mk_in_session(s, lj, f01, f11);
-            // The node depended on both variables, so it still branches
-            // genuinely on the swapped-up one.
-            debug_assert_ne!(a, b);
-            s.refs[a.index()] += 1;
-            s.refs[b.index()] += 1;
-            self.nodes[n as usize] = Node { level: li, lo: a, hi: b };
-            self.unique.insert((li, a, b), BddRef(n));
-            s.at_level[i].push(n);
-            // New edges are counted before old ones are released, so a
-            // shared grandchild can never dip to zero in between.
-            self.deref_in_session(s, old_lo);
-            self.deref_in_session(s, old_hi);
-        }
-        self.var_of_level.swap(i, j);
-        self.level_of_var[self.var_of_level[i].index()] = li;
-        self.level_of_var[self.var_of_level[j].index()] = lj;
-    }
-
-    /// `mk` for reorder sessions: no capacity check (a swap's transient
-    /// growth must not fail mid-restructure; sifting only ever keeps an
-    /// order that shrank the table) and session bookkeeping for fresh
-    /// nodes. The fresh node's own count starts at zero — the caller adds
-    /// the referencing edge.
-    fn mk_in_session(
-        &mut self,
-        s: &mut ReorderSession,
-        level: u32,
-        lo: BddRef,
-        hi: BddRef,
-    ) -> BddRef {
-        if lo == hi {
-            return lo;
-        }
-        if let Some(&r) = self.unique.get(&(level, lo, hi)) {
-            return r;
-        }
-        let r = BddRef(self.nodes.len() as u32);
-        self.nodes.push(Node { level, lo, hi });
-        self.unique.insert((level, lo, hi), r);
-        s.refs.push(0);
-        s.refs[lo.index()] += 1;
-        s.refs[hi.index()] += 1;
-        s.at_level[level as usize].push(r.0);
-        s.live += 1;
-        r
-    }
-
-    /// Rebuilds the node table keeping only what `roots` reach, and
-    /// remaps `roots` to the new handles in place.
-    ///
-    /// Reordering leaves tombstoned slots behind (and ordinary operation
-    /// leaves unreachable intermediates), but the node cap counts
-    /// *allocated* slots — so a sift that halves the live structure
-    /// recovers no capacity until the table is compacted. Invalidates
-    /// every handle not passed in `roots`; the operation cache is
-    /// cleared.
-    pub(crate) fn compact(&mut self, roots: &mut [BddRef]) {
-        self.ite_cache.clear();
-        let mut map = vec![u32::MAX; self.nodes.len()];
-        map[0] = 0;
-        map[1] = 1;
-        let mut new_nodes = vec![self.nodes[0], self.nodes[1]];
-        // Children get their new indices before any parent needs them.
-        let mut stack: Vec<(u32, bool)> = roots.iter().map(|r| (r.0, false)).collect();
-        while let Some((n, ready)) = stack.pop() {
-            if map[n as usize] != u32::MAX {
-                continue;
-            }
-            let nd = self.nodes[n as usize];
-            if ready {
-                map[n as usize] = new_nodes.len() as u32;
-                new_nodes.push(Node {
-                    level: nd.level,
-                    lo: BddRef(map[nd.lo.index()]),
-                    hi: BddRef(map[nd.hi.index()]),
-                });
-            } else {
-                stack.push((n, true));
-                stack.push((nd.lo.0, false));
-                stack.push((nd.hi.0, false));
-            }
-        }
-        self.nodes = new_nodes;
-        self.unique.clear();
-        for (i, nd) in self.nodes.iter().enumerate().skip(2) {
-            self.unique.insert((nd.level, nd.lo, nd.hi), BddRef(i as u32));
-        }
-        for r in roots.iter_mut() {
-            *r = BddRef(map[r.index()]);
-        }
-    }
-
-    /// Live node count per level under an open session (prunes
-    /// lazily-deleted entries). Drives sifting's variable ordering:
-    /// densest levels first.
-    pub(crate) fn level_populations(&self, s: &ReorderSession) -> Vec<usize> {
-        (0..self.var_of_level.len())
-            .map(|l| {
-                s.at_level[l]
-                    .iter()
-                    .filter(|&&n| {
-                        s.refs[n as usize] > 0 && self.nodes[n as usize].level == l as u32
-                    })
-                    .count()
-            })
-            .collect()
-    }
-
-    /// Releases one reference to `f`, cascading into its children when it
-    /// dies. Dead nodes leave the unique table immediately; their slots
-    /// are tombstones (never referenced, never reused).
-    fn deref_in_session(&mut self, s: &mut ReorderSession, f: BddRef) {
-        let mut stack = vec![f];
-        while let Some(f) = stack.pop() {
-            if f.is_const() {
-                continue;
-            }
-            let i = f.index();
-            debug_assert!(s.refs[i] > 0, "double release in reorder session");
-            s.refs[i] -= 1;
-            if s.refs[i] == 0 {
-                let nd = self.nodes[i];
-                self.unique.remove(&(nd.level, nd.lo, nd.hi));
-                s.live -= 1;
-                stack.push(nd.lo);
-                stack.push(nd.hi);
-            }
-        }
-    }
 }
 
 impl DavioBuild for Bdd {
@@ -720,29 +448,6 @@ impl DavioBuild for Bdd {
     fn davio_node(&mut self, level: u32, f0: BddRef, f2: BddRef) -> Result<BddRef, CapacityError> {
         let hi = self.xor(f0, f2)?;
         self.mk(level, f0, hi)
-    }
-}
-
-/// Bookkeeping for one in-place reorder session (see
-/// [`Bdd::begin_reorder`]): reference counts, per-level node indices, and
-/// the live-node count sifting minimises. Dropped when the session ends —
-/// normal operation carries none of this.
-pub(crate) struct ReorderSession {
-    /// Live-parent edge count per node slot (session roots contribute one
-    /// each). Zero means dead (or never reachable).
-    refs: Vec<u32>,
-    /// Node indices per level. Pruned lazily: entries are filtered
-    /// against `refs` and the node's current level when a swap reads
-    /// them.
-    at_level: Vec<Vec<u32>>,
-    /// Live non-terminal nodes — the quantity sifting minimises.
-    live: usize,
-}
-
-impl ReorderSession {
-    /// Live non-terminal node count.
-    pub(crate) fn live(&self) -> usize {
-        self.live
     }
 }
 

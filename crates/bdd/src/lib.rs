@@ -7,7 +7,9 @@
 //!   cache, used by [`verify`] for *exact* equivalence checking of
 //!   [`pd_netlist::Netlist`] circuits beyond the 20-input exhaustive
 //!   limit of bit-parallel simulation (the paper's 32-bit LOD, 15-bit
-//!   comparator, 12-bit three-operand adder);
+//!   comparator, 12-bit three-operand adder). Each check runs once under
+//!   a fixed variable order and a node cap; an overflow is reported as a
+//!   [`CapacityError`] (undecided), never as a verdict;
 //! * [`Zdd`] — zero-suppressed decision diagrams whose paths are ANF
 //!   monomials: a canonical Boolean-*ring* representation that does not
 //!   blow up with the explicit term count, i.e. precisely the
@@ -48,12 +50,8 @@ mod bdd;
 mod davio;
 mod zdd;
 
-pub mod dvo;
-pub mod static_ordering;
 pub mod verify;
 
 pub use bdd::{interleaved_order, Bdd, BddRef, CapacityError, DEFAULT_NODE_CAP};
-pub use dvo::{sift, DvoMode, SiftSchedule, SiftStats};
-pub use static_ordering::{force_order, hyperedges_from_netlist};
 pub use verify::{ExactMismatch, VerifyContext};
 pub use zdd::{Zdd, ZddRef};

@@ -8,18 +8,10 @@
 //! in the paper.
 
 use crate::bdd::{interleaved_order, Bdd, BddRef, CapacityError};
-use crate::dvo::{sift, DvoMode, SiftSchedule};
-use crate::static_ordering::{
-    force_order, hyperedges_from_anf, hyperedges_from_netlist, DEFAULT_FORCE_ROUNDS,
-};
 use pd_anf::{Anf, Var, VarPool};
 use pd_netlist::{Gate, Netlist};
 
-/// Factor by which the order ladder's last rung raises the node cap —
-/// raised once, never compounded across checks.
-pub const CAPACITY_RAISE: usize = 4;
-
-/// A reusable exact-verification context with an order-recovery ladder.
+/// A reusable exact-verification context: one capped check per call.
 ///
 /// The free functions in this module build a fresh [`Bdd`] manager — and
 /// recompute the variable order — on every call. A flow that verifies the
@@ -28,20 +20,10 @@ pub const CAPACITY_RAISE: usize = 4;
 /// caches) persists across checks, so re-verifying structure that earlier
 /// checks already built is a cache hit, not a rebuild.
 ///
-/// When a check exceeds the node cap and the [`DvoMode`] allows it, the
-/// context climbs an **order ladder** instead of giving up:
-///
-/// 1. the current order (interleaved by default) under the configured cap;
-/// 2. a FORCE static pre-order computed from the connectivity of the
-///    netlists being checked, fresh manager, same cap;
-/// 3. the cap raised once ([`CAPACITY_RAISE`]×) with threshold-triggered
-///    sifting and table compaction *during* construction.
-///
-/// An order that got a check through is kept — later checks (and batch
-/// re-verification seeded from [`VerifyContext::order`]) start from the
-/// learned order instead of re-discovering it. Only if every rung fails
-/// does the check return [`CapacityError`], and the manager is reset so
-/// subsequent checks are not poisoned by the failed attempt's garbage.
+/// Every check builds under the context's fixed order and node cap. A
+/// check that overflows the cap returns [`CapacityError`] — undecided,
+/// not wrong — and the manager is rebuilt (same order, same cap) so the
+/// failed attempt's nodes do not count against later checks.
 ///
 /// ```
 /// use pd_anf::VarPool;
@@ -62,45 +44,32 @@ pub const CAPACITY_RAISE: usize = 4;
 pub struct VerifyContext {
     bdd: Bdd,
     order: Vec<Var>,
-    /// Needed to compute FORCE pre-orders; absent when the context was
-    /// built from a bare order, in which case the FORCE rung is skipped.
-    pool: Option<VarPool>,
-    dvo: DvoMode,
     node_cap: usize,
     checks_run: usize,
     peak_nodes: usize,
-    reorders: usize,
 }
 
 impl VerifyContext {
     /// Builds a context over the [`interleaved_order`] of `pool`.
     ///
-    /// The order is computed here, once; every subsequent check starts
-    /// from it (and may improve it through the ladder).
+    /// The order is computed here, once; every subsequent check uses it.
     pub fn new(pool: &VarPool) -> Self {
-        let mut ctx = Self::with_order(interleaved_order(pool));
-        ctx.pool = Some(pool.clone());
-        ctx
+        Self::with_order(interleaved_order(pool))
     }
 
     /// Builds a context with an explicit variable order (inputs absent
-    /// from `order` are appended in encounter order). Without a pool the
-    /// ladder's FORCE rung is unavailable; the sift rung still is.
+    /// from `order` are appended in encounter order).
     pub fn with_order(order: Vec<Var>) -> Self {
         VerifyContext {
             bdd: Bdd::with_order(order.iter().copied()),
             order,
-            pool: None,
-            dvo: DvoMode::default(),
             node_cap: crate::bdd::DEFAULT_NODE_CAP,
             checks_run: 0,
             peak_nodes: 0,
-            reorders: 0,
         }
     }
 
-    /// The current variable order: as constructed, or as improved by the
-    /// most recent successful ladder climb.
+    /// The variable order every check builds under.
     pub fn order(&self) -> &[Var] {
         &self.order
     }
@@ -116,20 +85,12 @@ impl VerifyContext {
         self.bdd.len()
     }
 
-    /// Largest node table any check attempt reached, successful or not.
+    /// Largest node table any check reached, successful or not.
     pub fn peak_nodes(&self) -> usize {
         self.peak_nodes
     }
 
-    /// Number of order changes performed so far (FORCE adoptions and
-    /// completed sifting passes, across all checks).
-    pub fn reorders(&self) -> usize {
-        self.reorders
-    }
-
     /// Caps the shared manager's node table (see [`Bdd::set_node_cap`]).
-    /// The ladder's final rung may transiently exceed this by
-    /// [`CAPACITY_RAISE`]×.
     pub fn set_node_cap(&mut self, cap: usize) {
         self.node_cap = cap;
         self.bdd.set_node_cap(cap);
@@ -140,22 +101,11 @@ impl VerifyContext {
         self.node_cap
     }
 
-    /// Sets when the context reorders (default [`DvoMode::OnCapacity`]).
-    pub fn set_dvo(&mut self, mode: DvoMode) {
-        self.dvo = mode;
-    }
-
-    /// The configured reordering mode.
-    pub fn dvo(&self) -> DvoMode {
-        self.dvo
-    }
-
     /// Exact equivalence of two netlists with identical output names.
     ///
     /// # Errors
     ///
-    /// Returns [`CapacityError`] only after every ladder rung the
-    /// configured [`DvoMode`] permits has failed.
+    /// Returns [`CapacityError`] if the BDDs exceed the node cap.
     ///
     /// # Panics
     ///
@@ -165,15 +115,24 @@ impl VerifyContext {
         a: &Netlist,
         b: &Netlist,
     ) -> Result<Option<ExactMismatch>, CapacityError> {
-        self.run_check(CheckTarget::Netlists(a, b))
+        self.run_check(|bdd| {
+            let fa = build_outputs(bdd, a)?;
+            let fb = build_outputs(bdd, b)?;
+            for (name, f) in &fa {
+                let g = output_named(&fb, name, "second netlist");
+                if let Some(m) = mismatch_for(bdd, name, *f, g)? {
+                    return Ok(Some(m));
+                }
+            }
+            Ok(None)
+        })
     }
 
     /// Exact equivalence of a netlist against its ANF specification.
     ///
     /// # Errors
     ///
-    /// Returns [`CapacityError`] only after every ladder rung the
-    /// configured [`DvoMode`] permits has failed.
+    /// Returns [`CapacityError`] if the BDDs exceed the node cap.
     ///
     /// # Panics
     ///
@@ -183,196 +142,48 @@ impl VerifyContext {
         netlist: &Netlist,
         spec: &[(String, Anf)],
     ) -> Result<Option<ExactMismatch>, CapacityError> {
-        self.run_check(CheckTarget::VsAnf(netlist, spec))
-    }
-
-    /// One check through the order ladder.
-    fn run_check(&mut self, target: CheckTarget<'_>) -> Result<Option<ExactMismatch>, CapacityError> {
-        self.checks_run += 1;
-        // Rung 1: the current order, shared manager (warm caches).
-        let first = attempt(&mut self.bdd, &target, None);
-        self.peak_nodes = self.peak_nodes.max(self.bdd.len());
-        let first_err = match first {
-            Ok((verdict, roots)) => {
-                if self.dvo == DvoMode::Sift && verdict.is_none() {
-                    // Proactive mode: compact the manager around this
-                    // check's outputs so later checks start small.
-                    let stats = sift(
-                        &mut self.bdd,
-                        &roots,
-                        SiftSchedule::Threshold { trigger: PROACTIVE_SIFT_TRIGGER },
-                    );
-                    if stats.passes > 0 {
-                        let mut roots = roots;
-                        self.bdd.compact(&mut roots);
-                        self.reorders += 1;
-                        self.order = self.bdd.order().to_vec();
-                    }
-                }
-                return Ok(verdict);
-            }
-            Err(e) => e,
-        };
-        if self.dvo == DvoMode::Off {
-            return Err(first_err);
-        }
-        // Rung 2: FORCE static pre-order from the connectivity of the
-        // things being checked; fresh manager, same cap.
-        let force = self.pool.as_ref().map(|pool| {
-            let edges = match &target {
-                CheckTarget::Netlists(a, b) => {
-                    let mut e = hyperedges_from_netlist(a);
-                    e.extend(hyperedges_from_netlist(b));
-                    e
-                }
-                CheckTarget::VsAnf(nl, spec) => {
-                    let mut e = hyperedges_from_netlist(nl);
-                    e.extend(hyperedges_from_anf(spec.iter().map(|(_, a)| a)));
-                    e
-                }
-            };
-            force_order(pool, &edges, DEFAULT_FORCE_ROUNDS)
-        });
-        if let Some(order) = &force {
-            if *order != self.order {
-                let mut bdd = Bdd::with_order(order.iter().copied());
-                bdd.set_node_cap(self.node_cap);
-                let res = attempt(&mut bdd, &target, None);
-                self.peak_nodes = self.peak_nodes.max(bdd.len());
-                if let Ok((verdict, _)) = res {
-                    self.reorders += 1;
-                    self.order = order.clone();
-                    self.bdd = bdd;
-                    return Ok(verdict);
-                }
-            }
-        }
-        // Rung 3: raise the cap once and sift/compact during the build
-        // whenever the table crosses a growing threshold.
-        let seed = force.unwrap_or_else(|| self.order.clone());
-        let mut bdd = Bdd::with_order(seed.iter().copied());
-        bdd.set_node_cap(self.node_cap.saturating_mul(CAPACITY_RAISE));
-        let mut reorders = 0usize;
-        let res = attempt(&mut bdd, &target, Some(&mut reorders));
-        self.peak_nodes = self.peak_nodes.max(bdd.len());
-        self.reorders += reorders;
-        match res {
-            Ok((verdict, _)) => {
-                // Keep the discovered order (and the built structure) for
-                // the following checks, back under the configured cap.
-                bdd.set_node_cap(self.node_cap);
-                self.order = bdd.order().to_vec();
-                self.bdd = bdd;
-                Ok(verdict)
-            }
-            Err(e) => {
-                // Undecided. Reset the shared manager so this attempt's
-                // garbage does not doom the remaining checks.
-                self.bdd = Bdd::with_order(self.order.iter().copied());
-                self.bdd.set_node_cap(self.node_cap);
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Live-node threshold below which [`DvoMode::Sift`]'s proactive
-/// post-check pass is skipped (tiny diagrams are not worth reordering).
-const PROACTIVE_SIFT_TRIGGER: usize = 64;
-
-/// What a single ladder rung has to verify.
-enum CheckTarget<'a> {
-    Netlists(&'a Netlist, &'a Netlist),
-    VsAnf(&'a Netlist, &'a [(String, Anf)]),
-}
-
-/// Runs one verification attempt in `bdd`. With `sifting` present, the
-/// netlist builds sift-and-compact whenever the table crosses a growing
-/// threshold (the ladder's final rung), counting completed passes.
-///
-/// Returns the verdict plus every output root built, so callers can pin
-/// them for post-check reordering.
-fn attempt(
-    bdd: &mut Bdd,
-    target: &CheckTarget<'_>,
-    mut sifting: Option<&mut usize>,
-) -> Result<(Option<ExactMismatch>, Vec<BddRef>), CapacityError> {
-    match target {
-        CheckTarget::Netlists(a, b) => {
-            let mut pins: Vec<BddRef> = Vec::new();
-            let fa = build_outputs_pinned(bdd, a, &mut pins, sifting.as_deref_mut())?;
-            let fb = build_outputs_pinned(bdd, b, &mut pins, sifting.as_deref_mut())?;
-            for (i, name) in fa.iter().enumerate() {
-                let f = pins[i];
-                let j = fb
-                    .iter()
-                    .position(|n| n == name)
-                    .unwrap_or_else(|| panic!("second netlist has no output named {name:?}"));
-                let g = pins[fa.len() + j];
-                if let Some(m) = mismatch_for(bdd, name, f, g)? {
-                    return Ok((Some(m), pins));
-                }
-            }
-            Ok((None, pins))
-        }
-        CheckTarget::VsAnf(netlist, spec) => {
-            let mut pins: Vec<BddRef> = Vec::new();
-            let fs = build_outputs_pinned(bdd, netlist, &mut pins, sifting)?;
-            for (name, expr) in spec.iter() {
-                let i = fs
-                    .iter()
-                    .position(|n| n == name)
-                    .unwrap_or_else(|| panic!("netlist has no output named {name:?}"));
-                let f = pins[i];
+        self.run_check(|bdd| {
+            let fs = build_outputs(bdd, netlist)?;
+            for (name, expr) in spec {
+                let f = output_named(&fs, name, "netlist");
                 let g = bdd.from_anf(expr)?;
                 if let Some(m) = mismatch_for(bdd, name, f, g)? {
-                    return Ok((Some(m), pins));
+                    return Ok(Some(m));
                 }
             }
-            Ok((None, pins))
+            Ok(None)
+        })
+    }
+
+    /// Runs one check in the shared manager, recording its peak size.
+    /// After an overflow the manager is rebuilt, so the failed attempt's
+    /// nodes cannot starve a later check under the same cap.
+    fn run_check(
+        &mut self,
+        check: impl FnOnce(&mut Bdd) -> Result<Option<ExactMismatch>, CapacityError>,
+    ) -> Result<Option<ExactMismatch>, CapacityError> {
+        self.checks_run += 1;
+        let verdict = check(&mut self.bdd);
+        self.peak_nodes = self.peak_nodes.max(self.bdd.len());
+        if verdict.is_err() {
+            self.bdd = Bdd::with_order(self.order.iter().copied());
+            self.bdd.set_node_cap(self.node_cap);
         }
+        verdict
     }
 }
 
-/// [`build_outputs`], except the output roots are appended to `pins` —
-/// which is kept valid (remapped) across any mid-build sift/compact —
-/// and only the output names are returned positionally.
+/// The root of the output called `name` among `outputs`.
 ///
-/// With `sifting` present, whenever the node table crosses a growing
-/// threshold the build pauses, sifts the order around everything built so
-/// far (earlier `pins` included), compacts the table to reclaim the
-/// capacity the sift freed, and doubles the threshold.
-fn build_outputs_pinned(
-    bdd: &mut Bdd,
-    netlist: &Netlist,
-    pins: &mut Vec<BddRef>,
-    mut sifting: Option<&mut usize>,
-) -> Result<Vec<String>, CapacityError> {
-    let mut trigger = (bdd.node_cap() / 8).max(64);
-    let mut values: Vec<BddRef> = Vec::with_capacity(netlist.len());
-    for (_, gate) in netlist.iter() {
-        let v = eval_gate(bdd, gate, &values)?;
-        values.push(v);
-        if let Some(reorders) = sifting.as_deref_mut() {
-            if bdd.len() >= trigger {
-                let mut roots: Vec<BddRef> =
-                    pins.iter().copied().chain(values.iter().copied()).collect();
-                let stats = sift(bdd, &roots, SiftSchedule::Once);
-                bdd.compact(&mut roots);
-                let n_pins = pins.len();
-                values.copy_from_slice(&roots[n_pins..]);
-                pins.copy_from_slice(&roots[..n_pins]);
-                *reorders += stats.passes;
-                trigger = (bdd.len() * 2).max(trigger);
-            }
-        }
-    }
-    let mut names = Vec::new();
-    for (name, n) in netlist.outputs().iter() {
-        names.push(name.clone());
-        pins.push(values[n.index()]);
-    }
-    Ok(names)
+/// # Panics
+///
+/// Panics if there is none; `side` names the netlist in the message.
+fn output_named(outputs: &[(String, BddRef)], name: &str, side: &str) -> BddRef {
+    outputs
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|&(_, f)| f)
+        .unwrap_or_else(|| panic!("{side} has no output named {name:?}"))
 }
 
 /// One gate's BDD in terms of the already-built `values`.
@@ -632,114 +443,70 @@ mod tests {
         assert_eq!(ctx.node_count(), nodes, "netlist already built");
     }
 
-    /// a>b as a netlist, built MSB-down (linear under interleaving,
-    /// exponential under the concatenated order).
-    fn comparator_netlists(width: usize) -> (VarPool, Netlist, Netlist) {
+    #[test]
+    fn overflow_resets_the_manager_for_the_next_check() {
+        // Step one: adding 16-bit words overflows a 64-node cap. Step
+        // two, under the same cap, checks two inputs the failed attempt
+        // never touched; it needs a handful of nodes and must verify —
+        // which it can only if the overflow's nodes were released.
+        let (mut pool, rca, mux) = adder_pair(16);
+        let c = pool.input_word("c", 2, 2);
+        let mut ctx = VerifyContext::new(&pool);
+        ctx.set_node_cap(64);
+        assert!(ctx.check_netlists(&rca, &mux).is_err());
+        assert_eq!(ctx.peak_nodes(), 64);
+        let mut xor = Netlist::new();
+        let (n0, n1) = (xor.input(c[0]), xor.input(c[1]));
+        let y = xor.xor(n0, n1);
+        xor.set_output("y", y);
+        let mut sop = Netlist::new();
+        let (n0, n1) = (sop.input(c[0]), sop.input(c[1]));
+        let or = sop.or(n0, n1);
+        let and = sop.and(n0, n1);
+        let nand = sop.not(and);
+        let y = sop.and(or, nand);
+        sop.set_output("y", y);
+        assert_eq!(ctx.check_netlists(&xor, &sop).unwrap(), None);
+        assert_eq!(ctx.checks_run(), 2);
+    }
+
+    #[test]
+    fn context_finds_real_mismatches() {
+        // a>b built MSB-down, against a copy with its output inverted:
+        // the shared context must return a genuine counterexample, and
+        // stay usable for a passing check afterwards.
         let mut pool = VarPool::new();
-        let a = pool.input_word("a", 0, width);
-        let b = pool.input_word("b", 1, width);
-        let build = |pool_a: &[Var], pool_b: &[Var]| {
-            let mut nl = Netlist::new();
-            let mut gt = nl.constant(false);
-            let mut eq = nl.constant(true);
-            for i in (0..width).rev() {
-                let (na, nb) = (nl.input(pool_a[i]), nl.input(pool_b[i]));
-                let nnb = nl.not(nb);
-                let a_gt_b = nl.and(na, nnb);
-                let win = nl.and(eq, a_gt_b);
-                gt = nl.or(gt, win);
-                let x = nl.xor(na, nb);
-                let same = nl.not(x);
-                eq = nl.and(eq, same);
-            }
-            nl.set_output("gt", gt);
-            nl
-        };
-        (pool, build(&a, &b), build(&a, &b))
-    }
-
-    #[test]
-    fn ladder_recovers_capacity_via_force_preorder() {
-        // Concatenated seed order blows a modest cap; the FORCE rung
-        // recomputes a pair-local order from the netlist connectivity and
-        // gets the check through at the *same* cap.
-        let (pool, x, y) = comparator_netlists(10);
-        let a: Vec<Var> = (0..10).map(|i| pool.find(&format!("a{i}")).unwrap()).collect();
-        let b: Vec<Var> = (0..10).map(|i| pool.find(&format!("b{i}")).unwrap()).collect();
-        let mut concat: Vec<Var> = a.iter().rev().copied().collect();
-        concat.extend(b.iter().rev().copied());
-        let mut ctx = VerifyContext::with_order(concat);
-        ctx.pool = Some(pool.clone());
-        ctx.set_node_cap(600);
-        assert_eq!(ctx.check_netlists(&x, &y).unwrap(), None);
-        assert!(ctx.reorders() >= 1, "the ladder must have reordered");
-        assert!(ctx.peak_nodes() <= 600 * CAPACITY_RAISE);
-        // The learned order is kept: an immediate re-check needs no
-        // further reordering.
-        let reorders = ctx.reorders();
-        assert_eq!(ctx.check_netlists(&x, &y).unwrap(), None);
-        assert_eq!(ctx.reorders(), reorders);
-    }
-
-    #[test]
-    fn ladder_off_mode_preserves_hard_capacity_errors() {
-        let (pool, x, y) = comparator_netlists(10);
+        let a = pool.input_word("a", 0, 8);
+        let b = pool.input_word("b", 1, 8);
+        let mut gt_nl = Netlist::new();
+        let mut gt = gt_nl.constant(false);
+        let mut eq = gt_nl.constant(true);
+        for i in (0..8).rev() {
+            let (na, nb) = (gt_nl.input(a[i]), gt_nl.input(b[i]));
+            let nnb = gt_nl.not(nb);
+            let a_gt_b = gt_nl.and(na, nnb);
+            let win = gt_nl.and(eq, a_gt_b);
+            gt = gt_nl.or(gt, win);
+            let x = gt_nl.xor(na, nb);
+            let same = gt_nl.not(x);
+            eq = gt_nl.and(eq, same);
+        }
+        gt_nl.set_output("gt", gt);
+        let mut bad = gt_nl.clone();
+        let wrong = bad.not(gt);
+        bad.set_output("gt", wrong);
         let mut ctx = VerifyContext::new(&pool);
-        ctx.set_dvo(crate::dvo::DvoMode::Off);
-        ctx.set_node_cap(16);
-        assert!(ctx.check_netlists(&x, &y).is_err());
-    }
-
-    #[test]
-    fn ladder_exhaustion_returns_capacity_error_and_resets() {
-        // A cap nothing can fit under: every rung fails, the error
-        // surfaces, and the context remains usable for later (cheap)
-        // checks under a workable cap.
-        let (pool, x, y) = comparator_netlists(10);
-        let mut ctx = VerifyContext::new(&pool);
-        ctx.set_node_cap(4);
-        assert!(ctx.check_netlists(&x, &y).is_err());
-        ctx.set_node_cap(100_000);
-        assert_eq!(ctx.check_netlists(&x, &y).unwrap(), None);
-    }
-
-    #[test]
-    fn ladder_still_finds_real_mismatches() {
-        // Capacity recovery must not mask genuine bugs: inject a fault,
-        // force the ladder to climb, and require the counterexample.
-        let (pool, x, mut y) = comparator_netlists(8);
-        let (name, node) = y.outputs().last().unwrap().clone();
-        let wrong = y.not(node);
-        y.set_output(&name, wrong);
-        let a: Vec<Var> = (0..8).map(|i| pool.find(&format!("a{i}")).unwrap()).collect();
-        let b: Vec<Var> = (0..8).map(|i| pool.find(&format!("b{i}")).unwrap()).collect();
-        let mut concat: Vec<Var> = a.iter().rev().copied().collect();
-        concat.extend(b.iter().rev().copied());
-        let mut ctx = VerifyContext::with_order(concat);
-        ctx.pool = Some(pool.clone());
-        ctx.set_node_cap(200);
-        let m = ctx.check_netlists(&x, &y).unwrap().expect("must differ");
-        assert_eq!(m.output, name);
-    }
-
-    #[test]
-    fn sift_mode_matches_fixed_order_verdicts() {
-        let (pool, rca, mux) = adder_pair(12);
-        let mut fixed = VerifyContext::new(&pool);
-        fixed.set_dvo(crate::dvo::DvoMode::Off);
-        let mut sifted = VerifyContext::new(&pool);
-        sifted.set_dvo(crate::dvo::DvoMode::Sift);
-        assert_eq!(
-            fixed.check_netlists(&rca, &mux).unwrap(),
-            sifted.check_netlists(&rca, &mux).unwrap()
-        );
-        let mut bad = mux.clone();
-        let (name, node) = bad.outputs().last().unwrap().clone();
-        let wrong = bad.not(node);
-        bad.set_output(&name, wrong);
-        let vf = fixed.check_netlists(&rca, &bad).unwrap().expect("differs");
-        let vs = sifted.check_netlists(&rca, &bad).unwrap().expect("differs");
-        assert_eq!(vf.output, vs.output);
+        let m = ctx
+            .check_netlists(&gt_nl, &bad)
+            .unwrap()
+            .expect("must differ");
+        assert_eq!(m.output, "gt");
+        let assignment: std::collections::HashMap<Var, bool> =
+            m.assignment.iter().copied().collect();
+        let va = pd_netlist::sim::evaluate(&gt_nl, &assignment);
+        let vb = pd_netlist::sim::evaluate(&bad, &assignment);
+        assert_ne!(va["gt"], vb["gt"]);
+        assert_eq!(ctx.check_netlists(&gt_nl, &gt_nl).unwrap(), None);
     }
 
     #[test]

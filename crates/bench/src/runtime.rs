@@ -41,14 +41,6 @@
 //! across the pair is the recorded evidence that the budget reclaims
 //! time without costing QoR.
 //!
-//! The BDD oracle's variable-order work is A/B-tracked as
-//! `verify/<circuit>/verify-interleaved` versus `verify-sifted`: the same
-//! netlist built under the fixed interleaved order with and without a
-//! sift-to-convergence pass, each recording peak allocated node slots and
-//! final live node count. The sifted entries staying strictly below the
-//! interleaved ones is the recorded evidence that dynamic reordering
-//! recovers capacity for the verification ladder.
-//!
 //! Set `PD_NAIVE_KERNEL=1` to route all ANF arithmetic through the
 //! reference (pre-optimisation) paths; the recorded `kernel` field then
 //! says `"naive"`, which is how before/after comparisons are produced
@@ -86,10 +78,6 @@ pub struct Measurement {
     pub area_um2: Option<f64>,
     /// Critical-path delay in ns (flow STA stage).
     pub delay_ns: Option<f64>,
-    /// Peak allocated BDD node-table slots (verify A/B cases).
-    pub peak_nodes: Option<usize>,
-    /// Live (root-reachable) BDD nodes at the end (verify A/B cases).
-    pub live_nodes: Option<usize>,
 }
 
 /// Knobs for a measurement run.
@@ -173,15 +161,12 @@ pub fn run(opts: &RuntimeOptions) -> Vec<Measurement> {
             cells: None,
             area_um2: None,
             delay_ns: None,
-            peak_nodes: None,
-            live_nodes: None,
         });
     }
     out.extend(flow_cases(opts));
     out.extend(cache_ab_cases(opts));
     out.extend(factor_ab_cases(opts));
     out.extend(reduce_ab_cases(opts));
-    out.extend(verify_ab_cases(opts));
     out.extend(kernel_cases(opts));
     out
 }
@@ -238,8 +223,6 @@ fn flow_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
                 cells: report.cells,
                 area_um2: report.area_um2,
                 delay_ns: report.delay_ns,
-                peak_nodes: None,
-                live_nodes: None,
             });
         }
         let (median, min) = median_min(totals);
@@ -254,8 +237,6 @@ fn flow_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
             cells: last_reports.iter().rev().find_map(|r| r.cells),
             area_um2: last_reports.iter().rev().find_map(|r| r.area_um2),
             delay_ns: last_reports.iter().rev().find_map(|r| r.delay_ns),
-            peak_nodes: None,
-            live_nodes: None,
         });
     }
     out
@@ -322,8 +303,6 @@ fn cache_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
                 cells: last_reports.iter().rev().find_map(|r| r.cells),
                 area_um2: last_reports.iter().rev().find_map(|r| r.area_um2),
                 delay_ns: last_reports.iter().rev().find_map(|r| r.delay_ns),
-                peak_nodes: None,
-                live_nodes: None,
             });
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -359,8 +338,6 @@ fn reduce_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
             cells: None,
             area_um2: None,
             delay_ns: None,
-            peak_nodes: None,
-            live_nodes: None,
         });
         let mut full_literals = 0;
         let (median, min) = time_reps(reps, || {
@@ -379,8 +356,6 @@ fn reduce_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
             cells: None,
             area_um2: None,
             delay_ns: None,
-            peak_nodes: None,
-            live_nodes: None,
         });
         // The budgeted-arbitration A/B: the default config's learned
         // skip bound versus the same worklist pass with the arbitration
@@ -408,8 +383,6 @@ fn reduce_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
                 cells: None,
                 area_um2: None,
                 delay_ns: None,
-                peak_nodes: None,
-                live_nodes: None,
             });
         }
     }
@@ -473,74 +446,6 @@ fn factor_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
                 cells,
                 area_um2: None,
                 delay_ns: None,
-                peak_nodes: None,
-                live_nodes: None,
-            });
-        }
-    }
-    out
-}
-
-/// Circuits for the oracle-order A/B. Chosen where the fixed interleaved
-/// order is measurably suboptimal for a from-scratch build — the Gray
-/// decoder's chained XOR structure and the leading-zero detector's
-/// priority chain both reorder well — so the pair records a strict
-/// peak-and-live reduction rather than noise. (Multipliers shrink their
-/// *live* diagrams under sifting too, but their gate-by-gate rebuild
-/// churn swamps the peak-allocation win, so they make a poor pin.)
-const VERIFY_AB_CIRCUITS: [&str; 3] = ["gray10", "gray12", "lzd12"];
-
-/// A/B comparison of the BDD oracle's variable-order strategies:
-/// `verify-interleaved` builds every output of the circuit's flat netlist
-/// under the fixed interleaved order (the oracle's historical behaviour),
-/// `verify-sifted` builds the same outputs under the order a one-off
-/// sift-to-convergence pass learned (the `PD_DVO` reordering layer) — the
-/// steady state of a `VerifyContext` that has reordered and cached the
-/// result. Each entry records the peak allocated node-table slots and the
-/// final live node count; the sifted build staying below the interleaved
-/// one on both is exactly the capacity the ladder recovers under a fixed
-/// `PD_NODE_CAP`.
-fn verify_ab_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
-    use pd_bdd::{interleaved_order, sift, verify::build_outputs, Bdd, SiftSchedule};
-    let mut out = Vec::new();
-    let reps = opts.reps.max(1);
-    for circuit in VERIFY_AB_CIRCUITS {
-        let input = circuit_by_name(circuit).expect("bench circuits resolve");
-        let netlist = pd_netlist::synthesize_outputs(&input.outputs);
-        // Learn the order once, the way the oracle does: build under the
-        // interleaved order and sift to convergence. The learning cost is
-        // the ladder's one-off; both timed cases below are pure builds.
-        let learned = {
-            let mut bdd = Bdd::with_order(interleaved_order(&input.pool));
-            let outputs = build_outputs(&mut bdd, &netlist).expect("bench circuits fit the cap");
-            let roots: Vec<_> = outputs.iter().map(|(_, r)| *r).collect();
-            sift(&mut bdd, &roots, SiftSchedule::Converge { max_rounds: 4 });
-            bdd.order().to_vec()
-        };
-        let interleaved = interleaved_order(&input.pool);
-        for (suffix, order) in [("interleaved", &interleaved), ("sifted", &learned)] {
-            let (mut peak, mut live) = (0, 0);
-            let (median, min) = time_reps(reps, || {
-                let mut bdd = Bdd::with_order(order.iter().copied());
-                let outputs =
-                    build_outputs(&mut bdd, &netlist).expect("bench circuits fit the cap");
-                let roots: Vec<_> = outputs.iter().map(|(_, r)| *r).collect();
-                live = bdd.node_count_many(&roots);
-                peak = bdd.len();
-            });
-            out.push(Measurement {
-                name: format!("verify/{circuit}/verify-{suffix}"),
-                median_ms: ms(median),
-                min_ms: ms(min),
-                reps,
-                literals_before: None,
-                literals_after: None,
-                blocks: None,
-                cells: None,
-                area_um2: None,
-                delay_ns: None,
-                peak_nodes: Some(peak),
-                live_nodes: Some(live),
             });
         }
     }
@@ -563,8 +468,6 @@ fn kernel_cases(opts: &RuntimeOptions) -> Vec<Measurement> {
             cells: None,
             area_um2: None,
             delay_ns: None,
-            peak_nodes: None,
-            live_nodes: None,
         });
     };
     let reps = opts.reps.max(3);
@@ -648,12 +551,6 @@ pub fn to_json(results: &[Measurement], opts: &RuntimeOptions) -> String {
             }
             if let Some(d) = m.delay_ns {
                 fields.push(("delay_ns", Json::from(d)));
-            }
-            if let Some(p) = m.peak_nodes {
-                fields.push(("peak_nodes", Json::from(p)));
-            }
-            if let Some(l) = m.live_nodes {
-                fields.push(("live_nodes", Json::from(l)));
             }
             Json::obj(fields)
         })
@@ -758,36 +655,6 @@ mod tests {
                  ({} ms vs {} ms)",
                 warm.median_ms,
                 cold.median_ms
-            );
-        }
-        // The oracle-order A/B: sifting must strictly shrink the live
-        // diagram on every tracked circuit — this is the artefact side
-        // of the PD_DVO acceptance claim.
-        for circuit in VERIFY_AB_CIRCUITS {
-            let find = |suffix: &str| {
-                let name = format!("verify/{circuit}/verify-{suffix}");
-                results
-                    .iter()
-                    .find(|m| m.name == name)
-                    .unwrap_or_else(|| panic!("{name} missing"))
-            };
-            let (fixed, sifted) = (find("interleaved"), find("sifted"));
-            let (fixed_live, sifted_live) = (
-                fixed.live_nodes.expect("interleaved live recorded"),
-                sifted.live_nodes.expect("sifted live recorded"),
-            );
-            assert!(
-                sifted_live < fixed_live,
-                "{circuit}: sifting should shrink live nodes, got {fixed_live} -> {sifted_live}"
-            );
-            let (fixed_peak, sifted_peak) = (
-                fixed.peak_nodes.expect("interleaved peak recorded"),
-                sifted.peak_nodes.expect("sifted peak recorded"),
-            );
-            assert!(
-                sifted_peak < fixed_peak,
-                "{circuit}: the learned order should shrink the build's peak \
-                 allocation, got {fixed_peak} -> {sifted_peak}"
             );
         }
         let json = to_json(&results, &opts);

@@ -39,8 +39,8 @@ impl BatchOutcome {
 
 /// Runs one circuit end to end behind a panic fence. Recovery lives in
 /// the stage ladders; a flow that still fails — every rung of a stage
-/// dead, the oracle out of capacity under `DvoMode::Off`, or an unwind
-/// escaping the flow itself — is reported as a typed [`FlowError`].
+/// dead, a counterexample at a single-rung stage, or an unwind escaping
+/// the flow itself — is reported as a typed [`FlowError`].
 ///
 /// This is the unit both drivers share: [`run_batch`] fans it out over
 /// the `pd-par` pool, the job server ([`crate::serve`]) routes it
@@ -155,22 +155,20 @@ mod tests {
     }
 
     #[test]
-    fn capacity_kill_under_dvo_off_is_a_typed_error_in_its_slot() {
+    fn mismatch_kill_is_a_typed_error_in_its_slot() {
         use crate::{FaultPlan, StageKind};
-        use pd_bdd::DvoMode;
 
-        // DvoMode::Off turns the injected oracle starvation into a hard
-        // FlowError::Capacity: the user asked for no reordering, so
-        // nothing re-enables the order ladder behind their back.
-        let starved = FlowConfig {
-            dvo: DvoMode::Off,
-            fault: Some(FaultPlan::parse("decompose:capacity:1").unwrap()),
+        // Decompose has a single rung, so an injected counterexample at
+        // its boundary leaves nothing to fall through to: the slot ends
+        // in a typed FlowError::Mismatch, and no retry masks it.
+        let poisoned = FlowConfig {
+            fault: Some(FaultPlan::parse("decompose:mismatch:1").unwrap()),
             ..FlowConfig::default()
         };
         let clean = FlowConfig::default();
         let jobs = vec![
             (circuit_by_name("parity8").unwrap(), &clean),
-            (circuit_by_name("maj5").unwrap(), &starved),
+            (circuit_by_name("maj5").unwrap(), &poisoned),
             (circuit_by_name("gray6").unwrap(), &clean),
         ];
         let outcomes = pd_par::par_map_vec(jobs, |(input, cfg)| run_one(input, cfg));
@@ -178,9 +176,9 @@ mod tests {
         let err = outcomes[1]
             .result
             .as_ref()
-            .expect_err("no retry rescues DvoMode::Off");
+            .expect_err("no retry rescues a single-rung counterexample");
         assert!(
-            matches!(err, FlowError::Capacity { stage: StageKind::Decompose, .. }),
+            matches!(err, FlowError::Mismatch { stage: StageKind::Decompose, .. }),
             "unexpected error: {err}"
         );
         for i in [0, 2] {

@@ -59,7 +59,7 @@ pub fn config_fingerprint(cfg: &FlowConfig) -> String {
     format!(
         "pd={:?};extract={:?};global={:?};factor_max_support={};\
          minimize={};library={:?};verify={};\
-         budgets={}/{}/{};node_cap={};dvo={:?}",
+         budgets={}/{}/{};node_cap={}",
         cfg.pd,
         cfg.extract,
         cfg.global_extract,
@@ -71,7 +71,6 @@ pub fn config_fingerprint(cfg: &FlowConfig) -> String {
         cfg.budget_reduce,
         cfg.budget_factor,
         cfg.node_cap,
-        cfg.dvo,
     )
 }
 
@@ -642,7 +641,6 @@ pub fn report_from_json(j: &Json) -> Option<StageReport> {
     r.verify_ms = j.get("verify_ms")?.as_num()?;
     r.verified = j.get("verified").and_then(Json::as_bool);
     r.verify_peak_nodes = j.get("verify_peak_nodes").and_then(num_usize);
-    r.verify_reorders = j.get("verify_reorders").and_then(num_usize);
     r.literals = j.get("literals").and_then(num_usize);
     r.gates = j.get("gates").and_then(num_usize);
     r.blocks = j.get("blocks").and_then(num_usize);

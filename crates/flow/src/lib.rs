@@ -35,16 +35,13 @@
 //! `false`) to benchmark the transforms alone.
 //!
 //! The oracle's node table is bounded by [`FlowConfig::node_cap`]
-//! (`PD_NODE_CAP`). A check that overflows it climbs the context's
-//! **order ladder** — retry under a FORCE connectivity pre-order, then
-//! once more with Rudell sifting under a transiently raised cap — before
-//! giving up; the ladder is governed by [`FlowConfig::dvo`] (`PD_DVO`:
-//! `off`, `on-capacity`, `sift`). A boundary that defeats the whole
-//! ladder at a stage's *final* degradation rung no longer aborts the
-//! flow: the stage commits with `verified: false` and an explicit
-//! `unverified` degradation note, because capacity exhaustion means
-//! *undecided*, not wrong. `PD_DVO=off` restores the old hard
-//! [`FlowError::Capacity`] abort.
+//! (`PD_NODE_CAP`), and each boundary is **one capped check** under the
+//! context's fixed interleaved order. A check that overflows the cap is
+//! *undecided*, not wrong: on a stage's earlier degradation rung it fails
+//! that rung (with [`FlowError::Capacity`]) so the cheaper rungs below
+//! get their chance; on the stage's *final* rung the stage commits with
+//! `verified: false` and an explicit `unverified` degradation note
+//! instead of aborting an otherwise sound flow.
 //!
 //! ## Example
 //!
@@ -80,7 +77,7 @@ pub mod spec;
 use cache::{CachedStage, StageCache};
 use json::Json;
 use pd_anf::{Anf, Var, VarPool};
-use pd_bdd::{CapacityError, DvoMode, ExactMismatch, VerifyContext};
+use pd_bdd::{CapacityError, ExactMismatch, VerifyContext};
 use pd_cells::{map, report_mapped, unmap, AreaDelayReport, CellLibrary, MappedNetlist};
 use pd_core::{refine_with_library, Decomposition, PdConfig, ProgressiveDecomposer};
 use pd_factor::{DivisorLibrary, ExtractConfig, FactorNetwork, GlobalConfig, GlobalNetwork};
@@ -199,9 +196,9 @@ pub enum FaultMode {
     /// (exercises mismatch handling without an actual logic bug).
     Mismatch,
     /// Starve the BDD oracle at the stage's verify boundary: the check
-    /// runs under a tiny node cap so every rung of the order ladder
-    /// overflows deterministically (exercises capacity degradation —
-    /// rung fall-through and the explicit `unverified` verdict).
+    /// runs under a tiny node cap so it overflows deterministically
+    /// (exercises capacity degradation — rung fall-through and the
+    /// explicit `unverified` verdict).
     Capacity,
 }
 
@@ -317,9 +314,8 @@ fn env_budget(key: &str) -> u64 {
 }
 
 /// Node cap the `capacity` fault mode imposes for one starved check:
-/// small enough that even the order ladder's raised final rung (cap ×
-/// [`pd_bdd::verify::CAPACITY_RAISE`] = 16 nodes) cannot hold any real
-/// boundary, so the overflow is deterministic on every circuit.
+/// small enough that no real boundary fits under any variable order, so
+/// the overflow is deterministic on every circuit.
 const FAULT_NODE_CAP: usize = 4;
 
 /// Reads the `PD_NODE_CAP` oracle-capacity knob; unset means
@@ -337,21 +333,6 @@ fn env_node_cap() -> usize {
             .filter(|&n| n > 0)
             .unwrap_or_else(|| panic!("PD_NODE_CAP must be a positive integer, got {v:?}")),
         Err(_) => pd_bdd::DEFAULT_NODE_CAP,
-    }
-}
-
-/// Reads the `PD_DVO` reordering-policy knob; unset means
-/// [`DvoMode::OnCapacity`].
-///
-/// # Panics
-///
-/// Panics on an unknown mode (fail fast, as above).
-fn env_dvo() -> DvoMode {
-    match std::env::var("PD_DVO") {
-        Ok(v) => DvoMode::parse(&v).unwrap_or_else(|| {
-            panic!("PD_DVO must be one of off, on-capacity, sift; got {v:?}")
-        }),
-        Err(_) => DvoMode::OnCapacity,
     }
 }
 
@@ -397,18 +378,12 @@ pub struct FlowConfig {
     /// Deterministic fault to inject (see [`FaultPlan`]). Defaults to
     /// the `PD_FAULT` environment variable, or `None`.
     pub fault: Option<FaultPlan>,
-    /// Node-table capacity of the BDD oracle (allocated nodes; the order
-    /// ladder's final rung may transiently raise it, see
-    /// [`pd_bdd::verify::CAPACITY_RAISE`]). Defaults to the
-    /// `PD_NODE_CAP` environment variable, or
-    /// [`pd_bdd::DEFAULT_NODE_CAP`].
+    /// Node-table capacity of the BDD oracle (allocated nodes). Each
+    /// boundary is one check under this cap; an overflow at a stage's
+    /// final rung commits `verified: false` (see
+    /// [`StageReport::verified`]). Defaults to the `PD_NODE_CAP`
+    /// environment variable, or [`pd_bdd::DEFAULT_NODE_CAP`].
     pub node_cap: usize,
-    /// When the BDD oracle reorders variables: never ([`DvoMode::Off`] —
-    /// capacity overflow is then a hard [`FlowError::Capacity`]), only to
-    /// recover from overflow ([`DvoMode::OnCapacity`], the default), or
-    /// proactively after every check ([`DvoMode::Sift`]). Defaults to
-    /// the `PD_DVO` environment variable, or on-capacity.
-    pub dvo: DvoMode,
     /// Root of the content-addressed stage cache (see [`cache`]). `None`
     /// disables caching. Defaults to the `PD_CACHE_DIR` environment
     /// variable, or off. A flow with an armed [`FaultPlan`] never touches
@@ -444,7 +419,6 @@ impl Default for FlowConfig {
             // injecting would make every fault test vacuously green.
             fault: FaultPlan::from_env().unwrap_or_else(|e| panic!("PD_FAULT: {e}")),
             node_cap: env_node_cap(),
-            dvo: env_dvo(),
             cache_dir: cache_dir.clone(),
             divisor_library: cache_dir
                 .as_deref()
@@ -465,8 +439,8 @@ pub struct StageReport {
     pub verify_ms: f64,
     /// `Some(true)` = boundary proved equivalent; `None` = not checked
     /// (verification off, or a reporting-only stage); `Some(false)` =
-    /// the oracle overflowed its node cap on every rung of its order
-    /// ladder at the stage's final degradation rung — the boundary is
+    /// the oracle's one capped check overflowed [`FlowConfig::node_cap`]
+    /// at the stage's final degradation rung — the boundary is
     /// explicitly **unverified** (undecided, not wrong), and
     /// `degradation_reason` says so.
     ///
@@ -476,9 +450,6 @@ pub struct StageReport {
     /// Largest node table the oracle reached across the checks run so
     /// far (cumulative over the shared context; verifying stages only).
     pub verify_peak_nodes: Option<usize>,
-    /// Variable-order changes (FORCE adoptions + completed sifting
-    /// passes) the oracle performed while checking this boundary.
-    pub verify_reorders: Option<usize>,
     /// Literal count of the stage's representation (hierarchy literals
     /// for the decomposition stages, factored-network literals after
     /// `Factor`).
@@ -548,7 +519,6 @@ impl StageReport {
             verify_ms: 0.0,
             verified: None,
             verify_peak_nodes: None,
-            verify_reorders: None,
             literals: None,
             gates: None,
             blocks: None,
@@ -597,9 +567,6 @@ impl StageReport {
         ];
         if let Some(v) = self.verify_peak_nodes {
             fields.push(("verify_peak_nodes", Json::from(v)));
-        }
-        if let Some(v) = self.verify_reorders {
-            fields.push(("verify_reorders", Json::from(v)));
         }
         if let Some(v) = self.literals {
             fields.push(("literals", Json::from(v)));
@@ -680,13 +647,11 @@ pub enum FlowError {
         /// The differing output and a distinguishing assignment.
         mismatch: ExactMismatch,
     },
-    /// The oracle's BDDs exceeded the node cap on every rung of the
-    /// order ladder (the boundary is *undecided*, not wrong). With
-    /// reordering enabled (the default), a flow no longer aborts with
-    /// this: capacity at a non-final degradation rung fails that rung
-    /// (the cheaper rungs below get their chance), and at the final rung
-    /// the stage commits as explicitly unverified instead. Only
-    /// [`DvoMode::Off`] restores the hard abort.
+    /// The oracle's BDDs exceeded the node cap (the boundary is
+    /// *undecided*, not wrong). This fails a non-final degradation rung,
+    /// so the cheaper rungs below get their chance; at a stage's final
+    /// rung the stage commits as explicitly unverified instead, so a
+    /// flow never aborts with it.
     Capacity {
         /// Stage whose verification overflowed.
         stage: StageKind,
@@ -1126,14 +1091,12 @@ impl Flow {
     /// Verifies `new` against the previous snapshot (or the ANF spec when
     /// there is none yet), timing the check into `report`.
     ///
-    /// A [`CapacityError`] here means the oracle's whole order ladder
+    /// A [`CapacityError`] here means the oracle's capped check
     /// overflowed. On a non-final degradation rung it fails the rung —
     /// the cheaper machinery below may produce a boundary that fits. On
     /// the final rung, with nothing left to fall through to, the stage
     /// commits with `verified: Some(false)` and an explicit degradation
     /// note instead of killing an otherwise sound flow.
-    /// [`DvoMode::Off`] opts out of the leniency: capacity is then
-    /// always the hard [`FlowError::Capacity`].
     fn verify_boundary(
         &mut self,
         report: &mut StageReport,
@@ -1157,8 +1120,8 @@ impl Flow {
             return Ok(());
         }
         // The `capacity` fault mode starves the oracle instead: this one
-        // check runs under a tiny node cap (restored afterwards), so
-        // every rung of the order ladder overflows deterministically.
+        // check runs under a tiny node cap (restored afterwards), so it
+        // overflows deterministically.
         // Placed after the verify gate — with the oracle off there is no
         // injection point and the fault is reported inert.
         let starve = self.fault_armed(report.stage, FaultMode::Capacity);
@@ -1167,7 +1130,7 @@ impl Flow {
             self.fault_fired = true;
         }
         let t = std::time::Instant::now();
-        let (node_cap, dvo) = (self.cfg.node_cap, self.cfg.dvo);
+        let node_cap = self.cfg.node_cap;
         // A starved check must also re-seed the context: structure the
         // shared manager already holds would absorb the check as pure
         // node-table hits (zero allocations), and a cap only limits
@@ -1175,7 +1138,6 @@ impl Flow {
         if starve || self.verifier.is_none() {
             let mut ctx = VerifyContext::new(&self.input_pool);
             ctx.set_node_cap(node_cap);
-            ctx.set_dvo(dvo);
             self.verifier = Some(ctx);
         }
         let ctx = self.verifier.as_mut().expect("seeded above");
@@ -1183,7 +1145,6 @@ impl Flow {
             ctx.set_node_cap(FAULT_NODE_CAP);
         }
         let stage = report.stage;
-        let reorders_before = ctx.reorders();
         let outcome = match &self.netlist {
             Some(prev) => ctx.check_netlists(prev, new),
             None => ctx.check_netlist_vs_anf(new, &self.spec),
@@ -1193,18 +1154,16 @@ impl Flow {
         }
         report.verify_ms = t.elapsed().as_secs_f64() * 1e3;
         report.verify_peak_nodes = Some(ctx.peak_nodes());
-        report.verify_reorders = Some(ctx.reorders() - reorders_before);
         match outcome {
             Ok(None) => {
                 report.verified = Some(true);
                 Ok(())
             }
             Ok(Some(mismatch)) => Err(FlowError::Mismatch { stage, mismatch }),
-            Err(error) if self.on_final_rung && self.cfg.dvo != DvoMode::Off => {
+            Err(error) if self.on_final_rung => {
                 report.verified = Some(false);
                 report.note_degradation(format!(
-                    "boundary unverified: {error} (order ladder exhausted; \
-                     raise PD_NODE_CAP to decide it)"
+                    "boundary unverified: {error} (raise PD_NODE_CAP to decide it)"
                 ));
                 Ok(())
             }
@@ -1693,7 +1652,7 @@ mod tests {
     }
 
     #[test]
-    fn reports_carry_oracle_node_and_reorder_counters() {
+    fn reports_carry_oracle_peak_nodes() {
         let mut flow = flow_for(&["a ^ b ^ cin", "a*b ^ b*cin ^ cin*a"]);
         let summary = flow.run_to_completion().unwrap();
         for s in &summary.stages[..4] {
@@ -1701,11 +1660,6 @@ mod tests {
                 s.verify_peak_nodes.unwrap() > 0,
                 "{:?} records the oracle's peak",
                 s.stage
-            );
-            assert_eq!(
-                s.verify_reorders,
-                Some(0),
-                "a well-ordered full adder needs no reordering"
             );
         }
         assert!(summary.stages[4].verify_peak_nodes.is_none(), "STA checks nothing");
@@ -1747,9 +1701,8 @@ mod tests {
 
     #[test]
     fn capacity_fault_mid_ladder_falls_through_to_the_next_rung() {
-        // Eight variables: even the ladder's raised final rung (4 × the
-        // starved cap = 16 nodes) cannot hold this boundary, so the
-        // injected starvation reliably fails the whole check.
+        // Eight variables cannot fit under the starved 4-node cap, so
+        // the injected starvation reliably fails the check.
         let mut pool = VarPool::new();
         let e = Anf::parse("a ^ b ^ c ^ d ^ e ^ f ^ g ^ h", &mut pool).unwrap();
         let mut flow = Flow::new(
@@ -1769,23 +1722,6 @@ mod tests {
             .as_deref()
             .unwrap()
             .contains("verification overflowed"));
-    }
-
-    #[test]
-    fn dvo_off_keeps_capacity_as_a_hard_error() {
-        let mut pool = VarPool::new();
-        let e = Anf::parse("a*b ^ b*c ^ c*a ^ d", &mut pool).unwrap();
-        let mut cfg = faulted_cfg("decompose:capacity:1");
-        cfg.dvo = DvoMode::Off;
-        let mut flow = Flow::new(
-            FlowInput::new("starved", pool, vec![("y".into(), e)]),
-            cfg,
-        );
-        let err = flow.run_to_completion().unwrap_err();
-        assert!(
-            matches!(err, FlowError::Capacity { stage: StageKind::Decompose, .. }),
-            "{err}"
-        );
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //!   "budget_reduce": 100000,
 //!   "budget_factor": 100000,
 //!   "node_cap": 1000000,
-//!   "dvo": "on-capacity",
 //!   "fault": "reduce:panic:1",
 //!   "out": "FLOW_STATS.json"
 //! }
@@ -26,8 +25,9 @@
 //! arms the deterministic fault-injection harness with the same
 //! `<stage>:<mode>[:<count>]` syntax as the `PD_FAULT` environment
 //! variable. `node_cap` bounds the BDD oracle's node table
-//! (`PD_NODE_CAP`), and `dvo` picks its reordering policy — `"off"`,
-//! `"on-capacity"`, or `"sift"` (`PD_DVO`).
+//! (`PD_NODE_CAP`): each stage boundary is one check under that cap, and
+//! a boundary that overflows it at a stage's final rung commits as
+//! `verified: false`.
 //!
 //! Circuit entries are resolved by [`circuit_by_name`]: a generator name
 //! with a width suffix (`maj15`, `adder8`, …) instantiates the matching
@@ -359,14 +359,6 @@ impl FlowSpec {
                     }
                     spec.config.node_cap = n;
                 }
-                "dvo" => {
-                    let text = value
-                        .as_str()
-                        .ok_or("key \"dvo\" must be a string: off, on-capacity, or sift")?;
-                    spec.config.dvo = pd_bdd::DvoMode::parse(text).ok_or_else(|| {
-                        format!("key \"dvo\": unknown mode {text:?} (known: off, on-capacity, sift)")
-                    })?;
-                }
                 "factor_max_support" => {
                     spec.config.factor_max_support = unsigned(value, key)?;
                 }
@@ -580,23 +572,17 @@ mod tests {
     }
 
     #[test]
-    fn spec_parses_oracle_capacity_and_dvo_keys() {
-        use pd_bdd::DvoMode;
-        let spec = FlowSpec::parse(
-            r#"{"circuits": ["maj7"], "node_cap": 4096, "dvo": "sift"}"#,
-        )
-        .unwrap();
+    fn spec_parses_oracle_capacity_key() {
+        let spec = FlowSpec::parse(r#"{"circuits": ["maj7"], "node_cap": 4096}"#).unwrap();
         assert_eq!(spec.config.node_cap, 4096);
-        assert_eq!(spec.config.dvo, DvoMode::Sift);
         let unset = FlowSpec::parse(r#"{"circuits": ["maj7"]}"#).unwrap();
         assert_eq!(unset.config.node_cap, pd_bdd::DEFAULT_NODE_CAP);
-        assert_eq!(unset.config.dvo, DvoMode::OnCapacity);
         for doc in [
             r#"{"circuits": ["maj7"], "node_cap": 0}"#,
             r#"{"circuits": ["maj7"], "node_cap": -5}"#,
             r#"{"circuits": ["maj7"], "node_cap": 2.5}"#,
-            r#"{"circuits": ["maj7"], "dvo": "warp"}"#,
-            r#"{"circuits": ["maj7"], "dvo": 3}"#,
+            // `dvo` is an unknown key: the oracle has no order policy.
+            r#"{"circuits": ["maj7"], "dvo": "off"}"#,
         ] {
             assert!(FlowSpec::parse(doc).is_err(), "{doc}");
         }

@@ -54,11 +54,10 @@
 //! Robustness knobs (environment): `PD_BUDGET_DECOMPOSE` /
 //! `PD_BUDGET_REDUCE` / `PD_BUDGET_FACTOR` bound per-stage effort with
 //! deterministic trial counters; `PD_NODE_CAP` bounds the BDD oracle's
-//! node table and `PD_DVO` (off | on-capacity | sift) governs its
-//! variable-reordering order ladder — a boundary that exhausts the whole
-//! ladder at a stage's final rung is reported as explicitly unverified
-//! ("NO" in the table, `"verified": false` in the stats) instead of
-//! killing the flow; and `PD_FAULT=<stage>:<mode>[:<count>]` (modes:
+//! node table — each boundary is one capped check, and one that
+//! overflows at a stage's final rung is reported as explicitly
+//! unverified ("NO" in the table, `"verified": false` in the stats)
+//! instead of killing the flow; and `PD_FAULT=<stage>:<mode>[:<count>]` (modes:
 //! panic, budget, mismatch, capacity) injects a deterministic fault to
 //! exercise each stage's degradation ladder — degradations are reported
 //! under the per-stage table and in the JSON stats. The ladders are the

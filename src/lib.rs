@@ -143,42 +143,28 @@
 //! `PD_FAULT=factor:panic:1` drive the `full-reduce` and `local` rungs
 //! directly.
 //!
-//! ## The BDD oracle at scale: node caps and variable reordering
+//! ## The BDD oracle at scale: one capped check per boundary
 //!
 //! The oracle's BDD manager is capped (`PD_NODE_CAP`, default 2²⁶
 //! allocated slots, or [`flow::FlowConfig::node_cap`] / the spec's
 //! `node_cap` key) so a hostile boundary cannot take the process down
-//! with it. A check that hits the cap climbs an *order ladder* inside
-//! the shared [`bdd::VerifyContext`] instead of failing outright:
-//!
-//! ```text
-//! current order ──► FORCE pre-order ──► sift @ 4× cap ──► unverified
-//! (shared mgr)      (fresh manager,     (fresh manager,   (recorded,
-//!                    connectivity-       mid-build         flow goes
-//!                    driven static)      Rudell sifting)   on)
-//! ```
-//!
-//! The second rung computes a FORCE-style static order from the
-//! boundary's netlist connectivity ([`bdd::force_order`]); the third
-//! retries once at four times the cap with threshold-triggered
-//! Rudell-style sifting ([`bdd::sift`], schedules `Once`, `Converge`,
-//! `Threshold`) compacting the diagram as it grows. Orders learned by
-//! any rung stay cached in the context for every later check of the
-//! same flow. Only when the raised rung also overflows is the boundary
-//! committed as **explicitly unverified** — `verified: false` plus a
+//! with it. Each boundary is **one capped check** in the shared
+//! [`bdd::VerifyContext`], under the fixed interleaved variable order.
+//! A check that overflows the cap is *undecided*, not wrong: on a
+//! stage's earlier degradation rung it fails that rung like any other
+//! error, and on the stage's final rung the boundary is committed as
+//! **explicitly unverified** — `verified: false` plus a
 //! `degradation_reason` naming the cap in the stage report and its
 //! JSON, `NO` in the CLI table — and the flow continues instead of
-//! dying; raise `PD_NODE_CAP` to decide that boundary. `PD_DVO`
-//! (`off` | `on-capacity` | `sift`, or [`flow::FlowConfig::dvo`] / the
-//! spec's `dvo` key) picks the policy: `off` restores the historical
-//! hard [`flow::FlowError::Capacity`], `on-capacity` (the default)
-//! reorders only when the cap is actually hit, and `sift` additionally
-//! compacts after successful checks. Verdicts are bit-identical across
-//! all three modes and every `PD_THREADS`/`PD_NAIVE_KERNEL` combination
+//! dying; raise `PD_NODE_CAP` to decide that boundary. After an
+//! overflow the context rebuilds its manager, so the failed attempt's
+//! nodes never starve a later check. Verdicts are bit-identical across
+//! every `PD_THREADS`/`PD_NAIVE_KERNEL` combination
 //! (`tests/flow_pipeline.rs` pins this), and the stage reports carry
-//! the oracle's `verify_peak_nodes`/`verify_reorders` counters.
-//! `BENCH_RUNTIME.json` pins the capacity win itself as
-//! `verify/<circuit>/verify-interleaved` vs `verify-sifted`.
+//! the oracle's `verify_peak_nodes` counter. No variable reordering is
+//! attempted: the largest boundary on record (budgeted mult8, 2.19M
+//! nodes) stays 30× below the default cap, and multipliers — the one
+//! family that grows large — are exponential under every order.
 //! Specifications enter the oracle by positive-Davio expansion on the
 //! manager's order ([`bdd::Bdd::from_anf`]), so a spec's intermediate
 //! diagrams stay near the size of its final BDD — three8's check peaks
@@ -189,7 +175,7 @@
 //! `budget`, `mismatch`, `capacity`) makes the *count*-th injection
 //! opportunity at the named stage panic, zero the stage budget, poison
 //! the verify verdict, or starve the oracle's node table (re-seeding
-//! the verifier so the order ladder genuinely overflows). Every mode on
+//! the verifier so the capped check genuinely overflows). Every mode on
 //! every stage ends in a completed flow with a recorded degradation, an
 //! explicitly unverified boundary, or a typed error — never a process
 //! abort — and `tests/fault_injection.rs` pins the full matrix.

@@ -43,7 +43,6 @@ fn run_faulted(dir: &std::path::Path, fault: &str) -> (Option<i32>, Json) {
         .env_remove("PD_BUDGET_REDUCE")
         .env_remove("PD_BUDGET_FACTOR")
         .env_remove("PD_NODE_CAP")
-        .env_remove("PD_DVO")
         .env("PD_FAULT", fault);
     let out = cmd.output().expect("spawn pd flow");
     let doc = std::fs::read_to_string(&out_path)
@@ -117,8 +116,8 @@ fn every_fault_mode_on_every_stage_degrades_or_fails_typed() {
         ("factor:mismatch:1", Degraded("factor", "local")),
         ("techmap:mismatch:1", Degraded("techmap", "greedy")),
         ("sta:mismatch:1", Noted("sta", "inert")),
-        // Capacity faults starve the oracle (a tiny node cap defeats its
-        // whole order ladder). Mid-ladder that fails the rung like any
+        // Capacity faults starve the oracle (no boundary fits its tiny
+        // node cap). Mid-ladder that fails the rung like any
         // other error; at a stage's *final* rung the boundary commits as
         // explicitly unverified instead of killing the flow.
         ("decompose:capacity:1", Unverified("decompose")),
@@ -222,7 +221,6 @@ fn degraded_reduce_stays_green_on_all_builtin_circuits() {
         .env_remove("PD_BUDGET_REDUCE")
         .env_remove("PD_BUDGET_FACTOR")
         .env_remove("PD_NODE_CAP")
-        .env_remove("PD_DVO")
         .env("PD_FAULT", "reduce:panic:1")
         .output()
         .expect("spawn pd flow all");
@@ -271,7 +269,6 @@ fn budget_crossings_are_deterministic_across_thread_counts() {
             .env_remove("PD_BUDGET_DECOMPOSE")
             .env_remove("PD_BUDGET_FACTOR")
             .env_remove("PD_NODE_CAP")
-            .env_remove("PD_DVO")
             .env("PD_BUDGET_REDUCE", "3")
             .env("PD_THREADS", threads)
             .output()

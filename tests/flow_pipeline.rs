@@ -189,78 +189,66 @@ fn env_combos_agree_and_verify_via_subprocess() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The oracle's reordering policy must never change what the flow
-/// computes or concludes: under `PD_DVO` ∈ {off, on-capacity, sift} —
-/// crossed with the kernel and thread-count knobs — every stage's
-/// verdict and size metrics are bit-identical. Sifting only moves the
-/// oracle's internal variable order; a verdict that differs would mean
-/// the reordering primitive corrupted a function.
+/// The kernel and thread-count knobs must never change what the flow
+/// computes or concludes: `(fast kernel, 1 thread)` and `(naive kernel,
+/// 4 threads)` give bit-identical verdicts, size metrics and oracle peak
+/// node counts on every stage of two generators.
 #[test]
-fn dvo_modes_agree_with_fixed_order_verdicts_via_subprocess() {
-    let dir = std::env::temp_dir().join(format!("pd-flow-dvo-{}", std::process::id()));
+fn generator_verdicts_agree_across_kernel_and_threads_via_subprocess() {
+    let dir = std::env::temp_dir().join(format!("pd-flow-knobs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     for circuit in ["maj7", "comparator8"] {
         let mut fingerprints: Vec<(String, String)> = Vec::new();
-        for dvo in ["off", "on-capacity", "sift"] {
-            for (naive, threads) in [(false, "1"), (true, "4")] {
-                let out_path = dir.join(format!(
-                    "{circuit}-{dvo}-{}-t{threads}.json",
-                    if naive { "naive" } else { "fast" }
-                ));
-                let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_pd"));
-                cmd.arg("flow")
-                    .arg(circuit)
-                    .arg("--out")
-                    .arg(&out_path)
-                    .env("PD_THREADS", threads)
-                    .env("PD_DVO", dvo)
-                    .env_remove("PD_NAIVE_KERNEL")
-                    .env_remove("PD_SKIP_VERIFY")
-                    .env_remove("PD_NODE_CAP")
-                    .env_remove("PD_FAULT");
-                if naive {
-                    cmd.env("PD_NAIVE_KERNEL", "1");
-                }
-                let out = cmd.output().expect("spawn pd flow");
-                assert!(
-                    out.status.success(),
-                    "{circuit} dvo={dvo} naive={naive} threads={threads} failed:\n{}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                let parsed = Json::parse(&std::fs::read_to_string(&out_path).expect("stats"))
-                    .expect("stats parse");
-                let circuits =
-                    parsed.get("circuits").and_then(Json::as_arr).expect("circuits");
-                let stages =
-                    circuits[0].get("stages").and_then(Json::as_arr).expect("stages");
-                // Verdicts and size metrics; peak-node/reorder counters
-                // legitimately differ between policies and are excluded.
-                let fingerprint: Vec<String> = stages
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{}:{:?}:{:?}:{:?}:{:?}",
-                            s.get("stage").and_then(Json::as_str).unwrap_or("?"),
-                            s.get("verified").and_then(Json::as_bool),
-                            s.get("literals").and_then(Json::as_num),
-                            s.get("gates").and_then(Json::as_num),
-                            s.get("cells").and_then(Json::as_num),
-                        )
-                    })
-                    .collect();
-                fingerprints.push((
-                    format!("dvo={dvo} naive={naive} threads={threads}"),
-                    fingerprint.join("\n"),
-                ));
+        for (naive, threads) in [(false, "1"), (true, "4")] {
+            let out_path = dir.join(format!(
+                "{circuit}-{}-t{threads}.json",
+                if naive { "naive" } else { "fast" }
+            ));
+            let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_pd"));
+            cmd.arg("flow")
+                .arg(circuit)
+                .arg("--out")
+                .arg(&out_path)
+                .env("PD_THREADS", threads)
+                .env_remove("PD_NAIVE_KERNEL")
+                .env_remove("PD_SKIP_VERIFY")
+                .env_remove("PD_NODE_CAP")
+                .env_remove("PD_FAULT");
+            if naive {
+                cmd.env("PD_NAIVE_KERNEL", "1");
             }
+            let out = cmd.output().expect("spawn pd flow");
+            assert!(
+                out.status.success(),
+                "{circuit} naive={naive} threads={threads} failed:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let parsed = Json::parse(&std::fs::read_to_string(&out_path).expect("stats"))
+                .expect("stats parse");
+            let circuits = parsed.get("circuits").and_then(Json::as_arr).expect("circuits");
+            let stages = circuits[0].get("stages").and_then(Json::as_arr).expect("stages");
+            let fingerprint: Vec<String> = stages
+                .iter()
+                .map(|s| {
+                    format!(
+                        "{}:{:?}:{:?}:{:?}:{:?}:{:?}",
+                        s.get("stage").and_then(Json::as_str).unwrap_or("?"),
+                        s.get("verified").and_then(Json::as_bool),
+                        s.get("verify_peak_nodes").and_then(Json::as_num),
+                        s.get("literals").and_then(Json::as_num),
+                        s.get("gates").and_then(Json::as_num),
+                        s.get("cells").and_then(Json::as_num),
+                    )
+                })
+                .collect();
+            fingerprints.push((
+                format!("naive={naive} threads={threads}"),
+                fingerprint.join("\n"),
+            ));
         }
         let (ref first_combo, ref first) = fingerprints[0];
-        for (combo, fp) in &fingerprints[1..] {
-            assert_eq!(
-                fp, first,
-                "{circuit}: {combo} disagrees with {first_combo}"
-            );
-        }
+        let (ref combo, ref fp) = fingerprints[1];
+        assert_eq!(fp, first, "{circuit}: {combo} disagrees with {first_combo}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
