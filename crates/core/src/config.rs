@@ -4,9 +4,9 @@
 //!
 //! The decomposer parallelises four independent stages through `pd-par`
 //! (scoped threads; no external dependency): the exhaustive group
-//! search's trial iterations, the per-output combine step, the pair-list
-//! split of large expressions, and the rewrite's pair products + output
-//! bucketing. Control is environment-based so a `PdConfig` stays a pure
+//! search's trial iterations, the per-output combine step (run once per
+//! iteration and shared by every trial), the pair-list split of large
+//! expressions, and the rewrite's pair products + output bucketing. Control is environment-based so a `PdConfig` stays a pure
 //! description of the *algorithm*:
 //!
 //! * `PD_THREADS=N` — worker count (default: available cores; `1`
@@ -17,7 +17,12 @@
 //!   optimised passes (batched linear minimisation, cached null-space
 //!   closures, merge-counted size reduction) through their reference
 //!   implementations; used by `bench_runtime` for before/after numbers.
-//! * `PD_TIMING=1` — print per-phase wall times of every iteration.
+//! * `PD_TIMING=1` — print per-phase wall times of every iteration body,
+//!   group-search trials included: `split`, `merge`, `nullspace`,
+//!   `lindep`, `sizered`, `identities` (leader naming and the identity
+//!   search) and `rewrite` (substitutions and the rewrite proper). The
+//!   combine step runs once per iteration, outside the trials, and is not
+//!   timed.
 
 /// Configuration of [`crate::ProgressiveDecomposer`].
 ///

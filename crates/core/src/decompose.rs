@@ -33,6 +33,7 @@ use pd_netlist::{Netlist, Synthesizer};
 use pd_par::EffortMeter;
 use rand_free::SplitMix;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// One building block: a variable group and the leader expressions
 /// computed from it.
@@ -122,13 +123,30 @@ pub struct ProgressiveDecomposer {
 }
 
 /// Outcome of running one iteration body (possibly as a trial).
+///
+/// Fresh leaders are named `Var(pool.len() + j)` without touching the
+/// pool; only the committed iteration allocates them (see
+/// [`IterationOutcome::allocate_leaders`]).
 struct IterationOutcome {
     new_l: Vec<Anf>,
     block: Block,
     new_identities: Vec<Anf>,
     events: Vec<TraceEvent>,
-    pool: VarPool,
-    fresh_created: usize,
+    /// Fresh leader ids used, substituted ones included.
+    allocated: usize,
+}
+
+impl IterationOutcome {
+    /// Allocates the outcome's fresh leaders in `pool`, which must be the
+    /// pool the iteration ran against. `fresh_derived` always allocates
+    /// id `pool.len()` (only its name may skip ahead), so the ids match.
+    fn allocate_leaders(&self, pool: &mut VarPool, iteration: u32) {
+        let base = pool.len();
+        for j in 0..self.allocated {
+            let v = pool.fresh_derived(iteration);
+            debug_assert_eq!(v, Var((base + j) as u32), "leader id mismatch");
+        }
+    }
 }
 
 impl ProgressiveDecomposer {
@@ -208,53 +226,42 @@ impl ProgressiveDecomposer {
                 break;
             }
             iteration += 1;
+            // X = Σ K_i · L_i does not depend on the group: every trial
+            // and the winner's re-run borrow it.
+            let x = combine(&l, &selectors, &identities);
             let cfg = &self.cfg;
-            let ids_ref = &identities;
-            let sel_ref = &selectors;
-            let l_ref = &l;
-            let group = {
-                let pool_ref = &pool;
-                let level_ref = &level_of;
-                find_group_metered(l_ref, pool_ref, &finalized, cfg, meter, |g| {
-                    let trial = run_iteration(
-                        pool_ref.clone(),
-                        l_ref,
-                        sel_ref,
-                        ids_ref,
-                        g,
-                        iteration,
-                        cfg,
-                    );
-                    // Objective (§5.1): size of the rewritten expression in
-                    // literals; basis size and the depth of the consumed
-                    // leaders break ties (prefer shallow, parallel blocks).
-                    let rewritten: usize = trial.new_l.iter().map(Anf::literal_count).sum();
-                    let basis: usize = trial
-                        .block
-                        .basis
-                        .iter()
-                        .map(|(_, e)| e.literal_count())
-                        .sum();
-                    let depth = g
-                        .iter()
-                        .map(|v| level_ref.get(&v).copied().unwrap_or(0) as usize)
-                        .max()
-                        .unwrap_or(0);
-                    rewritten * 1024 + basis * 8 + depth.min(7)
-                })
-            };
+            let n_vars = pool.len();
+            let group = find_group_metered(&l, &pool, &finalized, cfg, meter, |g| {
+                let trial = run_iteration(n_vars, &x, &selectors, &identities, g, iteration, cfg);
+                // Objective (§5.1): size of the rewritten expression in
+                // literals; basis size and the depth of the consumed
+                // leaders break ties (prefer shallow, parallel blocks).
+                let rewritten: usize = trial.new_l.iter().map(Anf::literal_count).sum();
+                let basis: usize = trial
+                    .block
+                    .basis
+                    .iter()
+                    .map(|(_, e)| e.literal_count())
+                    .sum();
+                let depth = g
+                    .iter()
+                    .map(|v| level_of.get(&v).copied().unwrap_or(0) as usize)
+                    .max()
+                    .unwrap_or(0);
+                rewritten * 1024 + basis * 8 + depth.min(7)
+            });
             let Some(group) = group else { break };
             let before_literals: usize = l.iter().map(Anf::literal_count).sum();
             let outcome = run_iteration(
-                pool.clone(),
-                &l,
+                pool.len(),
+                &x,
                 &selectors,
                 &identities,
                 &group,
                 iteration,
                 &self.cfg,
             );
-            if outcome.fresh_created == 0 && outcome.block.substitutions.is_empty() {
+            if outcome.allocated == 0 {
                 // Only literal leaders: abstraction is a no-op. Retire the
                 // group so the search moves on; stop when nothing is left.
                 trace.push(TraceEvent::NoProgress(group.iter().collect()));
@@ -287,8 +294,8 @@ impl ProgressiveDecomposer {
                 group: group.iter().collect(),
                 literals: before_literals,
             });
+            outcome.allocate_leaders(&mut pool, iteration);
             trace.extend(outcome.events);
-            pool = outcome.pool;
             l = outcome.new_l;
             for id in outcome.new_identities {
                 trace.push(TraceEvent::IdentityFound(id.clone()));
@@ -347,31 +354,11 @@ fn apply_substitutions(expr: &mut Anf, subs: &[(Var, Anf)]) {
     }
 }
 
-/// The body of one iteration: findBasis + the three optimisations +
-/// identity discovery + rewriting. Pure with respect to the caller's
-/// state (operates on clones), so it doubles as the trial for group
-/// search.
-fn run_iteration(
-    mut pool: VarPool,
-    l: &[Anf],
-    selectors: &[Var],
-    identities: &IdentityStore,
-    group: &VarSet,
-    iteration: u32,
-    cfg: &PdConfig,
-) -> IterationOutcome {
-    let mut events = Vec::new();
-    let timing = std::env::var_os("PD_TIMING").is_some();
-    let mut stamp = std::time::Instant::now();
-    let lap = |label: &str, stamp: &mut std::time::Instant| {
-        if timing {
-            eprintln!("      [{label}: {:?}]", stamp.elapsed());
-            *stamp = std::time::Instant::now();
-        }
-    };
-    // Combine the list into one expression X = Σ K_i · L_i (§5.2).
-    // Outputs are independent, so the per-expression identity reduction
-    // and selector tagging fan out on the pd-par pool.
+/// Combines the list into one expression `X = Σ K_i · L_i` (§5.2), with
+/// known zero products dropped from every `L_i`. Outputs are independent,
+/// so the per-expression identity reduction and selector tagging fan out
+/// on the pd-par pool.
+fn combine(l: &[Anf], selectors: &[Var], identities: &IdentityStore) -> Anf {
     let tagged: Vec<(usize, &Anf)> = l.iter().enumerate().collect();
     let parts: Vec<Vec<Monomial>> = pd_par::par_map(&tagged, |&(i, e)| {
         let k = Monomial::var(selectors[i]);
@@ -382,14 +369,39 @@ fn run_iteration(
     for p in parts {
         terms.extend(p);
     }
-    let x = Anf::from_terms(terms);
-    lap("combine", &mut stamp);
+    Anf::from_terms(terms)
+}
+
+/// The body of one iteration on the combined expression `x` (see
+/// [`combine`]): findBasis, the three optimisations, identity discovery
+/// and rewriting. Pure with respect to the caller's state, so it doubles
+/// as the trial for group search. Fresh leaders are named from `n_vars`,
+/// the size of the pool the iteration runs against.
+fn run_iteration(
+    n_vars: usize,
+    x: &Anf,
+    selectors: &[Var],
+    identities: &IdentityStore,
+    group: &VarSet,
+    iteration: u32,
+    cfg: &PdConfig,
+) -> IterationOutcome {
+    let mut events = Vec::new();
+    static TIMING: OnceLock<bool> = OnceLock::new();
+    let timing = *TIMING.get_or_init(|| std::env::var_os("PD_TIMING").is_some());
+    let mut stamp = std::time::Instant::now();
+    let lap = |label: &str, stamp: &mut std::time::Instant| {
+        if timing {
+            eprintln!("      [{label}: {:?}]", stamp.elapsed());
+            *stamp = std::time::Instant::now();
+        }
+    };
     // findBasis.
     let var_ns: HashMap<Var, NullSpace> = group
         .iter()
         .map(|v| (v, identities.var_nullspace(v)))
         .collect();
-    let mut pl = PairList::split(&x, group, &var_ns);
+    let mut pl = PairList::split(x, group, &var_ns);
     lap("split", &mut stamp);
     pl.merge_fixpoint();
     lap("merge", &mut stamp);
@@ -417,7 +429,7 @@ fn run_iteration(
     // Name the leaders: fresh variables for non-literal inners.
     let mut leaders: Vec<(Var, Anf)> = Vec::new(); // every leader, incl. passthrough
     let mut passthrough = Vec::new();
-    let mut fresh_created = 0usize;
+    let mut allocated = 0usize;
     let mut leader_of_pair: Vec<Anf> = Vec::new(); // representation in rewritten L
     for p in &pl.pairs {
         if let Some(v) = p.inner.as_literal() {
@@ -425,10 +437,10 @@ fn run_iteration(
             leaders.push((v, p.inner.clone()));
             leader_of_pair.push(p.inner.clone());
         } else {
-            let v = pool.fresh_derived(iteration);
+            let v = Var((n_vars + allocated) as u32);
             leaders.push((v, p.inner.clone()));
             leader_of_pair.push(Anf::var(v));
-            fresh_created += 1;
+            allocated += 1;
         }
     }
     // findIdentities over the leaders (paper §5.5), then apply
@@ -438,6 +450,7 @@ fn run_iteration(
     if cfg.enable_identities && !leaders.is_empty() {
         let group_vars: Vec<Var> = group.iter().collect();
         let found = find_identities(&leaders, &group_vars, identities, cfg);
+        lap("identities", &mut stamp);
         let fresh_vars: Vec<Var> = leaders
             .iter()
             .filter(|(v, _)| !passthrough.contains(v))
@@ -489,7 +502,6 @@ fn run_iteration(
             apply_substitutions(id, &substitutions);
         }
         new_identities.retain(|id| !id.is_zero());
-        fresh_created -= substitutions.len().min(fresh_created);
     }
     // Rewrite: X' = rest ⊕ Σ leader_j · outer_j, then split selectors off.
     // Pair contributions are independent products; compute them on the
@@ -509,7 +521,7 @@ fn run_iteration(
         // Reference path: normalise the whole X' first, then bucket by a
         // positional selector scan.
         let x_new = Anf::from_terms(new_terms);
-        let mut buckets: Vec<Vec<Monomial>> = vec![Vec::new(); l.len()];
+        let mut buckets: Vec<Vec<Monomial>> = vec![Vec::new(); selectors.len()];
         for t in x_new.terms() {
             let sel = selectors
                 .iter()
@@ -521,7 +533,7 @@ fn run_iteration(
         lap("rewrite", &mut stamp);
         return finish_iteration(
             new_l,
-            pool,
+            allocated,
             group,
             iteration,
             leaders,
@@ -529,7 +541,6 @@ fn run_iteration(
             substitutions,
             new_identities,
             events,
-            fresh_created,
         );
     }
     let sel_of: HashMap<Var, usize> = selectors
@@ -539,7 +550,7 @@ fn run_iteration(
         .collect();
     let chunk_buckets: Vec<Vec<Vec<Monomial>>> =
         pd_par::par_chunks(&new_terms, PairList::PAR_SPLIT_MIN, |chunk| {
-            let mut local: Vec<Vec<Monomial>> = vec![Vec::new(); l.len()];
+            let mut local: Vec<Vec<Monomial>> = vec![Vec::new(); selectors.len()];
             for t in chunk {
                 let sel = t
                     .vars()
@@ -549,7 +560,7 @@ fn run_iteration(
             }
             local
         });
-    let mut buckets: Vec<Vec<Monomial>> = vec![Vec::new(); l.len()];
+    let mut buckets: Vec<Vec<Monomial>> = vec![Vec::new(); selectors.len()];
     for local in chunk_buckets {
         for (bucket, mut part) in buckets.iter_mut().zip(local) {
             bucket.append(&mut part);
@@ -559,7 +570,7 @@ fn run_iteration(
     lap("rewrite", &mut stamp);
     finish_iteration(
         new_l,
-        pool,
+        allocated,
         group,
         iteration,
         leaders,
@@ -567,7 +578,6 @@ fn run_iteration(
         substitutions,
         new_identities,
         events,
-        fresh_created,
     )
 }
 
@@ -576,7 +586,7 @@ fn run_iteration(
 #[allow(clippy::too_many_arguments)]
 fn finish_iteration(
     new_l: Vec<Anf>,
-    pool: VarPool,
+    allocated: usize,
     group: &VarSet,
     iteration: u32,
     leaders: Vec<(Var, Anf)>,
@@ -584,7 +594,6 @@ fn finish_iteration(
     substitutions: Vec<(Var, Anf)>,
     new_identities: Vec<Anf>,
     mut events: Vec<TraceEvent>,
-    fresh_created: usize,
 ) -> IterationOutcome {
     // Drop substituted leaders from the recorded basis.
     let basis: Vec<(Var, Anf)> = leaders
@@ -609,8 +618,7 @@ fn finish_iteration(
         },
         new_identities,
         events,
-        pool,
-        fresh_created,
+        allocated,
     }
 }
 
@@ -1009,6 +1017,48 @@ mod tests {
             matches!(e, TraceEvent::IdentityFound(x) if x.term_count() == 1 && x.degree() == 2)
         });
         assert!(found_zero_product, "expected zero-product identities");
+    }
+
+    #[test]
+    fn fresh_leader_ids_follow_the_pool_when_names_collide() {
+        // Inputs named s20..s34 collide with fresh_derived's auto names
+        // (`s<pool.len()>`) once the pool reaches 20 variables, so its
+        // name-skip loop runs. Trials name leaders `Var(pool.len() + j)`
+        // without the pool; the committed ids must still be consecutive
+        // from each iteration's starting pool.len().
+        let mut spec_pool = VarPool::new();
+        let maj = examples::majority_anf(&mut spec_pool, 15);
+        let pool = VarPool::from_parts(
+            (0..15)
+                .map(|i| (format!("s{}", 20 + i), VarKind::Input { word: 0, bit: i }))
+                .collect(),
+        );
+        let d = ProgressiveDecomposer::new(PdConfig::default())
+            .decompose(pool, vec![("maj".into(), maj)]);
+        assert_eq!(d.validate(), Ok(()));
+        assert!(d.check_equivalence(64, 5).is_none(), "maj15 must verify");
+        // 15 inputs and one selector precede the first leader.
+        let mut next_id = 16;
+        for b in &d.blocks {
+            let mut ids: Vec<Var> = b
+                .basis
+                .iter()
+                .chain(&b.substitutions)
+                .map(|(v, _)| *v)
+                .collect();
+            ids.sort();
+            let want: Vec<Var> = (next_id..next_id + ids.len() as u32).map(Var).collect();
+            assert_eq!(ids, want, "block #{} leader ids", b.iteration);
+            for v in &ids {
+                assert_eq!(d.pool.kind(*v), VarKind::Derived { iteration: b.iteration });
+            }
+            next_id += ids.len() as u32;
+        }
+        assert_eq!(next_id as usize, d.pool.len(), "every leader belongs to a block");
+        assert!(
+            (20..next_id).any(|i| d.pool.name(Var(i)) != format!("s{i}")),
+            "the name-skip loop never ran"
+        );
     }
 
     #[test]

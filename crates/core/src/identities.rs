@@ -98,7 +98,7 @@ impl IdentityStore {
     pub fn restricted_to(&self, vars: &VarSet) -> Vec<&Anf> {
         self.zeros
             .iter()
-            .filter(|z| z.support().is_subset(vars))
+            .filter(|z| z.terms().all(|t| t.vars().all(|v| vars.contains(v))))
             .collect()
     }
 
@@ -117,6 +117,43 @@ pub struct FoundIdentity {
     pub expr: Anf,
 }
 
+/// Truth column word `w` of bit `j` of the assignment counter: lane `l`
+/// of word `w` is assignment `64·w + l`.
+fn counter_bit_word(j: usize, w: usize) -> u64 {
+    const LANES: [u64; 6] = [
+        0xaaaa_aaaa_aaaa_aaaa,
+        0xcccc_cccc_cccc_cccc,
+        0xf0f0_f0f0_f0f0_f0f0,
+        0xff00_ff00_ff00_ff00,
+        0xffff_0000_ffff_0000,
+        0xffff_ffff_0000_0000,
+    ];
+    if j < 6 {
+        LANES[j]
+    } else if w >> (j - 6) & 1 == 1 {
+        u64::MAX
+    } else {
+        0
+    }
+}
+
+/// Packs the bits of `col` selected by `mask` densely into `out` (low
+/// bits first), in ascending bit order.
+fn pack(col: &[u64], mask: &[u64], out: &mut [u64]) {
+    out.fill(0);
+    let mut row = 0usize;
+    for (&c, &m) in col.iter().zip(mask) {
+        let mut m = m;
+        while m != 0 {
+            if c >> m.trailing_zeros() & 1 == 1 {
+                out[row / 64] |= 1 << (row % 64);
+            }
+            row += 1;
+            m &= m - 1;
+        }
+    }
+}
+
 /// Discovers identities among `basis`: `basis[i].0` is the fresh variable
 /// naming expression `basis[i].1` (over `group` variables).
 ///
@@ -124,6 +161,11 @@ pub struct FoundIdentity {
 /// the group) are excluded. Products of up to `cfg.identity_product_depth`
 /// basis variables are enumerated, plus the constant 1; every GF(2)
 /// dependency among their value columns is returned.
+///
+/// Value columns are built bit-parallel: every expression is evaluated
+/// with [`Anf::eval64`] over all `2ⁿ` group assignments, 64 at a time,
+/// and the admissible rows are packed out of that. An identity's [`Anf`]
+/// is only built for a product that turns out dependent.
 ///
 /// # Panics
 ///
@@ -141,99 +183,109 @@ pub fn find_identities(
     }
     let group_set: VarSet = group.iter().copied().collect();
     let constraints = store.restricted_to(&group_set);
-    // Enumerate admissible assignments.
-    let n = group.len();
-    let mut admissible: Vec<usize> = Vec::new();
-    'outer: for a in 0..(1usize << n) {
-        let value = |v: Var| -> bool {
+    // Word `w` of the truth column of `expr` over all assignments
+    // (variables outside the group read as 0).
+    let eval_word = |expr: &Anf, w: usize| {
+        expr.eval64(|v| {
             group
                 .iter()
                 .position(|&g| g == v)
-                .map(|j| a >> j & 1 == 1)
-                .expect("constraint support is inside the group")
-        };
-        for c in &constraints {
-            if c.eval(value) {
-                continue 'outer;
-            }
-        }
-        admissible.push(a);
-    }
-    if admissible.is_empty() {
+                .map_or(0, |j| counter_bit_word(j, w))
+        })
+    };
+    // Admissible assignments: inside the 2ⁿ range, no constraint violated.
+    let total = 1usize << group.len();
+    let full_words = total.div_ceil(64);
+    let mask: Vec<u64> = (0..full_words)
+        .map(|w| {
+            let in_range = if total < 64 {
+                (1u64 << total) - 1
+            } else {
+                u64::MAX
+            };
+            constraints
+                .iter()
+                .fold(in_range, |m, c| m & !eval_word(c, w))
+        })
+        .collect();
+    let rows: usize = mask.iter().map(|m| m.count_ones() as usize).sum();
+    if rows == 0 {
         return Vec::new();
     }
-    // Value column of each basis variable over admissible assignments.
+    let words = rows.div_ceil(64);
+    // Value column of each basis variable over the admissible rows.
     let m = basis.len();
-    let words = admissible.len().div_ceil(64);
-    let mut var_cols: Vec<Vec<u64>> = vec![vec![0u64; words]; m];
-    for (row, &a) in admissible.iter().enumerate() {
-        let value = |v: Var| -> bool {
-            group
-                .iter()
-                .position(|&g| g == v)
-                .map(|j| a >> j & 1 == 1)
-                .unwrap_or(false)
-        };
-        for (bi, (_, expr)) in basis.iter().enumerate() {
-            if expr.eval(value) {
-                var_cols[bi][row / 64] |= 1 << (row % 64);
-            }
+    let mut var_cols = vec![0u64; m * words];
+    let mut full = vec![0u64; full_words];
+    for ((_, expr), col) in basis.iter().zip(var_cols.chunks_mut(words)) {
+        for (w, word) in full.iter_mut().enumerate() {
+            *word = eval_word(expr, w);
         }
+        pack(&full, &mask, col);
     }
     // Enumerate product subsets up to the configured depth, smallest first
-    // so substitutions prefer low-degree right-hand sides.
+    // so substitutions prefer low-degree right-hand sides. A level is only
+    // built when the depth reaches it.
+    let depth = cfg.identity_product_depth;
     let mut subsets: Vec<Vec<usize>> = Vec::new();
     let mut frontier: Vec<Vec<usize>> = (0..m).map(|i| vec![i]).collect();
-    for _ in 0..cfg.identity_product_depth {
-        subsets.extend(frontier.iter().cloned());
+    for d in 1..=depth {
         let mut next = Vec::new();
-        for s in &frontier {
-            let last = *s.last().expect("nonempty");
-            for j in last + 1..m {
-                let mut t = s.clone();
-                t.push(j);
-                next.push(t);
+        if d < depth {
+            for s in &frontier {
+                let last = *s.last().expect("nonempty");
+                for j in last + 1..m {
+                    let mut t = s.clone();
+                    t.push(j);
+                    next.push(t);
+                }
             }
         }
+        subsets.append(&mut frontier);
         frontier = next;
     }
-    subsets.sort_by_key(|s| s.len());
-
-    let mut matrix = Gf2Matrix::new(admissible.len());
-    let mut inserted: Vec<Anf> = Vec::new();
-    let mut found = Vec::new();
-    // Constant-1 column first so "≡ 1" relations surface as XOR-with-1.
+    // The constant 1 is inserted first so "≡ 1" relations surface as
+    // XOR-with-1. `independent[i]` is the product monomial of insertion
+    // `i` when it was independent: a dependency only ever names those.
+    let mut independent: Vec<Option<Monomial>> = vec![Some(Monomial::one())];
     let mut ones = vec![u64::MAX; words];
-    if !admissible.len().is_multiple_of(64) {
-        let last = words - 1;
-        ones[last] = (1u64 << (admissible.len() % 64)) - 1;
+    if !rows.is_multiple_of(64) {
+        ones[words - 1] = (1u64 << (rows % 64)) - 1;
     }
+    let mut matrix = Gf2Matrix::new(rows);
     matrix.insert_bits(&ones);
-    inserted.push(Anf::one());
+    let mut found = Vec::new();
+    let mut col = vec![0u64; words];
     for s in &subsets {
-        let mut col = ones.clone();
+        col.copy_from_slice(&ones);
         for &bi in s {
-            for (w, v) in col.iter_mut().zip(&var_cols[bi]) {
+            for (w, v) in col.iter_mut().zip(&var_cols[bi * words..(bi + 1) * words]) {
                 *w &= v;
             }
         }
-        let term = Anf::from_monomial(Monomial::from_vars(s.iter().map(|&bi| basis[bi].0)));
+        let product = Monomial::from_vars(s.iter().map(|&bi| basis[bi].0));
         match matrix.insert_bits(&col) {
-            Insert::Independent => inserted.push(term),
+            Insert::Independent => independent.push(Some(product)),
             Insert::Dependent { combination } => {
-                let mut expr = term;
-                for idx in combination {
-                    expr.xor_assign(&inserted[idx]);
-                }
+                let mut terms = vec![product];
+                terms.extend(
+                    combination
+                        .iter()
+                        .map(|&i| independent[i].clone().expect("combination of independents")),
+                );
+                let expr = Anf::from_terms(terms);
                 if !expr.is_zero() {
                     found.push(FoundIdentity { expr });
                 }
-                inserted.push(Anf::zero()); // placeholder, never referenced
+                independent.push(None);
             }
         }
     }
     found
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -356,6 +408,116 @@ mod tests {
         let dropped: VarSet = [a].into_iter().collect();
         store.drop_vars(&dropped);
         assert!(store.is_empty());
+    }
+
+    /// xorshift64: the seeded stream behind the reference comparisons.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random expression over `vars` with up to `max_terms` terms.
+    fn random_anf(vars: &[Var], max_terms: u64, state: &mut u64) -> Anf {
+        let n_terms = 1 + next(state) % max_terms;
+        Anf::from_terms(
+            (0..n_terms)
+                .map(|_| {
+                    let mask = next(state);
+                    Monomial::from_vars(
+                        (0..vars.len()).filter(|&i| mask >> i & 1 == 1).map(|i| vars[i]),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn identity_search_matches_reference() {
+        // Random bases over 2–8 group variables under random known
+        // constraints: 7 and 8 variables give multi-word columns, and
+        // constraints leave gaps for the packing to close. Both searches
+        // must report the same identities in the same order, and on the
+        // reference's own columns both matrices must agree insert for
+        // insert, with every combination XOR-ing to its vector.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let (mut found_total, mut multi_word) = (0, 0);
+        for case in 0..400 {
+            let n = 2 + (case % 7);
+            let group: Vec<Var> = (0..n as u32).map(|i| Var(3 * i + 1)).collect();
+            let mut store = IdentityStore::new();
+            for _ in 0..next(&mut state) % 4 {
+                let c = if next(&mut state).is_multiple_of(2) {
+                    // A zero product of two or three group variables.
+                    let a = group[(next(&mut state) % n as u64) as usize];
+                    let b = group[(next(&mut state) % n as u64) as usize];
+                    Anf::var(a).and(&Anf::var(b))
+                } else {
+                    random_anf(&group, 3, &mut state)
+                };
+                store.add(c);
+            }
+            // An identity outside the group must not restrict anything.
+            store.add(Anf::var(Var(1000)).and(&Anf::var(group[0])));
+            let m = 1 + (next(&mut state) % 6) as usize;
+            let mut basis: Vec<(Var, Anf)> = Vec::new();
+            for j in 0..m {
+                let expr = match next(&mut state) % 4 {
+                    // A passthrough leader: a group literal naming itself.
+                    0 => {
+                        let g = group[j % n];
+                        if basis.iter().any(|(v, _)| *v == g) {
+                            continue;
+                        }
+                        basis.push((g, Anf::var(g)));
+                        continue;
+                    }
+                    // A combination of earlier leaders, forcing a dependency.
+                    1 if !basis.is_empty() => {
+                        let a = &basis[(next(&mut state) % basis.len() as u64) as usize].1;
+                        let b = &basis[(next(&mut state) % basis.len() as u64) as usize].1;
+                        a.xor(&a.and(b))
+                    }
+                    _ => random_anf(&group, 6, &mut state),
+                };
+                basis.push((Var(200 + j as u32), expr));
+            }
+            let cfg = PdConfig {
+                identity_product_depth: 1 + (case % 3),
+                ..PdConfig::default()
+            };
+            let fast = find_identities(&basis, &group, &store, &cfg);
+            let slow = reference::find_identities(&basis, &group, &store, &cfg);
+            assert_eq!(fast, slow, "case {case}: basis {basis:?}");
+            found_total += fast.len();
+
+            let cols = reference::columns(&basis, &group, &store, &cfg);
+            let Some((_, ones)) = cols.first() else {
+                continue;
+            };
+            multi_word += usize::from(ones.len() > 1);
+            let mut new = Gf2Matrix::new(ones.len() * 64);
+            let mut old = reference::ReferenceGf2Matrix::new(ones.len() * 64);
+            for (i, (_, col)) in cols.iter().enumerate() {
+                let got = new.insert_bits(col);
+                assert_eq!(got, old.insert_bits(col), "case {case}: insert {i}");
+                if let Insert::Dependent { combination } = got {
+                    let mut acc = vec![0u64; col.len()];
+                    for &j in &combination {
+                        for (a, b) in acc.iter_mut().zip(&cols[j].1) {
+                            *a ^= b;
+                        }
+                    }
+                    assert_eq!(&acc, col, "case {case}: combination {combination:?}");
+                }
+            }
+        }
+        assert!(
+            found_total > 100,
+            "too few identities exercised: {found_total}"
+        );
+        assert!(multi_word > 20, "too few multi-word cases: {multi_word}");
     }
 
     #[test]

@@ -178,34 +178,35 @@ impl PairList {
     /// two pairs whose outer difference lies in the sum of their
     /// null-spaces. `product_cap` bounds generator-product enumeration.
     ///
-    /// Closure products are enumerated once per pair per scan (not once
-    /// per pair *combination*) and reused across the inner loop; caches
-    /// are rebuilt after a successful merge, which is rare.
+    /// Closure products are enumerated lazily, at most once per pair per
+    /// scan, and only for a combination whose target passes a screen on
+    /// the generators' support: that support contains every closure
+    /// product's, so the screen rejects nothing the exact test (product
+    /// support, then span membership) would accept. Caches are rebuilt
+    /// after a successful merge, which is rare.
     ///
     /// Returns the number of merges performed.
     pub fn merge_nullspace(&mut self, product_cap: usize) -> usize {
         let mut merges = 0;
         'restart: loop {
             let cache_closures = !pd_anf::naive_kernel();
-            // Per pair: closure products plus the union of their supports
-            // (so the screen in the O(pairs²) scan is a subset test, not a
-            // re-walk of every product's terms).
-            let products: Vec<(Vec<Anf>, VarSet)> = self
-                .pairs
-                .iter()
-                .map(|p| {
-                    if p.nullspace.is_empty() || !cache_closures {
-                        (Vec::new(), VarSet::new())
-                    } else {
-                        let prods = p.nullspace.closure_products(product_cap);
-                        let mut support = VarSet::new();
-                        for g in &prods {
-                            support = support.union(&g.support());
-                        }
-                        (prods, support)
-                    }
-                })
-                .collect();
+            // Per pair: the union of its generators' supports, and (once
+            // a combination needs them) its closure products with their
+            // support union.
+            let gen_support: Vec<VarSet> = if cache_closures {
+                self.pairs
+                    .iter()
+                    .map(|p| {
+                        p.nullspace
+                            .gens()
+                            .iter()
+                            .fold(VarSet::new(), |acc, g| acc.union(&g.support()))
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let mut products: Vec<Option<(Vec<Anf>, VarSet)>> = vec![None; self.pairs.len()];
             for i in 0..self.pairs.len() {
                 for j in i + 1..self.pairs.len() {
                     // With no generators on either side the only reachable
@@ -217,12 +218,23 @@ impl PairList {
                     }
                     let diff = self.pairs[i].outer.xor(&self.pairs[j].outer);
                     let split = if cache_closures {
+                        if !diff
+                            .support()
+                            .iter()
+                            .all(|v| gen_support[i].contains(v) || gen_support[j].contains(v))
+                        {
+                            continue;
+                        }
+                        for k in [i, j] {
+                            products[k].get_or_insert_with(|| {
+                                closure_products_with_support(&self.pairs[k], product_cap)
+                            });
+                        }
+                        let (Some(left), Some(right)) = (&products[i], &products[j]) else {
+                            unreachable!("both closures were filled above");
+                        };
                         sum_membership_products_with_support(
-                            &products[i].0,
-                            &products[j].0,
-                            &products[i].1,
-                            &products[j].1,
-                            &diff,
+                            &left.0, &right.0, &left.1, &right.1, &diff,
                         )
                     } else {
                         // Reference path (`PD_NAIVE_KERNEL`): re-enumerate
@@ -281,10 +293,79 @@ impl PairList {
     }
 }
 
+/// A pair's null-space closure products (capped at `product_cap`) and the
+/// union of their supports, the exact screen of the rule-3 membership
+/// test.
+fn closure_products_with_support(p: &Pair, product_cap: usize) -> (Vec<Anf>, VarSet) {
+    let prods = p.nullspace.closure_products(product_cap);
+    let support = prods
+        .iter()
+        .fold(VarSet::new(), |acc, g| acc.union(&g.support()));
+    (prods, support)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::identities::IdentityStore;
     use pd_anf::VarPool;
+
+    /// Rule 3 as it was before lazy closures: every pair's closure
+    /// products and their support are built up front on each scan.
+    fn merge_nullspace_eager(pl: &mut PairList, product_cap: usize) -> usize {
+        let mut merges = 0;
+        'restart: loop {
+            let products: Vec<(Vec<Anf>, VarSet)> = pl
+                .pairs
+                .iter()
+                .map(|p| {
+                    if p.nullspace.is_empty() {
+                        (Vec::new(), VarSet::new())
+                    } else {
+                        closure_products_with_support(p, product_cap)
+                    }
+                })
+                .collect();
+            for i in 0..pl.pairs.len() {
+                for j in i + 1..pl.pairs.len() {
+                    if pl.pairs[i].nullspace.is_empty() && pl.pairs[j].nullspace.is_empty() {
+                        continue;
+                    }
+                    let diff = pl.pairs[i].outer.xor(&pl.pairs[j].outer);
+                    let split = sum_membership_products_with_support(
+                        &products[i].0,
+                        &products[j].0,
+                        &products[i].1,
+                        &products[j].1,
+                        &diff,
+                    );
+                    if let Some(split) = split {
+                        let pj = pl.pairs.remove(j);
+                        let pi = &mut pl.pairs[i];
+                        pi.outer = pi.outer.xor(&split.in_left);
+                        pi.inner = pi.inner.xor(&pj.inner);
+                        pi.nullspace = pi.nullspace.product(&pj.nullspace);
+                        merges += 1;
+                        if pi.inner.is_zero() || pi.outer.is_zero() {
+                            pl.pairs.remove(i);
+                        }
+                        pl.merge_fixpoint();
+                        continue 'restart;
+                    }
+                }
+            }
+            break;
+        }
+        merges
+    }
+
+    /// The pairs as comparable values.
+    fn snapshot(pl: &PairList) -> Vec<(Anf, Anf, NullSpace)> {
+        pl.pairs
+            .iter()
+            .map(|p| (p.inner.clone(), p.outer.clone(), p.nullspace.clone()))
+            .collect()
+    }
 
     fn group_of(pool: &VarPool, names: &[&str]) -> VarSet {
         names.iter().map(|n| pool.find(n).unwrap()).collect()
@@ -338,12 +419,94 @@ mod tests {
         let mut pl = PairList::split(&x, &group, &ns);
         pl.merge_fixpoint();
         assert_eq!(pl.pairs.len(), 3, "A' has three pairs before rule 3");
+        let mut eager = pl.clone();
         let merges = pl.merge_nullspace(64);
+        assert_eq!(merges, merge_nullspace_eager(&mut eager, 64));
+        assert_eq!(snapshot(&pl), snapshot(&eager));
         assert!(merges >= 2, "two Boolean-division merges expected");
         assert_eq!(pl.pairs.len(), 1);
         let p = &pl.pairs[0];
         assert_eq!(p.inner, Anf::parse("a ^ b ^ c", &mut pool).unwrap());
         assert_eq!(p.outer, Anf::parse("p ^ x ^ y ^ z", &mut pool).unwrap());
+    }
+
+    #[test]
+    fn lazy_nullspace_merge_matches_eager_reference() {
+        // Random pair lists whose null-spaces come from random zero-product
+        // identities `g·o = 0` (group variable g, outer variable o). Most
+        // outers are a shared T plus a random member of the group
+        // variable's null-space, so rule 3 fires (the paper's §5.2
+        // shape); the rest are noise. Lazy and eager closures must give
+        // the same merge count and the same pairs.
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let group_vars: Vec<Var> = (0..4).map(Var).collect();
+        let outer_vars: Vec<Var> = (10..17).map(Var).collect();
+        let group: VarSet = group_vars.iter().copied().collect();
+        let (mut fired, mut cases) = (0, 0);
+        for case in 0..300u32 {
+            let mut store = IdentityStore::new();
+            let mut gens: HashMap<Var, Vec<Var>> = HashMap::new();
+            for &g in &group_vars {
+                for &o in &outer_vars {
+                    if next().is_multiple_of(4) {
+                        store.add(Anf::var(g).and(&Anf::var(o)));
+                        gens.entry(g).or_default().push(o);
+                    }
+                }
+            }
+            let random_outer = |bits: u64| {
+                Anf::from_terms(
+                    (0..outer_vars.len())
+                        .filter(|&i| bits >> i & 1 == 1)
+                        .map(|i| Monomial::var(outer_vars[i]))
+                        .collect(),
+                )
+            };
+            let shared = random_outer(next() | 1);
+            let mut x = Anf::zero();
+            for &g in &group_vars {
+                let outer = if next().is_multiple_of(5) {
+                    random_outer(next())
+                } else {
+                    // T ⊕ a random member of N(g).
+                    let mut y = shared.clone();
+                    for &o in gens.get(&g).into_iter().flatten() {
+                        if next().is_multiple_of(2) {
+                            y.xor_assign(&Anf::var(o));
+                        }
+                    }
+                    y
+                };
+                x.xor_assign(&Anf::var(g).and(&outer));
+            }
+            if next().is_multiple_of(3) {
+                // A product inner, whose null-space is the union.
+                let (a, b) = (group_vars[0], group_vars[1 + (next() % 3) as usize]);
+                x.xor_assign(&Anf::var(a).and(&Anf::var(b)).and(&random_outer(next())));
+            }
+            let var_ns: HashMap<Var, NullSpace> = group
+                .iter()
+                .map(|v| (v, store.var_nullspace(v)))
+                .collect();
+            let mut lazy = PairList::split(&x, &group, &var_ns);
+            lazy.merge_fixpoint();
+            let mut eager = lazy.clone();
+            let cap = if case.is_multiple_of(4) { 2 } else { 64 };
+            let got = lazy.merge_nullspace(cap);
+            let want = merge_nullspace_eager(&mut eager, cap);
+            assert_eq!(got, want, "case {case}: merge count");
+            assert_eq!(snapshot(&lazy), snapshot(&eager), "case {case}: pairs");
+            assert_eq!(lazy.rest, eager.rest);
+            fired += usize::from(got > 0);
+            cases += 1;
+        }
+        assert!(fired * 4 > cases, "rule 3 fired in only {fired} of {cases} cases");
     }
 
     #[test]
