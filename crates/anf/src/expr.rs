@@ -23,25 +23,15 @@
 //!   and falls back to balanced tournament merging otherwise;
 //! * [`Anf::from_terms`] normalises all-Small term lists on raw keys.
 //!
-//! Setting the `PD_NAIVE_KERNEL` environment variable (checked once)
-//! routes every operation through the straightforward reference
-//! implementation — the `bench_runtime` binary uses this to report the
-//! fast-path speedup, and the `kernel_equivalence` property tests assert
-//! both paths agree monomial-for-monomial.
+//! The `kernel_equivalence` property tests compare every one of these
+//! operations, monomial for monomial, against references written from
+//! the ring definitions.
 
 use crate::monomial::Monomial;
 use crate::var::{Var, VarPool};
 use crate::varset::VarSet;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
-
-/// Returns `true` when `PD_NAIVE_KERNEL` is set: all ANF arithmetic then
-/// uses the reference (pre-optimisation) code paths. Read once, cached.
-pub fn naive_kernel() -> bool {
-    static NAIVE: OnceLock<bool> = OnceLock::new();
-    *NAIVE.get_or_init(|| std::env::var_os("PD_NAIVE_KERNEL").is_some())
-}
 
 /// Above this many products, [`Anf::and`] switches from sort-based
 /// normalisation to a hash parity map (see module docs).
@@ -99,7 +89,7 @@ impl Anf {
     /// keys (unstable sort + parity scan) — no enum dispatch per
     /// comparison.
     pub fn from_terms(mut terms: Vec<Monomial>) -> Self {
-        if !naive_kernel() && terms.iter().all(|t| t.as_small().is_some()) {
+        if terms.iter().all(|t| t.as_small().is_some()) {
             let keys: Vec<u128> = terms
                 .iter()
                 .map(|t| t.as_small().expect("checked all-small"))
@@ -272,10 +262,6 @@ impl Anf {
             self.terms.extend_from_slice(&other.terms);
             return;
         }
-        if naive_kernel() {
-            *self = self.xor(other);
-            return;
-        }
         if self.terms.last().expect("nonempty") < &other.terms[0] {
             self.terms.extend_from_slice(&other.terms);
             return;
@@ -343,7 +329,7 @@ impl Anf {
         if other.is_one() {
             return self.clone();
         }
-        if !naive_kernel() && self.all_small() && other.all_small() {
+        if self.all_small() && other.all_small() {
             return self.and_small(other);
         }
         let mut products = Vec::with_capacity(self.terms.len() * other.terms.len());
@@ -393,15 +379,13 @@ impl Anf {
         if m.is_one() {
             return self.clone();
         }
-        if !naive_kernel() {
-            if let (true, Some(mask)) = (self.all_small(), m.as_small()) {
-                let keys: Vec<u128> = self
-                    .terms
-                    .iter()
-                    .map(|t| t.as_small().expect("all_small checked") | mask)
-                    .collect();
-                return Self::from_small_keys_unsorted(keys);
-            }
+        if let (true, Some(mask)) = (self.all_small(), m.as_small()) {
+            let keys: Vec<u128> = self
+                .terms
+                .iter()
+                .map(|t| t.as_small().expect("all_small checked") | mask)
+                .collect();
+            return Self::from_small_keys_unsorted(keys);
         }
         Self::from_terms(self.terms.iter().map(|t| t.mul(m)).collect())
     }
@@ -513,15 +497,6 @@ impl Anf {
     /// `xor` left to right.
     pub fn xor_all<'a>(items: impl IntoIterator<Item = &'a Anf>) -> Anf {
         let items: Vec<&Anf> = items.into_iter().collect();
-        if naive_kernel() {
-            let mut terms = Vec::new();
-            for it in &items {
-                terms.extend(it.terms.iter().cloned());
-            }
-            let mut out = terms;
-            out.sort_unstable();
-            return Self::from_sorted_terms(out);
-        }
         match items.len() {
             0 => return Anf::zero(),
             1 => return items[0].clone(),

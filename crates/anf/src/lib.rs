@@ -37,10 +37,8 @@
 //!
 //! Large tables and scans parallelise through `pd-par` (worker count:
 //! `PD_THREADS`, default = available cores; results are identical to the
-//! sequential engine). `PD_NAIVE_KERNEL=1` routes every operation through
-//! the reference implementations — the `kernel_equivalence` property
-//! tests pin both paths to each other, and `bench_runtime` uses the flag
-//! to report speedups.
+//! sequential engine). The `kernel_equivalence` property tests compare
+//! every operation against references written from the ring definitions.
 //!
 //! ## Example
 //!
@@ -70,7 +68,7 @@ pub mod canon;
 pub mod gf2;
 pub mod nullspace;
 
-pub use expr::{naive_kernel, Anf, DisplayAnf};
+pub use expr::{Anf, DisplayAnf};
 pub use monomial::Monomial;
 pub use nullspace::{sum_contains, sum_membership, NullSpace, SumSplit};
 pub use parse::ParseAnfError;

@@ -117,23 +117,6 @@ impl TruthTable {
     ///
     /// Panics if `expr` mentions a variable not in `vars`.
     pub fn from_anf(expr: &Anf, vars: &[Var]) -> Self {
-        if crate::expr::naive_kernel() {
-            // Reference path: one 2ⁿ-bit cube per term.
-            let pos = |v: Var| -> usize {
-                vars.iter()
-                    .position(|&q| q == v)
-                    .unwrap_or_else(|| panic!("variable {v} not in truth-table ordering"))
-            };
-            let mut acc = Self::zero(vars.len());
-            for term in expr.terms() {
-                let mut cube = Self::ones(vars.len());
-                for v in term.vars() {
-                    cube.and_assign(&Self::projection(vars.len(), pos(v)));
-                }
-                acc.xor_assign(&cube);
-            }
-            return acc;
-        }
         let mut t = Self::zero(vars.len());
         let by_var: std::collections::HashMap<Var, usize> = vars
             .iter()

@@ -49,6 +49,11 @@ fn bench_anf_ops(c: &mut Criterion) {
     c.bench_function("anf/substitute_maj15", |b| {
         b.iter(|| std::hint::black_box(maj.substitute(v0, &replacement)))
     });
+    // The exact truth table of the 6435-term majority: one coefficient
+    // bit per term, then the word-level zeta transform.
+    c.bench_function("kernel/truth_from_anf_maj15", |b| {
+        b.iter(|| std::hint::black_box(pd_anf::TruthTable::from_anf(maj, &m.bits)))
+    });
 }
 
 fn bench_pairs_split(c: &mut Criterion) {

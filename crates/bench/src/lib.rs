@@ -26,7 +26,6 @@
 pub mod factorisation;
 pub mod figures;
 pub mod futurework;
-pub mod runtime;
 pub mod table1;
 
 /// The JSON writer/parser, re-exported from its home in `pd-flow` (it

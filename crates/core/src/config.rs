@@ -13,16 +13,20 @@
 //!   disables all threading). Results are bit-identical at any setting —
 //!   parallel reductions preserve sequential order, and the group search
 //!   picks the same first-minimum candidate.
-//! * `PD_NAIVE_KERNEL=1` — route all ANF arithmetic and the decomposer's
-//!   optimised passes (batched linear minimisation, cached null-space
-//!   closures, merge-counted size reduction) through their reference
-//!   implementations; used by `bench_runtime` for before/after numbers.
 //! * `PD_TIMING=1` — print per-phase wall times of every iteration body,
 //!   group-search trials included: `split`, `merge`, `nullspace`,
 //!   `lindep`, `sizered`, `identities` (leader naming and the identity
 //!   search) and `rewrite` (substitutions and the rewrite proper). The
 //!   combine step runs once per iteration, outside the trials, and is not
-//!   timed.
+//!   timed. [`crate::refine`] prints its worklist, close and arbitration
+//!   phases under the same flag.
+
+/// Whether `PD_TIMING` is set (read once per process): the iteration
+/// body and [`crate::refine`] then print per-phase wall times to stderr.
+pub(crate) fn timing() -> bool {
+    static TIMING: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *TIMING.get_or_init(|| std::env::var_os("PD_TIMING").is_some())
+}
 
 /// Configuration of [`crate::ProgressiveDecomposer`].
 ///
@@ -71,14 +75,6 @@ pub struct PdConfig {
     /// the cost of one extra decomposition; disable to time or test the
     /// pure worklist path.
     pub refine_arbitration: bool,
-    /// Skip the arbitration re-decomposition when the worklist result's
-    /// gate estimate is already within this bound of the pre-refine
-    /// hierarchy's: skip iff `gates_after * 1000 >= bound * gates_before`.
-    /// The learned default (980‰, i.e. "the worklist improved gates by
-    /// less than 2%") captures exactly the circuits where the
-    /// from-scratch hierarchy has never beaten the worklist; `None`
-    /// always arbitrates (the unbudgeted A/B reference).
-    pub arbitration_skip_permille: Option<u32>,
     /// Deterministic trial budget for one decomposition run (group-search
     /// candidates charged against a [`pd_par::EffortMeter`]); the main
     /// loop stops early — still emitting a valid, equivalent hierarchy —
@@ -101,7 +97,6 @@ impl Default for PdConfig {
             enable_size_reduction: true,
             enable_identities: true,
             refine_arbitration: true,
-            arbitration_skip_permille: Some(980),
             effort_budget: u64::MAX,
         }
     }
@@ -142,15 +137,6 @@ impl PdConfig {
     /// pure incremental worklist.
     pub fn without_refine_arbitration(mut self) -> Self {
         self.refine_arbitration = false;
-        self
-    }
-
-    /// Always runs the arbitration re-decomposition, ignoring the
-    /// gate-estimate skip bound (see
-    /// [`PdConfig::arbitration_skip_permille`]); the unbudgeted Reduce
-    /// reference for A/B timing.
-    pub fn without_arbitration_skip(mut self) -> Self {
-        self.arbitration_skip_permille = None;
         self
     }
 

@@ -33,7 +33,6 @@ use pd_netlist::{Netlist, Synthesizer};
 use pd_par::EffortMeter;
 use rand_free::SplitMix;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// One building block: a variable group and the leader expressions
 /// computed from it.
@@ -387,8 +386,7 @@ fn run_iteration(
     cfg: &PdConfig,
 ) -> IterationOutcome {
     let mut events = Vec::new();
-    static TIMING: OnceLock<bool> = OnceLock::new();
-    let timing = *TIMING.get_or_init(|| std::env::var_os("PD_TIMING").is_some());
+    let timing = crate::config::timing();
     let mut stamp = std::time::Instant::now();
     let lap = |label: &str, stamp: &mut std::time::Instant| {
         if timing {
@@ -507,9 +505,7 @@ fn run_iteration(
     // Pair contributions are independent products; compute them on the
     // pool, then bucket terms per output and normalise once per bucket
     // (building each output by repeated XOR would be quadratic in its
-    // term count). Every term carries exactly one selector, so bucketing
-    // the raw terms and normalising per bucket equals normalising the
-    // combined expression first — one whole sort of X' is skipped.
+    // term count).
     let tagged_pairs: Vec<(&Pair, &Anf)> = pl.pairs.iter().zip(&leader_of_pair).collect();
     let contributions: Vec<Anf> =
         pd_par::par_map(&tagged_pairs, |&(p, repr)| repr.and(&p.outer));
@@ -517,84 +513,8 @@ fn run_iteration(
     for c in contributions {
         new_terms.extend(c.into_terms());
     }
-    if pd_anf::naive_kernel() {
-        // Reference path: normalise the whole X' first, then bucket by a
-        // positional selector scan.
-        let x_new = Anf::from_terms(new_terms);
-        let mut buckets: Vec<Vec<Monomial>> = vec![Vec::new(); selectors.len()];
-        for t in x_new.terms() {
-            let sel = selectors
-                .iter()
-                .position(|&k| t.contains(k))
-                .expect("every term carries exactly one selector");
-            buckets[sel].push(t.without(selectors[sel]));
-        }
-        let new_l: Vec<Anf> = buckets.into_iter().map(Anf::from_terms).collect();
-        lap("rewrite", &mut stamp);
-        return finish_iteration(
-            new_l,
-            allocated,
-            group,
-            iteration,
-            leaders,
-            passthrough,
-            substitutions,
-            new_identities,
-            events,
-        );
-    }
-    let sel_of: HashMap<Var, usize> = selectors
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
-    let chunk_buckets: Vec<Vec<Vec<Monomial>>> =
-        pd_par::par_chunks(&new_terms, PairList::PAR_SPLIT_MIN, |chunk| {
-            let mut local: Vec<Vec<Monomial>> = vec![Vec::new(); selectors.len()];
-            for t in chunk {
-                let sel = t
-                    .vars()
-                    .find_map(|v| sel_of.get(&v).copied())
-                    .expect("every term carries exactly one selector");
-                local[sel].push(t.without(selectors[sel]));
-            }
-            local
-        });
-    let mut buckets: Vec<Vec<Monomial>> = vec![Vec::new(); selectors.len()];
-    for local in chunk_buckets {
-        for (bucket, mut part) in buckets.iter_mut().zip(local) {
-            bucket.append(&mut part);
-        }
-    }
-    let new_l: Vec<Anf> = pd_par::par_map_vec(buckets, Anf::from_terms);
+    let new_l = bucket_by_selector(&new_terms, selectors);
     lap("rewrite", &mut stamp);
-    finish_iteration(
-        new_l,
-        allocated,
-        group,
-        iteration,
-        leaders,
-        passthrough,
-        substitutions,
-        new_identities,
-        events,
-    )
-}
-
-/// Shared tail of `run_iteration`: records the final basis and assembles
-/// the outcome (also reached from the `PD_NAIVE_KERNEL` reference rewrite).
-#[allow(clippy::too_many_arguments)]
-fn finish_iteration(
-    new_l: Vec<Anf>,
-    allocated: usize,
-    group: &VarSet,
-    iteration: u32,
-    leaders: Vec<(Var, Anf)>,
-    passthrough: Vec<Var>,
-    substitutions: Vec<(Var, Anf)>,
-    new_identities: Vec<Anf>,
-    mut events: Vec<TraceEvent>,
-) -> IterationOutcome {
     // Drop substituted leaders from the recorded basis.
     let basis: Vec<(Var, Anf)> = leaders
         .iter()
@@ -620,6 +540,34 @@ fn finish_iteration(
         events,
         allocated,
     }
+}
+
+/// Splits the unnormalised terms of `X' = Σ Lᵢ·kᵢ` into the `Lᵢ`, one per
+/// selector `kᵢ`. Every term carries exactly one selector, so bucketing
+/// the raw terms and normalising per bucket equals normalising `X'` first
+/// — one whole sort of `X'` is skipped. Large term lists are bucketed in
+/// parallel chunks, concatenated in chunk order.
+fn bucket_by_selector(terms: &[Monomial], selectors: &[Var]) -> Vec<Anf> {
+    let sel_of: HashMap<Var, usize> = selectors.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+    let chunk_buckets: Vec<Vec<Vec<Monomial>>> =
+        pd_par::par_chunks(terms, PairList::PAR_SPLIT_MIN, |chunk| {
+            let mut local: Vec<Vec<Monomial>> = vec![Vec::new(); selectors.len()];
+            for t in chunk {
+                let sel = t
+                    .vars()
+                    .find_map(|v| sel_of.get(&v).copied())
+                    .expect("every term carries exactly one selector");
+                local[sel].push(t.without(selectors[sel]));
+            }
+            local
+        });
+    let mut buckets: Vec<Vec<Monomial>> = vec![Vec::new(); selectors.len()];
+    for local in chunk_buckets {
+        for (bucket, mut part) in buckets.iter_mut().zip(local) {
+            bucket.append(&mut part);
+        }
+    }
+    pd_par::par_map_vec(buckets, Anf::from_terms)
 }
 
 impl Decomposition {
@@ -951,6 +899,9 @@ pub mod examples {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1101,5 +1052,56 @@ mod tests {
         let d = decompose_str(&["a*b ^ a*c ^ b*c"]);
         let report = d.hierarchy_report();
         assert!(report.contains("block#"), "report:\n{report}");
+    }
+
+    #[test]
+    fn selector_bucketing_matches_normalise_then_scan() {
+        // Seeded unnormalised X' term lists, each term one selector times
+        // a random input monomial, drawn with repetition so that terms
+        // cancel. Selectors sit below or above the 128-variable mask limit;
+        // every eighth list is long enough to bucket in parallel chunks.
+        // Bucketing raw terms must give the same outputs as normalising X'
+        // and scanning each term for its selector.
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut cancelled = 0;
+        for case in 0..200u32 {
+            let base = if case.is_multiple_of(2) { 40 } else { 200 };
+            let selectors: Vec<Var> = (0..1 + next() % 6).map(|i| Var(base + i as u32)).collect();
+            let distinct: Vec<Monomial> = (0..1 + next() % 40)
+                .map(|_| {
+                    let sel = selectors[(next() % selectors.len() as u64) as usize];
+                    let inputs = next() & 0xfff;
+                    Monomial::from_vars(
+                        (0..12)
+                            .filter(|i| inputs >> i & 1 == 1)
+                            .map(Var)
+                            .chain([sel]),
+                    )
+                })
+                .collect();
+            let len = if case.is_multiple_of(8) {
+                3 * PairList::PAR_SPLIT_MIN
+            } else {
+                (next() % 200) as usize
+            };
+            let terms: Vec<Monomial> = (0..len)
+                .map(|_| distinct[(next() % distinct.len() as u64) as usize].clone())
+                .collect();
+            let got = bucket_by_selector(&terms, &selectors);
+            assert_eq!(
+                got,
+                reference::bucket_by_selector(&terms, &selectors),
+                "case {case}"
+            );
+            let kept: usize = got.iter().map(Anf::term_count).sum();
+            cancelled += usize::from(kept < terms.len());
+        }
+        assert!(cancelled > 100, "terms cancelled in only {cancelled} cases");
     }
 }

@@ -33,6 +33,8 @@ use pd_anf::gf2::linear_dependencies_of;
 /// `outer_term_cap` (inner expressions are always tiny — at most `2^k`
 /// monomials — so the inner side always runs).
 pub fn minimize(pl: &mut PairList, outer_term_cap: usize) -> usize {
+    #[cfg(test)]
+    reference::record(pl, outer_term_cap);
     let mut eliminated = 0;
     loop {
         let inner_removed = apply_inner_dependencies(pl);
@@ -68,17 +70,7 @@ fn drop_pairs(pl: &mut PairList, deps: &[(usize, Vec<usize>)]) {
 /// Applies every inner-side dependency found by one elimination pass.
 /// Returns the number of pairs eliminated.
 fn apply_inner_dependencies(pl: &mut PairList) -> usize {
-    let deps = if pd_anf::naive_kernel() {
-        // Reference path: clone the expressions out first (as the
-        // pre-optimisation code did) and apply one dependency per
-        // elimination round.
-        let inners: Vec<pd_anf::Anf> = pl.pairs.iter().map(|p| p.inner.clone()).collect();
-        let mut deps = linear_dependencies_of(inners.iter());
-        deps.truncate(1);
-        deps
-    } else {
-        linear_dependencies_of(pl.pairs.iter().map(|p| &p.inner))
-    };
+    let deps = linear_dependencies_of(pl.pairs.iter().map(|p| &p.inner));
     if deps.is_empty() {
         return 0;
     }
@@ -100,14 +92,7 @@ fn apply_inner_dependencies(pl: &mut PairList) -> usize {
 /// Applies every outer-side dependency found by one elimination pass,
 /// symmetrically to [`apply_inner_dependencies`].
 fn apply_outer_dependencies(pl: &mut PairList) -> usize {
-    let deps = if pd_anf::naive_kernel() {
-        let outers: Vec<pd_anf::Anf> = pl.pairs.iter().map(|p| p.outer.clone()).collect();
-        let mut deps = linear_dependencies_of(outers.iter());
-        deps.truncate(1);
-        deps
-    } else {
-        linear_dependencies_of(pl.pairs.iter().map(|p| &p.outer))
-    };
+    let deps = linear_dependencies_of(pl.pairs.iter().map(|p| &p.outer));
     if deps.is_empty() {
         return 0;
     }
@@ -128,8 +113,12 @@ fn apply_outer_dependencies(pl: &mut PairList) -> usize {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairs::fixtures::{random_pair_list, snapshot};
     use pd_anf::{Anf, VarPool, VarSet};
     use std::collections::HashMap;
 
@@ -210,5 +199,103 @@ mod tests {
         assert_eq!(minimize(&mut pl, 100_000), 0);
         assert_eq!(pl.pairs.len(), 2);
         assert_eq!(pl.to_expr(), x);
+    }
+
+    #[test]
+    fn batched_minimisation_is_exact_and_mostly_matches_one_dependency_per_round() {
+        // Seeded pair lists with forced inner and outer dependencies; every
+        // fourth case caps the outer side away. Both passes must preserve
+        // the expression. A rule 1/2 merge between two single steps can
+        // lead the reference to a different fixpoint, so identical pairs
+        // are required of all but a few cases here, and of every pair list
+        // of the golden circuits below.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let (mut fired, mut diverged) = (0, 0);
+        for case in 0..500u32 {
+            let pl = random_pair_list(&mut state);
+            let cap = if case.is_multiple_of(4) { 8 } else { 100_000 };
+            let mut fast = pl.clone();
+            let mut slow = pl.clone();
+            let got = minimize(&mut fast, cap);
+            let want = reference::minimize(&mut slow, cap);
+            assert_eq!(
+                fast.to_expr(),
+                pl.to_expr(),
+                "case {case}: batched exactness"
+            );
+            assert_eq!(
+                slow.to_expr(),
+                pl.to_expr(),
+                "case {case}: reference exactness"
+            );
+            diverged += usize::from(got != want || snapshot(&fast) != snapshot(&slow));
+            fired += usize::from(got > 0);
+        }
+        assert!(fired > 150, "a dependency in only {fired} cases");
+        assert!(
+            diverged <= 5,
+            "{diverged} of 500 cases reached another fixpoint"
+        );
+    }
+
+    #[test]
+    fn batched_minimisation_matches_one_dependency_per_round_on_golden_circuits() {
+        // Every pair list Reduce minimises on the FLOW_GOLDEN circuits (the
+        // refine worklist, its close rounds and the arbitration
+        // re-decomposition), run after a Decompose with basis refinement
+        // off as in the flow: the batched pass must eliminate as many
+        // pairs and leave the same pairs, null-spaces and rest.
+        use pd_arith::*;
+        macro_rules! circuit {
+            ($generator:expr, $spec:ident) => {{
+                let g = $generator;
+                (g.pool.clone(), g.$spec())
+            }};
+        }
+        let circuits: Vec<(VarPool, Vec<(String, Anf)>)> = vec![
+            circuit!(Majority::new(15), spec),
+            circuit!(Majority::new(13), spec),
+            circuit!(Counter::new(12), spec),
+            circuit!(Lzd::new(12), spec),
+            circuit!(Gray::new(16), decode_spec),
+            circuit!(Adder::new(10), spec),
+            circuit!(Comparator::new(10), spec),
+            circuit!(ThreeInputAdder::new(8), spec),
+            circuit!(Adder::new(12), spec),
+            circuit!(Lod::new(16), spec),
+        ];
+        let recorded = pd_par::par_map(&circuits, |(pool, spec)| {
+            reference::recording(|| {
+                let cfg = crate::PdConfig::default();
+                let mut d =
+                    crate::ProgressiveDecomposer::new(cfg.clone().without_basis_refinement())
+                        .decompose(pool.clone(), spec.clone());
+                crate::refine(&mut d, &cfg);
+            })
+        });
+        let (mut lists, mut fired) = (0, 0);
+        for (circuit, calls) in recorded.iter().enumerate() {
+            for (pl, cap) in calls {
+                let mut fast = pl.clone();
+                let mut slow = pl.clone();
+                let got = minimize(&mut fast, *cap);
+                assert_eq!(
+                    got,
+                    reference::minimize(&mut slow, *cap),
+                    "circuit {circuit}: {pl:?}"
+                );
+                assert_eq!(
+                    snapshot(&fast),
+                    snapshot(&slow),
+                    "circuit {circuit}: {pl:?}"
+                );
+                lists += 1;
+                fired += usize::from(got > 0);
+            }
+        }
+        assert!(
+            fired > 500,
+            "a dependency in only {fired} of {lists} pair lists"
+        );
     }
 }

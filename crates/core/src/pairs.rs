@@ -13,7 +13,7 @@
 //! The represented expression `rest ⊕ Σ innerᵢ·outerᵢ` is invariant under
 //! rules 1–2 and invariant *modulo identities* under rule 3.
 
-use pd_anf::nullspace::{sum_membership, sum_membership_products_with_support};
+use pd_anf::nullspace::sum_membership_products_with_support;
 use pd_anf::{Anf, Monomial, NullSpace, Var, VarSet};
 use std::collections::HashMap;
 
@@ -189,23 +189,19 @@ impl PairList {
     pub fn merge_nullspace(&mut self, product_cap: usize) -> usize {
         let mut merges = 0;
         'restart: loop {
-            let cache_closures = !pd_anf::naive_kernel();
             // Per pair: the union of its generators' supports, and (once
             // a combination needs them) its closure products with their
             // support union.
-            let gen_support: Vec<VarSet> = if cache_closures {
-                self.pairs
-                    .iter()
-                    .map(|p| {
-                        p.nullspace
-                            .gens()
-                            .iter()
-                            .fold(VarSet::new(), |acc, g| acc.union(&g.support()))
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let gen_support: Vec<VarSet> = self
+                .pairs
+                .iter()
+                .map(|p| {
+                    p.nullspace
+                        .gens()
+                        .iter()
+                        .fold(VarSet::new(), |acc, g| acc.union(&g.support()))
+                })
+                .collect();
             let mut products: Vec<Option<(Vec<Anf>, VarSet)>> = vec![None; self.pairs.len()];
             for i in 0..self.pairs.len() {
                 for j in i + 1..self.pairs.len() {
@@ -217,35 +213,24 @@ impl PairList {
                         continue;
                     }
                     let diff = self.pairs[i].outer.xor(&self.pairs[j].outer);
-                    let split = if cache_closures {
-                        if !diff
-                            .support()
-                            .iter()
-                            .all(|v| gen_support[i].contains(v) || gen_support[j].contains(v))
-                        {
-                            continue;
-                        }
-                        for k in [i, j] {
-                            products[k].get_or_insert_with(|| {
-                                closure_products_with_support(&self.pairs[k], product_cap)
-                            });
-                        }
-                        let (Some(left), Some(right)) = (&products[i], &products[j]) else {
-                            unreachable!("both closures were filled above");
-                        };
-                        sum_membership_products_with_support(
-                            &left.0, &right.0, &left.1, &right.1, &diff,
-                        )
-                    } else {
-                        // Reference path (`PD_NAIVE_KERNEL`): re-enumerate
-                        // closure products per combination.
-                        sum_membership(
-                            &self.pairs[i].nullspace,
-                            &self.pairs[j].nullspace,
-                            &diff,
-                            product_cap,
-                        )
+                    if !diff
+                        .support()
+                        .iter()
+                        .all(|v| gen_support[i].contains(v) || gen_support[j].contains(v))
+                    {
+                        continue;
+                    }
+                    for k in [i, j] {
+                        products[k].get_or_insert_with(|| {
+                            closure_products_with_support(&self.pairs[k], product_cap)
+                        });
+                    }
+                    let (Some(left), Some(right)) = (&products[i], &products[j]) else {
+                        unreachable!("both closures were filled above");
                     };
+                    let split = sum_membership_products_with_support(
+                        &left.0, &right.0, &left.1, &right.1, &diff,
+                    );
                     if let Some(split) = split {
                         let pj = self.pairs.remove(j);
                         let pi = &mut self.pairs[i];
@@ -304,68 +289,111 @@ fn closure_products_with_support(p: &Pair, product_cap: usize) -> (Vec<Anf>, Var
     (prods, support)
 }
 
+/// Seeded pair lists for the tests that pin the basis passes to their
+/// references.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::identities::IdentityStore;
-    use pd_anf::VarPool;
+pub(crate) mod fixtures {
+    use super::{Pair, PairList};
+    use pd_anf::{Anf, Monomial, NullSpace, Var};
 
-    /// Rule 3 as it was before lazy closures: every pair's closure
-    /// products and their support are built up front on each scan.
-    fn merge_nullspace_eager(pl: &mut PairList, product_cap: usize) -> usize {
-        let mut merges = 0;
-        'restart: loop {
-            let products: Vec<(Vec<Anf>, VarSet)> = pl
-                .pairs
-                .iter()
-                .map(|p| {
-                    if p.nullspace.is_empty() {
-                        (Vec::new(), VarSet::new())
+    /// Xorshift64: the next value of `state`.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A nonzero XOR of up to `max_terms` monomials of degree 1–2 over
+    /// `vars`.
+    fn random_anf(vars: &[Var], max_terms: u64, state: &mut u64) -> Anf {
+        loop {
+            let terms = (0..1 + next(state) % max_terms)
+                .map(|_| {
+                    let a = vars[(next(state) % vars.len() as u64) as usize];
+                    let b = vars[(next(state) % vars.len() as u64) as usize];
+                    if next(state).is_multiple_of(2) {
+                        Monomial::var(a)
                     } else {
-                        closure_products_with_support(p, product_cap)
+                        Monomial::from_vars([a, b])
                     }
                 })
                 .collect();
-            for i in 0..pl.pairs.len() {
-                for j in i + 1..pl.pairs.len() {
-                    if pl.pairs[i].nullspace.is_empty() && pl.pairs[j].nullspace.is_empty() {
-                        continue;
-                    }
-                    let diff = pl.pairs[i].outer.xor(&pl.pairs[j].outer);
-                    let split = sum_membership_products_with_support(
-                        &products[i].0,
-                        &products[j].0,
-                        &products[i].1,
-                        &products[j].1,
-                        &diff,
-                    );
-                    if let Some(split) = split {
-                        let pj = pl.pairs.remove(j);
-                        let pi = &mut pl.pairs[i];
-                        pi.outer = pi.outer.xor(&split.in_left);
-                        pi.inner = pi.inner.xor(&pj.inner);
-                        pi.nullspace = pi.nullspace.product(&pj.nullspace);
-                        merges += 1;
-                        if pi.inner.is_zero() || pi.outer.is_zero() {
-                            pl.pairs.remove(i);
-                        }
-                        pl.merge_fixpoint();
-                        continue 'restart;
-                    }
-                }
+            let e = Anf::from_terms(terms);
+            if !e.is_zero() {
+                return e;
             }
-            break;
         }
-        merges
     }
 
-    /// The pairs as comparable values.
-    fn snapshot(pl: &PairList) -> Vec<(Anf, Anf, NullSpace)> {
+    /// A merged pair list of 2–9 pairs over five group and eight outer
+    /// variables. Inners and outers are often XORs of two earlier ones
+    /// (forcing linear dependencies on either side) or a shared outer
+    /// plus a small perturbation (the shape size reduction rewrites);
+    /// half the pairs carry null-space generators.
+    pub(crate) fn random_pair_list(state: &mut u64) -> PairList {
+        let group: Vec<Var> = (0..5).map(Var).collect();
+        let outer_vars: Vec<Var> = (10..18).map(Var).collect();
+        let shared = random_anf(&outer_vars, 6, state);
+        let mut pl = PairList::default();
+        for j in 0..2 + next(state) % 8 {
+            let pick = |state: &mut u64| (next(state) % j) as usize;
+            let inner = if j >= 2 && next(state) % 10 < 3 {
+                pl.pairs[pick(state)]
+                    .inner
+                    .xor(&pl.pairs[pick(state)].inner)
+            } else {
+                random_anf(&group, 3, state)
+            };
+            let outer = match next(state) % 4 {
+                0 if j >= 2 => pl.pairs[pick(state)]
+                    .outer
+                    .xor(&pl.pairs[pick(state)].outer),
+                1 | 2 => shared.xor(&random_anf(&outer_vars, 2, state)),
+                _ => random_anf(&outer_vars, 5, state),
+            };
+            let nullspace = if next(state).is_multiple_of(2) {
+                let gens = (0..1 + next(state) % 2)
+                    .map(|_| random_anf(&outer_vars, 1, state))
+                    .collect();
+                NullSpace::from_gens(gens)
+            } else {
+                NullSpace::empty()
+            };
+            pl.pairs.push(Pair {
+                inner,
+                outer,
+                nullspace,
+            });
+        }
         pl.pairs
+            .retain(|p| !p.inner.is_zero() && !p.outer.is_zero());
+        pl.rest = random_anf(&outer_vars, 3, state);
+        pl.merge_fixpoint();
+        pl
+    }
+
+    /// The pairs and rest as comparable values.
+    pub(crate) fn snapshot(pl: &PairList) -> (Vec<(Anf, Anf, NullSpace)>, Anf) {
+        let pairs = pl
+            .pairs
             .iter()
             .map(|p| (p.inner.clone(), p.outer.clone(), p.nullspace.clone()))
-            .collect()
+            .collect();
+        (pairs, pl.rest.clone())
     }
+}
+
+#[cfg(test)]
+mod reference;
+
+#[cfg(test)]
+mod tests {
+    use super::fixtures::snapshot;
+    use super::reference::{self, Closures};
+    use super::*;
+    use crate::identities::IdentityStore;
+    use pd_anf::VarPool;
 
     fn group_of(pool: &VarPool, names: &[&str]) -> VarSet {
         names.iter().map(|n| pool.find(n).unwrap()).collect()
@@ -421,7 +449,10 @@ mod tests {
         assert_eq!(pl.pairs.len(), 3, "A' has three pairs before rule 3");
         let mut eager = pl.clone();
         let merges = pl.merge_nullspace(64);
-        assert_eq!(merges, merge_nullspace_eager(&mut eager, 64));
+        assert_eq!(
+            merges,
+            reference::merge_nullspace(&mut eager, 64, Closures::Eager)
+        );
         assert_eq!(snapshot(&pl), snapshot(&eager));
         assert!(merges >= 2, "two Boolean-division merges expected");
         assert_eq!(pl.pairs.len(), 1);
@@ -436,8 +467,9 @@ mod tests {
         // identities `g·o = 0` (group variable g, outer variable o). Most
         // outers are a shared T plus a random member of the group
         // variable's null-space, so rule 3 fires (the paper's §5.2
-        // shape); the rest are noise. Lazy and eager closures must give
-        // the same merge count and the same pairs.
+        // shape); the rest are noise. Lazy closures must give the same
+        // merge count and the same pairs as both references: eager
+        // closures and per-combination re-enumeration.
         let mut state = 0x853c_49e6_748f_ea9bu64;
         let mut next = || {
             state ^= state << 13;
@@ -496,13 +528,19 @@ mod tests {
                 .collect();
             let mut lazy = PairList::split(&x, &group, &var_ns);
             lazy.merge_fixpoint();
-            let mut eager = lazy.clone();
             let cap = if case.is_multiple_of(4) { 2 } else { 64 };
+            let before = lazy.clone();
             let got = lazy.merge_nullspace(cap);
-            let want = merge_nullspace_eager(&mut eager, cap);
-            assert_eq!(got, want, "case {case}: merge count");
-            assert_eq!(snapshot(&lazy), snapshot(&eager), "case {case}: pairs");
-            assert_eq!(lazy.rest, eager.rest);
+            for closures in [Closures::Eager, Closures::PerCombination] {
+                let mut slow = before.clone();
+                let want = reference::merge_nullspace(&mut slow, cap, closures);
+                assert_eq!(got, want, "case {case}, {closures:?}: merge count");
+                assert_eq!(
+                    snapshot(&lazy),
+                    snapshot(&slow),
+                    "case {case}, {closures:?}"
+                );
+            }
             fired += usize::from(got > 0);
             cases += 1;
         }

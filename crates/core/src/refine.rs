@@ -40,8 +40,7 @@
 //! its patch may rewrite — are pairwise disjoint have no data
 //! dependencies, so each wave of such blocks refines concurrently on the
 //! `pd-par` pool; patches are applied in block order afterwards, which
-//! keeps the result bit-identical at any `PD_THREADS` setting (and under
-//! `PD_NAIVE_KERNEL=1`, whose reference passes reach the same fixpoints).
+//! keeps the result bit-identical at any `PD_THREADS` setting.
 //!
 //! ## Cross-block divisor table
 //!
@@ -87,6 +86,13 @@ use pd_factor::{DivisorLibrary, DivisorTable};
 use pd_par::EffortMeter;
 use std::collections::{HashMap, HashSet};
 
+/// The arbitration re-decomposition is skipped when the worklist result's
+/// gate estimate is within this bound of the entry hierarchy's: skip iff
+/// `gates_after * 1000 >= bound * gates_before`. 980‰ ("the worklist
+/// improved gates by less than 2%") captures exactly the golden circuits
+/// where the from-scratch hierarchy has never beaten the worklist.
+const ARBITRATION_SKIP_PERMILLE: u64 = 980;
+
 /// What one [`refine`] run did.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RefineStats {
@@ -114,7 +120,7 @@ pub struct RefineStats {
     pub arbitrated: bool,
     /// Whether the arbitration re-decomposition was skipped because the
     /// worklist result's gate estimate was already within the learned
-    /// bound ([`PdConfig::arbitration_skip_permille`]).
+    /// skip bound (980‰ of the entry hierarchy's).
     pub arbitration_skipped: bool,
     /// Leaders of the refined hierarchy whose expression is recorded in
     /// the persistent divisor library (0 when refining without one).
@@ -232,19 +238,12 @@ pub fn refine_metered(
         stats.literals_after = stats.literals_before;
         return stats;
     }
-    let timing = std::env::var_os("PD_REFINE_DEBUG").is_some();
+    let timing = crate::config::timing();
     // The arbitration-skip bound compares the refined hierarchy against
     // the hierarchy as it *entered* refinement, so its gate estimate must
     // be taken before any rewrite. Only measured when the bound can
     // actually be consulted (the synthesis pass is not free).
-    let entry_gates = if cfg.refine_arbitration
-        && cfg.arbitration_skip_permille.is_some()
-        && !meter.exhausted()
-    {
-        Some(gate_estimate(d))
-    } else {
-        None
-    };
+    let entry_gates = (cfg.refine_arbitration && !meter.exhausted()).then(|| gate_estimate(d));
     // Hierarchies can arrive with duplicated leaders (stage-1 runs over
     // overlapping groups rediscover the same expressions); fold them into
     // one definition before any refinement work is spent on the copies.
@@ -350,12 +349,9 @@ pub fn refine_metered(
             // >2%), so the re-decomposition is pure cost. The comparison
             // uses trial-counted estimates only — never wall-clock — so
             // the decision is bit-identical across `PD_THREADS`.
-            let skip = match (cfg.arbitration_skip_permille, entry_gates) {
-                (Some(bound), Some(entry)) => {
-                    gates_now as u64 * 1000 >= u64::from(bound) * entry as u64
-                }
-                _ => false,
-            };
+            let skip = entry_gates.is_some_and(|entry| {
+                gates_now as u64 * 1000 >= ARBITRATION_SKIP_PERMILLE * entry as u64
+            });
             if skip {
                 stats.arbitration_skipped = true;
             } else {

@@ -94,23 +94,6 @@ fn try_rewrite(p1: &Pair, p2: &Pair) -> Option<(Pair, Pair)> {
     {
         return None;
     }
-    if pd_anf::naive_kernel() {
-        // Reference path (the pre-optimisation code): materialise both
-        // result pairs — including the null-space product — before
-        // pricing the rewrite.
-        let a = Pair {
-            inner: p1.inner.xor(&p2.inner),
-            outer: p1.outer.clone(),
-            nullspace: p1.nullspace.product(&p2.nullspace),
-        };
-        let b = Pair {
-            inner: p2.inner.clone(),
-            outer: p1.outer.xor(&p2.outer),
-            nullspace: p2.nullspace.clone(),
-        };
-        let new = cost(&a) + cost(&b);
-        return if new < old { Some((a, b)) } else { None };
-    }
     // Price the rewrite with merge-counting only — the XORs are
     // materialised solely for accepted rewrites (the overwhelming
     // majority of candidate pairs is rejected right here).
@@ -136,8 +119,12 @@ fn try_rewrite(p1: &Pair, p2: &Pair) -> Option<(Pair, Pair)> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairs::fixtures::{random_pair_list, snapshot};
     use pd_anf::{Anf, VarPool, VarSet};
     use std::collections::HashMap;
 
@@ -201,5 +188,26 @@ mod tests {
             improve(&mut pl);
             assert_eq!(pl.to_expr(), x, "size reduction broke {src}");
         }
+    }
+
+    #[test]
+    fn merge_count_pricing_matches_materialised_pricing() {
+        // Seeded pair lists whose outers are mostly a shared expression
+        // plus a small perturbation: pricing a rewrite by merge counts
+        // must accept exactly the rewrites the materialising reference
+        // accepts, leaving the same pairs, null-spaces and rest.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut fired = 0;
+        for case in 0..500u32 {
+            let pl = random_pair_list(&mut state);
+            let mut fast = pl.clone();
+            let mut slow = pl.clone();
+            let got = improve(&mut fast);
+            assert_eq!(got, reference::improve(&mut slow), "case {case}: {pl:?}");
+            assert_eq!(snapshot(&fast), snapshot(&slow), "case {case}: {pl:?}");
+            assert_eq!(fast.to_expr(), pl.to_expr(), "case {case}: exactness");
+            fired += usize::from(got.1 < got.0);
+        }
+        assert!(fired > 100, "a rewrite applied in only {fired} cases");
     }
 }

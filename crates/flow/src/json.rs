@@ -2,9 +2,9 @@
 //!
 //! The workspace builds offline (no serde); the machine-readable
 //! artefacts — flow specifications, per-stage statistics,
-//! `BENCH_RUNTIME.json`, `target/table1.json` — are flat records of
-//! strings and numbers, so a minimal escaping writer plus a recursive
-//! descent parser is all that is needed. This module started life in
+//! `target/table1.json` — are flat records of strings and numbers, so a
+//! minimal escaping writer plus a recursive descent parser is all that
+//! is needed. This module started life in
 //! `pd-bench`; it moved here (gaining [`Json::parse`]) when the flow
 //! pipeline needed to *read* specifications, and `pd-bench` now re-exports
 //! it.

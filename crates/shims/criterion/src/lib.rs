@@ -5,9 +5,8 @@
 //! and `iter_batched`, plus the `criterion_group!` / `criterion_main!`
 //! macros — backed by plain wall-clock timing: each benchmark runs a
 //! short warm-up, then `sample_size` timed samples, and the median is
-//! printed as one line. No statistics, plots or baselines; the
-//! machine-readable perf trajectory lives in the `bench_runtime` binary
-//! (`BENCH_RUNTIME.json`), not here.
+//! printed as one line. No statistics, plots or baselines; end-to-end
+//! and per-layer performance is recorded by `pdbench/`, not here.
 //!
 //! `CRITERION_SAMPLES` overrides the default sample count (useful to keep
 //! CI smoke runs quick).

@@ -86,6 +86,19 @@
 //! Submitted jobs reuse the flow-spec JSON schema verbatim; each job's
 //! circuits run FIFO on one worker shard, so a panicking job degrades
 //! to per-slot errors without disturbing concurrent jobs.
+//!
+//! ENVIRONMENT (all ten PD_* knobs):
+//!   PD_THREADS=N           worker threads (default: available cores);
+//!                          results are bit-identical at any setting
+//!   PD_WORKERS=N           pd serve worker shards
+//!   PD_CACHE_DIR=DIR       stage cache and divisor library (see above)
+//!   PD_SKIP_VERIFY=1       skip the BDD oracle (same as --no-verify)
+//!   PD_NODE_CAP=N          BDD oracle node-table cap
+//!   PD_BUDGET_DECOMPOSE=N  per-stage effort budgets (trial counts)
+//!   PD_BUDGET_REDUCE=N
+//!   PD_BUDGET_FACTOR=N
+//!   PD_FAULT=SPEC          deterministic fault injection (see above)
+//!   PD_TIMING=1            per-phase wall times on stderr
 //! ```
 
 use progressive_decomposition::prelude::*;

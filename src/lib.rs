@@ -56,9 +56,10 @@
 //! vs 41 cells). Every rewrite preserves `Σ inner·outer` exactly and
 //! the BDD oracle re-proves the boundary, so the refined hierarchy is
 //! equivalent by construction *and* by check. The from-scratch re-run
-//! survives as the Reduce ladder's last rung (`full-reduce`, below) —
-//! `BENCH_RUNTIME.json` tracks both as
-//! `flow/<circuit>/reduce-incremental` vs `flow/<circuit>/reduce-full`.
+//! survives as the Reduce ladder's last rung (`full-reduce`, below);
+//! `tests/table1_circuits.rs` pins both paths' literal and cell counts,
+//! `FLOW_GOLDEN` on the incremental path and `FULL_REDUCE_GOLDEN` on
+//! `full-reduce`.
 //!
 //! The **Factor** stage is workspace-wide: every block's leaders and
 //! every output enter one `pd_factor::GlobalNetwork`, whose extraction
@@ -71,9 +72,9 @@
 //! not literal counts — so OR/majority-shaped cones the emitter maps
 //! specially are left alone, and a final guard returns the unextracted
 //! emission if it is smaller. The per-block path survives as the Factor
-//! ladder's `local` rung (below) — `BENCH_RUNTIME.json` tracks both as
-//! `flow/<circuit>/factor-global` vs `flow/<circuit>/factor-local`, with
-//! mapped cell counts.
+//! ladder's `local` rung (below); `tests/table1_circuits.rs` pins the
+//! global path's counts in `FLOW_GOLDEN` and checks that it maps to no
+//! more cells than the `local` rung on the headline circuits.
 //!
 //! ### Caching & serving
 //!
@@ -117,10 +118,10 @@
 //! keeps its best-so-far result, and records the exhaustion in its
 //! report. Within its budget, Reduce also *skips* the arbitration
 //! re-decomposition when the worklist result's gate estimate is already
-//! within a learned bound of the entry estimate, reclaiming the
+//! within a learned bound (980‰) of the entry estimate, reclaiming the
 //! incremental path's speed at the arbitrated path's quality —
-//! `BENCH_RUNTIME.json` pins the pair as `flow/<circuit>/reduce-budgeted`
-//! vs `flow/<circuit>/reduce-unbudgeted`.
+//! `FLOW_GOLDEN` and `FULL_REDUCE_GOLDEN` in `tests/table1_circuits.rs`
+//! pin the literal and cell counts Reduce reaches with the skip on.
 //!
 //! Every stage runs inside its own panic fence and degrades down an
 //! ordered ladder of BDD-verified fallbacks instead of failing:
@@ -159,9 +160,8 @@
 //! dying; raise `PD_NODE_CAP` to decide that boundary. After an
 //! overflow the context rebuilds its manager, so the failed attempt's
 //! nodes never starve a later check. Verdicts are bit-identical across
-//! every `PD_THREADS`/`PD_NAIVE_KERNEL` combination
-//! (`tests/flow_pipeline.rs` pins this), and the stage reports carry
-//! the oracle's `verify_peak_nodes` counter. No variable reordering is
+//! every `PD_THREADS` setting (`tests/flow_pipeline.rs` pins this), and
+//! the stage reports carry the oracle's `verify_peak_nodes` counter. No variable reordering is
 //! attempted: the largest boundary on record (budgeted mult8, 2.19M
 //! nodes) stays 30× below the default cap, and multipliers — the one
 //! family that grows large — are exponential under every order.

@@ -36,7 +36,6 @@ fn run_faulted(dir: &std::path::Path, fault: &str) -> (Option<i32>, Json) {
         .arg("maj7")
         .arg("--out")
         .arg(&out_path)
-        .env_remove("PD_NAIVE_KERNEL")
         .env_remove("PD_SKIP_VERIFY")
         .env_remove("PD_THREADS")
         .env_remove("PD_BUDGET_DECOMPOSE")
@@ -215,7 +214,6 @@ fn degraded_reduce_stays_green_on_all_builtin_circuits() {
         .arg("all")
         .arg("--out")
         .arg(&out_path)
-        .env_remove("PD_NAIVE_KERNEL")
         .env_remove("PD_SKIP_VERIFY")
         .env_remove("PD_BUDGET_DECOMPOSE")
         .env_remove("PD_BUDGET_REDUCE")
@@ -263,7 +261,6 @@ fn budget_crossings_are_deterministic_across_thread_counts() {
             .arg("maj7")
             .arg("--out")
             .arg(&out_path)
-            .env_remove("PD_NAIVE_KERNEL")
             .env_remove("PD_SKIP_VERIFY")
             .env_remove("PD_FAULT")
             .env_remove("PD_BUDGET_DECOMPOSE")

@@ -1,9 +1,9 @@
 //! Property tests of the unified synthesis pipeline: for random ANF
 //! specifications, the flow's output is BDD-equivalent to its input at
 //! *every* stage boundary — in-process under the harness's environment,
-//! and via `pd flow` subprocesses under both `PD_NAIVE_KERNEL` settings
-//! and `PD_THREADS` ∈ {1, 4} (the env knobs are read once per process,
-//! so cross-setting coverage needs child processes).
+//! and via `pd flow` subprocesses under `PD_THREADS` ∈ {1, 4} (the env
+//! knobs are read once per process, so cross-setting coverage needs child
+//! processes).
 
 use progressive_decomposition::flow::json::Json;
 use progressive_decomposition::prelude::*;
@@ -77,13 +77,13 @@ proptest! {
 }
 
 /// Seeded random spec files driven through `pd flow` child processes
-/// under all eight environment combinations: Factor path ×
-/// `PD_NAIVE_KERNEL` × `PD_THREADS` ∈ {1, 4}. The per-block Factor path
-/// is the ladder's `local` rung, driven by `PD_FAULT=factor:panic:1`.
-/// The flow exits non-zero if any stage boundary fails the BDD oracle,
-/// and the emitted stats must be bit-identical across kernels and thread
-/// counts *within* each Factor path (the engine's determinism guarantee;
-/// the two Factor paths legitimately produce different netlists).
+/// under all four environment combinations: Factor path ×
+/// `PD_THREADS` ∈ {1, 4}. The per-block Factor path is the ladder's
+/// `local` rung, driven by `PD_FAULT=factor:panic:1`. The flow exits
+/// non-zero if any stage boundary fails the BDD oracle, and the emitted
+/// stats must be bit-identical across thread counts *within* each Factor
+/// path (the engine's determinism guarantee; the two Factor paths
+/// legitimately produce different netlists).
 #[test]
 fn env_combos_agree_and_verify_via_subprocess() {
     let dir = std::env::temp_dir().join(format!("pd-flow-prop-{}", std::process::id()));
@@ -104,11 +104,10 @@ fn env_combos_agree_and_verify_via_subprocess() {
         // agree with each other.
         let mut stats: [Vec<(String, String)>; 2] = [Vec::new(), Vec::new()];
         for local in [false, true] {
-            for (naive, threads) in [(false, "1"), (false, "4"), (true, "1"), (true, "4")] {
+            for threads in ["1", "4"] {
                 let out_path = dir.join(format!(
-                    "case{case}-{}-{}-t{threads}.json",
+                    "case{case}-{}-t{threads}.json",
                     if local { "local" } else { "global" },
-                    if naive { "naive" } else { "fast" }
                 ));
                 let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_pd"));
                 cmd.arg("flow")
@@ -116,19 +115,15 @@ fn env_combos_agree_and_verify_via_subprocess() {
                     .arg("--out")
                     .arg(&out_path)
                     .env("PD_THREADS", threads)
-                    .env_remove("PD_NAIVE_KERNEL")
                     .env_remove("PD_SKIP_VERIFY")
                     .env_remove("PD_FAULT");
-                if naive {
-                    cmd.env("PD_NAIVE_KERNEL", "1");
-                }
                 if local {
                     cmd.env("PD_FAULT", "factor:panic:1");
                 }
                 let out = cmd.output().expect("spawn pd flow");
                 assert!(
                     out.status.success(),
-                    "case {case} local={local} naive={naive} threads={threads} failed:\n{}",
+                    "case {case} local={local} threads={threads} failed:\n{}",
                     String::from_utf8_lossy(&out.stderr)
                 );
                 let doc = std::fs::read_to_string(&out_path).expect("stats written");
@@ -149,7 +144,7 @@ fn env_combos_agree_and_verify_via_subprocess() {
                         assert_eq!(
                             s.get("verified").and_then(Json::as_bool),
                             Some(true),
-                            "case {case} local={local} naive={naive} threads={threads}: \
+                            "case {case} local={local} threads={threads}: \
                              stage {name} not verified"
                         );
                     }
@@ -171,7 +166,7 @@ fn env_combos_agree_and_verify_via_subprocess() {
                     })
                     .collect();
                 stats[usize::from(local)].push((
-                    format!("local={local} naive={naive} threads={threads}"),
+                    format!("local={local} threads={threads}"),
                     fingerprint.join("\n"),
                 ));
             }
@@ -189,38 +184,30 @@ fn env_combos_agree_and_verify_via_subprocess() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The kernel and thread-count knobs must never change what the flow
-/// computes or concludes: `(fast kernel, 1 thread)` and `(naive kernel,
-/// 4 threads)` give bit-identical verdicts, size metrics and oracle peak
-/// node counts on every stage of two generators.
+/// The thread-count knob must never change what the flow computes or
+/// concludes: 1 and 4 threads give bit-identical verdicts, size metrics
+/// and oracle peak node counts on every stage of two generators.
 #[test]
-fn generator_verdicts_agree_across_kernel_and_threads_via_subprocess() {
+fn generator_verdicts_agree_across_threads_via_subprocess() {
     let dir = std::env::temp_dir().join(format!("pd-flow-knobs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     for circuit in ["maj7", "comparator8"] {
         let mut fingerprints: Vec<(String, String)> = Vec::new();
-        for (naive, threads) in [(false, "1"), (true, "4")] {
-            let out_path = dir.join(format!(
-                "{circuit}-{}-t{threads}.json",
-                if naive { "naive" } else { "fast" }
-            ));
+        for threads in ["1", "4"] {
+            let out_path = dir.join(format!("{circuit}-t{threads}.json"));
             let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_pd"));
             cmd.arg("flow")
                 .arg(circuit)
                 .arg("--out")
                 .arg(&out_path)
                 .env("PD_THREADS", threads)
-                .env_remove("PD_NAIVE_KERNEL")
                 .env_remove("PD_SKIP_VERIFY")
                 .env_remove("PD_NODE_CAP")
                 .env_remove("PD_FAULT");
-            if naive {
-                cmd.env("PD_NAIVE_KERNEL", "1");
-            }
             let out = cmd.output().expect("spawn pd flow");
             assert!(
                 out.status.success(),
-                "{circuit} naive={naive} threads={threads} failed:\n{}",
+                "{circuit} threads={threads} failed:\n{}",
                 String::from_utf8_lossy(&out.stderr)
             );
             let parsed = Json::parse(&std::fs::read_to_string(&out_path).expect("stats"))
@@ -241,10 +228,7 @@ fn generator_verdicts_agree_across_kernel_and_threads_via_subprocess() {
                     )
                 })
                 .collect();
-            fingerprints.push((
-                format!("naive={naive} threads={threads}"),
-                fingerprint.join("\n"),
-            ));
+            fingerprints.push((format!("threads={threads}"), fingerprint.join("\n")));
         }
         let (ref first_combo, ref first) = fingerprints[0];
         let (ref combo, ref fp) = fingerprints[1];

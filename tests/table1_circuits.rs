@@ -144,8 +144,7 @@ fn every_baseline_matches_its_spec() {
 /// Golden end-to-end numbers: circuit → (literals after decompose,
 /// after reduce, after factor, mapped cell count). Pinned from the flow's
 /// first green run with the **global** Factor stage and the arbitrated
-/// incremental Reduce (PR 5); deterministic across `PD_NAIVE_KERNEL` and
-/// `PD_THREADS` (the CI naive-kernel job re-checks that). adder12 and
+/// incremental Reduce; deterministic across `PD_THREADS`. adder12 and
 /// lod16 — circuits where Factor dominates the flow's run time — pin
 /// Factor's commit sequence, which runs on the synthesiser's gate-cost
 /// planner, so a planner speed-up cannot silently change it. maj13 and
