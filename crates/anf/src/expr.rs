@@ -83,6 +83,18 @@ impl Anf {
         Anf { terms: vec![m] }
     }
 
+    /// Builds an expression from terms already in canonical order:
+    /// strictly ascending, so no two cancel. For kernels whose output
+    /// order follows from their input's (e.g. a subsequence of a
+    /// canonical term list); debug builds check the order.
+    pub fn from_canonical_terms(terms: Vec<Monomial>) -> Self {
+        debug_assert!(
+            terms.windows(2).all(|w| w[0] < w[1]),
+            "terms must be strictly ascending"
+        );
+        Anf { terms }
+    }
+
     /// Builds an expression from arbitrary terms, reducing duplicates mod 2.
     ///
     /// All-[`Monomial::Small`] term lists are normalised on raw `u128`

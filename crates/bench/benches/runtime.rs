@@ -73,6 +73,32 @@ fn bench_pairs_split(c: &mut Criterion) {
             ))
         })
     });
+    // The shape Reduce's close rounds and arbitration split: every
+    // variable id at 128 or more, so terms are index slices.
+    let shift = |v: pd_anf::Var| pd_anf::Var(v.0 + 128);
+    let maj_large = maj.map_vars(shift);
+    let group4_large: pd_anf::VarSet = m.bits[..4].iter().map(|&v| shift(v)).collect();
+    c.bench_function("pairs/split_maj15_k4_large", |b| {
+        b.iter(|| {
+            std::hint::black_box(pd_core::pairs::PairList::split(
+                &maj_large,
+                &group4_large,
+                &HashMap::new(),
+            ))
+        })
+    });
+    // Rules 1–2 to a fixed point on the split above.
+    let split = pd_core::pairs::PairList::split(maj, &group4, &HashMap::new());
+    c.bench_function("pairs/merge_fixpoint_maj15_k4", |b| {
+        b.iter_batched(
+            || split.clone(),
+            |mut pl| {
+                pl.merge_fixpoint();
+                pl
+            },
+            BatchSize::LargeInput,
+        )
+    });
     let lzd = Lzd::new(12);
     let combined = pd_anf::Anf::xor_all(lzd.spec().iter().map(|(_, e)| e).collect::<Vec<_>>());
     let group: pd_anf::VarSet = lzd.bits[..4].iter().copied().collect();

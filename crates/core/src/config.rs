@@ -16,10 +16,12 @@
 //! * `PD_TIMING=1` — print per-phase wall times of every iteration body,
 //!   group-search trials included: `split`, `merge`, `nullspace`,
 //!   `lindep`, `sizered`, `identities` (leader naming and the identity
-//!   search) and `rewrite` (substitutions and the rewrite proper). The
-//!   combine step runs once per iteration, outside the trials, and is not
-//!   timed. [`crate::refine`] prints its worklist, close and arbitration
-//!   phases under the same flag.
+//!   search), then `score` in a trial (substitutions and the counted
+//!   objective) or `rewrite` in the committed run (substitutions and the
+//!   rewrite proper). The combine step and the group variables'
+//!   null-spaces are built once per iteration, outside the trials, and
+//!   are not timed. [`crate::refine`] prints its worklist, close and
+//!   arbitration phases under the same flag.
 
 /// Whether `PD_TIMING` is set (read once per process): the iteration
 /// body and [`crate::refine`] then print per-phase wall times to stderr.

@@ -21,6 +21,28 @@
 //! [`Block`]s form the hierarchical implementation; [`Decomposition`]
 //! can emit it as a gate netlist and verify it against the input
 //! specification.
+//!
+//! ## Scoring a group without rewriting
+//!
+//! Group search (§5.1) runs the iteration body for every candidate group
+//! and keeps one number: the rewritten list's literals, then the basis
+//! literals. Only the winner's re-run builds `X′ = rest ⊕ Σⱼ rⱼ·outerⱼ`
+//! (`rⱼ` is pair `j`'s representation); a trial counts it. Every term of
+//! `X = Σ Kᵢ·Lᵢ` carries exactly one selector `Kᵢ`, and so does every
+//! term of `X′`, so `Σ lit(L′ᵢ) = lit(X′) − terms(X′)`.
+//!
+//! * Without substitutions each `rⱼ` is one variable: a fresh
+//!   `Var(n_vars + j)` or a passthrough group variable. It occurs neither
+//!   in `rest` nor in any outer, and merged inners are distinct, so no
+//!   two terms of `X′` cancel and
+//!   `Σ lit(L′ᵢ) = lit(rest) − terms(rest) + Σⱼ lit(outerⱼ)`.
+//! * With substitutions a substituted `rⱼ` is an expression over the
+//!   surviving leaders. If no `rⱼ` has a constant term, every
+//!   contribution term holds a leader variable and `rest` terms hold
+//!   none, so contributions cancel only among themselves: they are
+//!   normalised once, and `rest` is counted as above, never cloned.
+//! * A constant term in some `rⱼ` can cancel against `rest`; such trials
+//!   run the full rewrite.
 
 use crate::config::PdConfig;
 use crate::group::{find_group_metered, live_vars};
@@ -121,7 +143,7 @@ pub struct ProgressiveDecomposer {
     cfg: PdConfig,
 }
 
-/// Outcome of running one iteration body (possibly as a trial).
+/// Outcome of the committed iteration body ([`FoundBasis::rewrite`]).
 ///
 /// Fresh leaders are named `Var(pool.len() + j)` without touching the
 /// pool; only the committed iteration allocates them (see
@@ -225,23 +247,23 @@ impl ProgressiveDecomposer {
                 break;
             }
             iteration += 1;
-            // X = Σ K_i · L_i does not depend on the group: every trial
-            // and the winner's re-run borrow it.
+            // X = Σ K_i · L_i and the group variables' null-spaces do not
+            // depend on the group: every trial and the winner's re-run
+            // borrow them.
             let x = combine(&l, &selectors, &identities);
+            let var_ns = identities.var_nullspaces();
             let cfg = &self.cfg;
             let n_vars = pool.len();
             let group = find_group_metered(&l, &pool, &finalized, cfg, meter, |g| {
-                let trial = run_iteration(n_vars, &x, &selectors, &identities, g, iteration, cfg);
+                let mut laps = Laps::start();
+                let found = find_basis(n_vars, &x, &var_ns, &identities, g, cfg, &mut laps);
                 // Objective (§5.1): size of the rewritten expression in
                 // literals; basis size and the depth of the consumed
                 // leaders break ties (prefer shallow, parallel blocks).
-                let rewritten: usize = trial.new_l.iter().map(Anf::literal_count).sum();
-                let basis: usize = trial
-                    .block
-                    .basis
-                    .iter()
-                    .map(|(_, e)| e.literal_count())
-                    .sum();
+                let (rewritten, basis) = found.score(&selectors);
+                laps.lap("score");
+                #[cfg(test)]
+                reference::check_score(&found, &selectors, (rewritten, basis), &identities);
                 let depth = g
                     .iter()
                     .map(|v| level_of.get(&v).copied().unwrap_or(0) as usize)
@@ -251,15 +273,17 @@ impl ProgressiveDecomposer {
             });
             let Some(group) = group else { break };
             let before_literals: usize = l.iter().map(Anf::literal_count).sum();
-            let outcome = run_iteration(
+            let mut laps = Laps::start();
+            let outcome = find_basis(
                 pool.len(),
                 &x,
-                &selectors,
+                &var_ns,
                 &identities,
                 &group,
-                iteration,
                 &self.cfg,
-            );
+                &mut laps,
+            )
+            .rewrite(&selectors, &group, iteration, &mut laps);
             if outcome.allocated == 0 {
                 // Only literal leaders: abstraction is a no-op. Retire the
                 // group so the search moves on; stop when nothing is left.
@@ -371,55 +395,89 @@ fn combine(l: &[Anf], selectors: &[Var], identities: &IdentityStore) -> Anf {
     Anf::from_terms(terms)
 }
 
-/// The body of one iteration on the combined expression `x` (see
-/// [`combine`]): findBasis, the three optimisations, identity discovery
-/// and rewriting. Pure with respect to the caller's state, so it doubles
-/// as the trial for group search. Fresh leaders are named from `n_vars`,
-/// the size of the pool the iteration runs against.
-fn run_iteration(
+/// `PD_TIMING` laps of one iteration body: each prints the wall time
+/// since the previous one.
+struct Laps {
+    on: bool,
+    stamp: std::time::Instant,
+}
+
+impl Laps {
+    fn start() -> Laps {
+        Laps {
+            on: crate::config::timing(),
+            stamp: std::time::Instant::now(),
+        }
+    }
+
+    fn lap(&mut self, label: &str) {
+        if self.on {
+            eprintln!("      [{label}: {:?}]", self.stamp.elapsed());
+            self.stamp = std::time::Instant::now();
+        }
+    }
+}
+
+/// What the shared part of an iteration body finds for one group: the
+/// optimised pair list, its leaders, and the substitutions that
+/// eliminate some of them. A group-search trial only
+/// [scores](FoundBasis::score) it; the winner's re-run
+/// [rewrites](FoundBasis::rewrite) with it.
+#[derive(Clone)]
+struct FoundBasis {
+    pl: PairList,
+    /// One leader per pair, passthrough included.
+    leaders: Vec<(Var, Anf)>,
+    passthrough: Vec<Var>,
+    /// Fresh leader ids used, substituted ones included.
+    allocated: usize,
+    /// Each pair's representation in the rewritten list: its leader
+    /// variable, or the substituted leader's replacement.
+    leader_of_pair: Vec<Anf>,
+    substitutions: Vec<(Var, Anf)>,
+    /// Identities found and not applied as substitutions; substitutions
+    /// are inlined only by [`FoundBasis::rewrite`].
+    identities: Vec<Anf>,
+    events: Vec<TraceEvent>,
+}
+
+/// findBasis on the combined expression `x` (see [`combine`]), the three
+/// optimisations, leader naming, and identity discovery with the
+/// substitutions it allows. Pure with respect to the caller's state, so
+/// it doubles as the trial for group search. Fresh leaders are named from
+/// `n_vars`, the size of the pool the iteration runs against; `var_ns` is
+/// [`IdentityStore::var_nullspaces`] of `identities`.
+fn find_basis(
     n_vars: usize,
     x: &Anf,
-    selectors: &[Var],
+    var_ns: &HashMap<Var, NullSpace>,
     identities: &IdentityStore,
     group: &VarSet,
-    iteration: u32,
     cfg: &PdConfig,
-) -> IterationOutcome {
+    laps: &mut Laps,
+) -> FoundBasis {
     let mut events = Vec::new();
-    let timing = crate::config::timing();
-    let mut stamp = std::time::Instant::now();
-    let lap = |label: &str, stamp: &mut std::time::Instant| {
-        if timing {
-            eprintln!("      [{label}: {:?}]", stamp.elapsed());
-            *stamp = std::time::Instant::now();
-        }
-    };
-    // findBasis.
-    let var_ns: HashMap<Var, NullSpace> = group
-        .iter()
-        .map(|v| (v, identities.var_nullspace(v)))
-        .collect();
-    let mut pl = PairList::split(x, group, &var_ns);
-    lap("split", &mut stamp);
+    let mut pl = PairList::split(x, group, var_ns);
+    laps.lap("split");
     pl.merge_fixpoint();
-    lap("merge", &mut stamp);
+    laps.lap("merge");
     if cfg.enable_nullspace_merging {
         let merges = pl.merge_nullspace(cfg.nullspace_product_cap);
-        lap("nullspace", &mut stamp);
+        laps.lap("nullspace");
         if merges > 0 {
             events.push(TraceEvent::NullspaceMerges(merges));
         }
     }
     if cfg.enable_linear_minimisation {
         let removed = lindep::minimize(&mut pl, cfg.lindep_outer_term_cap);
-        lap("lindep", &mut stamp);
+        laps.lap("lindep");
         if removed > 0 {
             events.push(TraceEvent::LinearMinimised(removed));
         }
     }
     if cfg.enable_size_reduction {
         let (before, after) = size_reduce::improve(&mut pl);
-        lap("sizered", &mut stamp);
+        laps.lap("sizered");
         if after < before {
             events.push(TraceEvent::SizeReduced(before, after));
         }
@@ -448,7 +506,7 @@ fn run_iteration(
     if cfg.enable_identities && !leaders.is_empty() {
         let group_vars: Vec<Var> = group.iter().collect();
         let found = find_identities(&leaders, &group_vars, identities, cfg);
-        lap("identities", &mut stamp);
+        laps.lap("identities");
         let fresh_vars: Vec<Var> = leaders
             .iter()
             .filter(|(v, _)| !passthrough.contains(v))
@@ -490,55 +548,132 @@ fn run_iteration(
                 new_identities.push(f.expr);
             }
         }
-        // Inline substitutions into the pair-leader representations and
-        // into the identities that will outlive this iteration, so no
-        // eliminated leader remains referenced anywhere.
+        // Inline substitutions into the pair-leader representations, so
+        // no eliminated leader remains referenced in the rewritten list.
         for repr in &mut leader_of_pair {
             apply_substitutions(repr, &substitutions);
         }
+    }
+    FoundBasis {
+        pl,
+        leaders,
+        passthrough,
+        allocated,
+        leader_of_pair,
+        substitutions,
+        identities: new_identities,
+        events,
+    }
+}
+
+impl FoundBasis {
+    /// The recorded basis: leaders that are neither passthrough nor
+    /// substituted.
+    fn basis(&self) -> impl Iterator<Item = &(Var, Anf)> + '_ {
+        self.leaders.iter().filter(|(v, _)| {
+            !self.passthrough.contains(v) && !self.substitutions.iter().any(|(sv, _)| sv == v)
+        })
+    }
+
+    /// The §5.1 objective's two counts, `(Σ lit(L′ᵢ), basis literals)`,
+    /// without building `L′` where the module docs show it can be
+    /// counted instead.
+    fn score(&self, selectors: &[Var]) -> (usize, usize) {
+        let basis = self.basis().map(|(_, e)| e.literal_count()).sum();
+        // Every term of X′ carries exactly one selector, which L′ drops.
+        let rest = self.pl.rest.literal_count() - self.pl.rest.term_count();
+        let rewritten = if self.substitutions.is_empty() {
+            // Each pair is one variable times its outer: nothing cancels.
+            debug_assert!(
+                self.passthrough
+                    .iter()
+                    .enumerate()
+                    .all(|(i, v)| !self.passthrough[..i].contains(v)),
+                "merged inners are distinct"
+            );
+            rest + self
+                .pl
+                .pairs
+                .iter()
+                .map(|p| p.outer.literal_count())
+                .sum::<usize>()
+        } else if self
+            .leader_of_pair
+            .iter()
+            .any(|repr| repr.terms().next().is_some_and(Monomial::is_one))
+        {
+            // A constant term can cancel against `rest`: rewrite in full.
+            self.rewritten_list(selectors)
+                .iter()
+                .map(Anf::literal_count)
+                .sum()
+        } else {
+            // Contributions cancel only among themselves.
+            let mut terms: Vec<Monomial> = Vec::new();
+            for (p, repr) in self.pl.pairs.iter().zip(&self.leader_of_pair) {
+                for m in repr.terms() {
+                    terms.extend(p.outer.terms().map(|t| m.mul(t)));
+                }
+            }
+            let contributions = Anf::from_terms(terms);
+            rest + contributions.literal_count() - contributions.term_count()
+        };
+        (rewritten, basis)
+    }
+
+    /// Rewrite: `X′ = rest ⊕ Σ leader_j · outer_j`, then split selectors
+    /// off. Pair contributions are independent products; compute them on
+    /// the pool, then bucket terms per output and normalise once per
+    /// bucket (building each output by repeated XOR would be quadratic in
+    /// its term count).
+    fn rewritten_list(&self, selectors: &[Var]) -> Vec<Anf> {
+        let tagged_pairs: Vec<(&Pair, &Anf)> =
+            self.pl.pairs.iter().zip(&self.leader_of_pair).collect();
+        let contributions: Vec<Anf> =
+            pd_par::par_map(&tagged_pairs, |&(p, repr)| repr.and(&p.outer));
+        let mut new_terms: Vec<Monomial> = self.pl.rest.terms().cloned().collect();
+        for c in contributions {
+            new_terms.extend(c.into_terms());
+        }
+        bucket_by_selector(&new_terms, selectors)
+    }
+
+    /// The committed iteration: the rewritten list, the block, and the
+    /// identities that outlive it.
+    fn rewrite(
+        mut self,
+        selectors: &[Var],
+        group: &VarSet,
+        iteration: u32,
+        laps: &mut Laps,
+    ) -> IterationOutcome {
+        let new_l = self.rewritten_list(selectors);
+        // No eliminated leader may remain referenced by an identity.
+        let mut new_identities = std::mem::take(&mut self.identities);
         for id in &mut new_identities {
-            apply_substitutions(id, &substitutions);
+            apply_substitutions(id, &self.substitutions);
         }
         new_identities.retain(|id| !id.is_zero());
-    }
-    // Rewrite: X' = rest ⊕ Σ leader_j · outer_j, then split selectors off.
-    // Pair contributions are independent products; compute them on the
-    // pool, then bucket terms per output and normalise once per bucket
-    // (building each output by repeated XOR would be quadratic in its
-    // term count).
-    let tagged_pairs: Vec<(&Pair, &Anf)> = pl.pairs.iter().zip(&leader_of_pair).collect();
-    let contributions: Vec<Anf> =
-        pd_par::par_map(&tagged_pairs, |&(p, repr)| repr.and(&p.outer));
-    let mut new_terms: Vec<Monomial> = pl.rest.terms().cloned().collect();
-    for c in contributions {
-        new_terms.extend(c.into_terms());
-    }
-    let new_l = bucket_by_selector(&new_terms, selectors);
-    lap("rewrite", &mut stamp);
-    // Drop substituted leaders from the recorded basis.
-    let basis: Vec<(Var, Anf)> = leaders
-        .iter()
-        .filter(|(v, _)| {
-            !passthrough.contains(v) && !substitutions.iter().any(|(sv, _)| sv == v)
-        })
-        .cloned()
-        .collect();
-    events.push(TraceEvent::BasisFinal(basis.clone(), passthrough.clone()));
-    events.push(TraceEvent::Rewritten(
-        new_l.iter().map(Anf::literal_count).sum(),
-    ));
-    IterationOutcome {
-        new_l,
-        block: Block {
-            iteration,
-            group: group.iter().collect(),
-            basis,
-            passthrough,
-            substitutions,
-        },
-        new_identities,
-        events,
-        allocated,
+        laps.lap("rewrite");
+        let basis: Vec<(Var, Anf)> = self.basis().cloned().collect();
+        let mut events = self.events;
+        events.push(TraceEvent::BasisFinal(basis.clone(), self.passthrough.clone()));
+        events.push(TraceEvent::Rewritten(
+            new_l.iter().map(Anf::literal_count).sum(),
+        ));
+        IterationOutcome {
+            new_l,
+            block: Block {
+                iteration,
+                group: group.iter().collect(),
+                basis,
+                passthrough: self.passthrough,
+                substitutions: self.substitutions,
+            },
+            new_identities,
+            events,
+            allocated: self.allocated,
+        }
     }
 }
 
@@ -904,6 +1039,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pairs::fixtures::next;
 
     fn decompose_str(srcs: &[&str]) -> Decomposition {
         let mut pool = VarPool::new();
@@ -1103,5 +1239,209 @@ mod tests {
             cancelled += usize::from(kept < terms.len());
         }
         assert!(cancelled > 100, "terms cancelled in only {cancelled} cases");
+    }
+
+    /// Inputs `a1..an` with ids from `pad` up, so `pad ≥ 128` gives the
+    /// index-slice terms Reduce's close rounds and arbitration see.
+    fn padded_majority(n: usize, pad: usize) -> (VarPool, Anf) {
+        let mut pool = VarPool::new();
+        for i in 0..pad {
+            pool.derived(&format!("pad{i}"), 0);
+        }
+        let maj = examples::majority_anf(&mut pool, n);
+        (pool, maj)
+    }
+
+    #[test]
+    fn trial_scores_match_the_full_rewrite_on_real_runs() {
+        // Every group-search trial of real decompositions, identity store
+        // empty or not, with and without substitutions, below and above
+        // the 128-id mask limit: the counted score must equal the one
+        // read off the full rewrite. (No trial here has a constant term in
+        // a representation; the random bases below cover that fallback.)
+        let no_identities = PdConfig {
+            enable_identities: false,
+            ..PdConfig::default()
+        };
+        type Case = (VarPool, Vec<(String, Anf)>, PdConfig);
+        let mut cases: Vec<Case> = Vec::new();
+        for (n, pad) in [(7, 0), (9, 0), (11, 0), (7, 130), (9, 130), (11, 130)] {
+            let (pool, maj) = padded_majority(n, pad);
+            let spec = vec![("maj".to_owned(), maj)];
+            cases.push((pool.clone(), spec.clone(), PdConfig::default()));
+            cases.push((pool, spec, no_identities.clone()));
+        }
+        for srcs in [
+            &["a*b ^ b*c ^ c*a ^ d*e", "a ^ b ^ c ^ d ^ e", "a*b*c*d ^ e"][..],
+            &["a*b ^ c*d ^ e*f ^ g*h", "a*c ^ b*d ^ e*g ^ f*h ^ a*b*c*d"][..],
+        ] {
+            let mut pool = VarPool::new();
+            let spec = srcs
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (format!("y{i}"), Anf::parse(s, &mut pool).unwrap()))
+                .collect();
+            cases.push((pool, spec, PdConfig::default()));
+        }
+        let checks = pd_par::par_map(&cases, |(pool, spec, cfg)| {
+            reference::recording(|| {
+                ProgressiveDecomposer::new(cfg.clone()).decompose(pool.clone(), spec.clone());
+            })
+        });
+        let checks: Vec<&reference::ScoreCheck> = checks.iter().flatten().collect();
+        for c in &checks {
+            assert_eq!(c.got, c.want, "{c:?}");
+        }
+        let count = |f: fn(&reference::ScoreCheck) -> bool| checks.iter().filter(|c| f(c)).count();
+        assert!(count(|c| !c.identities_known) >= 1000, "empty stores");
+        assert!(count(|c| c.identities_known) >= 1000, "non-empty stores");
+        assert!(count(|c| c.substituted) >= 100, "substitution trials");
+        assert!(count(|c| c.large) >= 1000, "index-slice trials");
+        assert!(count(|c| c.large && c.substituted) >= 50, "index-slice substitution trials");
+    }
+
+    /// A seeded [`FoundBasis`] over variable ids from `base`: 1–6 pairs
+    /// and a rest whose terms each carry one of 1–3 selectors, literal
+    /// inners as passthrough leaders, and (in two cases of three) some
+    /// fresh leaders substituted by XORs of products of the survivors,
+    /// a constant term included half the time.
+    fn random_found_basis(state: &mut u64, base: u32) -> (FoundBasis, Vec<Var>) {
+        let group: Vec<Var> = (0..4).map(|i| Var(base + i)).collect();
+        let outer_vars: Vec<Var> = (4..9).map(|i| Var(base + i)).collect();
+        let selectors: Vec<Var> = (0..1 + next(state) % 3).map(|i| Var(base + 9 + i as u32)).collect();
+        let n_vars = base as usize + 12;
+        let tagged = |state: &mut u64, max: u64| {
+            Anf::from_terms(
+                (0..next(state) % max)
+                    .map(|_| {
+                        let bits = next(state);
+                        let k = selectors[(bits % selectors.len() as u64) as usize];
+                        Monomial::from_vars(
+                            (0..outer_vars.len())
+                                .filter(|i| bits >> (8 + i) & 1 == 1)
+                                .map(|i| outer_vars[i])
+                                .chain([k]),
+                        )
+                    })
+                    .collect(),
+            )
+        };
+        let rest = tagged(state, 12);
+        let mut pairs: Vec<Pair> = Vec::new();
+        for _ in 0..1 + next(state) % 6 {
+            let inner = if next(state).is_multiple_of(3) {
+                Anf::var(group[(next(state) % 4) as usize])
+            } else {
+                Anf::from_terms(
+                    (0..1 + next(state) % 3)
+                        .map(|_| {
+                            let bits = 1 + next(state) % 15;
+                            Monomial::from_vars((0..4).filter(|i| bits >> i & 1 == 1).map(|i| group[i]))
+                        })
+                        .collect(),
+                )
+            };
+            let outer = tagged(state, 8);
+            if inner.is_zero() || outer.is_zero() || pairs.iter().any(|p| p.inner == inner) {
+                continue;
+            }
+            pairs.push(Pair {
+                inner,
+                outer,
+                nullspace: NullSpace::empty(),
+            });
+        }
+        let mut leaders = Vec::new();
+        let mut passthrough = Vec::new();
+        let mut allocated = 0;
+        for p in &pairs {
+            let v = p.inner.as_literal().unwrap_or_else(|| {
+                allocated += 1;
+                Var((n_vars + allocated - 1) as u32)
+            });
+            if p.inner.as_literal().is_some() {
+                passthrough.push(v);
+            }
+            leaders.push((v, p.inner.clone()));
+        }
+        let substituted: Vec<Var> = if next(state).is_multiple_of(3) {
+            Vec::new()
+        } else {
+            leaders
+                .iter()
+                .map(|&(v, _)| v)
+                .filter(|v| !passthrough.contains(v))
+                .filter(|_| next(state).is_multiple_of(2))
+                .collect()
+        };
+        let survivors: Vec<Var> = leaders
+            .iter()
+            .map(|&(v, _)| v)
+            .filter(|v| !substituted.contains(v))
+            .collect();
+        let substitutions: Vec<(Var, Anf)> = substituted
+            .iter()
+            .map(|&v| {
+                let mut terms: Vec<Monomial> = Vec::new();
+                if !survivors.is_empty() {
+                    for _ in 0..next(state) % 3 {
+                        let a = survivors[(next(state) % survivors.len() as u64) as usize];
+                        let b = survivors[(next(state) % survivors.len() as u64) as usize];
+                        terms.push(Monomial::from_vars([a, b]));
+                    }
+                }
+                if next(state).is_multiple_of(2) {
+                    terms.push(Monomial::one());
+                }
+                (v, Anf::from_terms(terms))
+            })
+            .collect();
+        let leader_of_pair = leaders
+            .iter()
+            .map(|(v, _)| {
+                substitutions
+                    .iter()
+                    .find(|(sv, _)| sv == v)
+                    .map_or_else(|| Anf::var(*v), |(_, r)| r.clone())
+            })
+            .collect();
+        let found = FoundBasis {
+            pl: PairList { pairs, rest },
+            leaders,
+            passthrough,
+            allocated,
+            leader_of_pair,
+            substitutions,
+            identities: Vec::new(),
+            events: Vec::new(),
+        };
+        (found, selectors)
+    }
+
+    #[test]
+    fn trial_scores_match_the_full_rewrite_on_random_bases() {
+        // Seeded bases below and above the 128-id mask limit. Constant
+        // terms in substituted representations make the 1·outer terms
+        // cancel against rest and against each other.
+        let mut state = 0xd1b5_4a32_d192_ed03u64;
+        let (mut substituted, mut constant) = (0, 0);
+        for case in 0..600u32 {
+            let base = if case.is_multiple_of(2) { 20 } else { 140 };
+            let (found, selectors) = random_found_basis(&mut state, base);
+            assert_eq!(
+                found.score(&selectors),
+                reference::score(&found, &selectors),
+                "case {case}"
+            );
+            substituted += usize::from(!found.substitutions.is_empty());
+            constant += usize::from(
+                found
+                    .leader_of_pair
+                    .iter()
+                    .any(|r| r.terms().next().is_some_and(Monomial::is_one)),
+            );
+        }
+        assert!(substituted >= 200, "only {substituted} substitution cases");
+        assert!(constant >= 100, "only {constant} constant-term cases");
     }
 }

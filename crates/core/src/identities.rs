@@ -18,6 +18,7 @@
 use crate::config::PdConfig;
 use pd_anf::gf2::{Gf2Matrix, Insert};
 use pd_anf::{Anf, Monomial, NullSpace, Var, VarSet};
+use std::collections::HashMap;
 
 /// The set of identities known to hold (expressions ≡ 0 on all reachable
 /// input combinations).
@@ -91,6 +92,20 @@ impl IdentityStore {
             }
         }
         NullSpace::from_gens(gens)
+    }
+
+    /// [`Self::var_nullspace`] of every variable whose null-space is
+    /// non-empty; a variable missing from the map has the empty one.
+    pub fn var_nullspaces(&self) -> HashMap<Var, NullSpace> {
+        let support = self
+            .zeros
+            .iter()
+            .fold(VarSet::new(), |acc, z| acc.union(&z.support()));
+        support
+            .iter()
+            .map(|v| (v, self.var_nullspace(v)))
+            .filter(|(_, ns)| !ns.is_empty())
+            .collect()
     }
 
     /// Identities whose support lies inside `vars` (usable to restrict

@@ -12,6 +12,24 @@
 //!
 //! The represented expression `rest ⊕ Σ innerᵢ·outerᵢ` is invariant under
 //! rules 1–2 and invariant *modulo identities* under rule 3.
+//!
+//! ## Order, without hashing
+//!
+//! The split needs no normalising pass. `rest` is a subsequence of the
+//! canonical term list, so it is canonical. For `u128`-mask terms
+//! ([`Monomial::Small`]), two terms with the same inner `i` are `i | o₁`
+//! and `i | o₂` with `o` disjoint from `i`, so `t ↦ t & !G` is strictly
+//! increasing within one inner and every bucket of outers is canonical
+//! as scanned. Index-slice terms ([`Monomial::Large`]) can fall out of
+//! order when the group's variables are removed; their buckets are
+//! checked in one pass and sorted only if needed (distinct terms with one
+//! inner have distinct outers, so nothing cancels).
+//!
+//! Rules 1–2 fold runs of equal outers (rule 1) or equal inners (rule 2)
+//! in *pair order*, the order of the list they are given, so the result
+//! depends only on that list. Rule 2 keeps the earlier pair's null-space
+//! when two are the same size, and rule-1 results whose inners tie keep
+//! the order of their first pairs.
 
 use pd_anf::nullspace::sum_membership_products_with_support;
 use pd_anf::{Anf, Monomial, NullSpace, Var, VarSet};
@@ -48,39 +66,35 @@ impl PairList {
     /// the union of their variables' generators.
     ///
     /// Term lists beyond [`PairList::PAR_SPLIT_MIN`] terms are scanned in
-    /// parallel chunks (each chunk groups into a local map, merged in
-    /// chunk order so the result is identical to the sequential scan).
+    /// parallel chunks, concatenated per inner in chunk order, so the
+    /// result is identical to the sequential scan. Outers and `rest` come
+    /// out canonical without renormalising (see the module docs); only
+    /// expressions with index-slice terms pay a sortedness check.
     pub fn split(
         expr: &Anf,
         group: &VarSet,
         var_nullspace: &HashMap<Var, NullSpace>,
     ) -> PairList {
-        type ChunkSplit = (HashMap<Monomial, Vec<Monomial>>, Vec<Monomial>);
         let locals: Vec<ChunkSplit> =
             pd_par::par_chunks(expr.terms_slice(), Self::PAR_SPLIT_MIN, |chunk| {
-                let mut by_inner: HashMap<Monomial, Vec<Monomial>> = HashMap::new();
-                let mut rest_terms = Vec::new();
-                for t in chunk {
-                    if t.intersects(group) {
-                        let (inner, outer) = t.split(group);
-                        by_inner.entry(inner).or_default().push(outer);
-                    } else {
-                        rest_terms.push(t.clone());
-                    }
-                }
-                (by_inner, rest_terms)
+                ChunkSplit::scan(chunk, group)
             });
         let mut locals = locals.into_iter();
-        let (mut by_inner, mut rest_terms) = locals.next().unwrap_or_default();
-        for (local_map, local_rest) in locals {
-            for (inner, mut outers) in local_map {
-                by_inner.entry(inner).or_default().append(&mut outers);
-            }
-            rest_terms.extend(local_rest);
+        let mut all = locals.next().unwrap_or_default();
+        for local in locals {
+            all.append(local);
         }
-        let mut pairs: Vec<Pair> = by_inner
+        let all_small = expr.terms_slice().last().is_none_or(|t| t.as_small().is_some());
+        let mut pairs: Vec<Pair> = all
+            .inners
             .into_iter()
-            .map(|(inner, outers)| {
+            .zip(all.outers)
+            .map(|(inner, mut outers)| {
+                if !all_small && !outers.is_sorted() {
+                    // Distinct terms with one inner have distinct outers:
+                    // sorting is all the normalising they need.
+                    outers.sort_unstable();
+                }
                 let mut ns = NullSpace::empty();
                 for v in inner.vars() {
                     if let Some(n) = var_nullspace.get(&v) {
@@ -89,78 +103,107 @@ impl PairList {
                 }
                 Pair {
                     inner: Anf::from_monomial(inner),
-                    outer: Anf::from_terms(outers),
+                    outer: Anf::from_canonical_terms(outers),
                     nullspace: ns,
                 }
             })
-            .filter(|p| !p.outer.is_zero())
             .collect();
-        // Deterministic order regardless of hash iteration.
-        pairs.sort_by(|a, b| a.inner.cmp(&b.inner));
+        // Inners are distinct, so the unstable sort is deterministic.
+        pairs.sort_unstable_by(|a, b| a.inner.cmp(&b.inner));
         PairList {
             pairs,
-            rest: Anf::from_terms(rest_terms),
+            rest: Anf::from_canonical_terms(all.rest),
         }
     }
 
     /// Rule 1: merges pairs with equal outers by XOR-ing their inners.
     /// Null-spaces combine with the conservative `rC(N·N)` product rule.
+    ///
+    /// Each run of equal outers folds in pair order; a fold whose inner
+    /// cancels is dropped and the run restarts at its next pair. Results
+    /// take the place of their first pair, so results whose inners tie
+    /// stay in pair order under the final stable sort by inner.
     pub fn merge_same_outer(&mut self) -> bool {
-        let mut by_outer: HashMap<Anf, Pair> = HashMap::new();
-        let mut changed = false;
-        for p in self.pairs.drain(..) {
-            match by_outer.remove(&p.outer) {
-                None => {
-                    by_outer.insert(p.outer.clone(), p);
-                }
-                Some(prev) => {
-                    changed = true;
-                    let merged = Pair {
-                        inner: prev.inner.xor(&p.inner),
-                        outer: prev.outer,
-                        nullspace: prev.nullspace.product(&p.nullspace),
-                    };
-                    if !merged.inner.is_zero() {
-                        by_outer.insert(merged.outer.clone(), merged);
-                    }
-                }
-            }
+        let mut order: Vec<usize> = (0..self.pairs.len()).collect();
+        order.sort_by(|&a, &b| self.pairs[a].outer.cmp(&self.pairs[b].outer));
+        let runs: Vec<&[usize]> = order
+            .chunk_by(|&a, &b| self.pairs[a].outer == self.pairs[b].outer)
+            .collect();
+        if runs.len() == self.pairs.len() {
+            self.sort();
+            return false;
         }
-        self.pairs = by_outer.into_values().collect();
+        let mut slots: Vec<Option<Pair>> = std::mem::take(&mut self.pairs)
+            .into_iter()
+            .map(Some)
+            .collect();
+        // (position of the fold's first pair, folded pair)
+        let mut merged: Vec<(usize, Pair)> = Vec::with_capacity(slots.len());
+        for run in runs {
+            let mut acc: Option<(usize, Pair)> = None;
+            for &i in run {
+                let p = slots[i].take().expect("each pair is folded once");
+                acc = match acc {
+                    None => Some((i, p)),
+                    Some((first, prev)) => {
+                        let inner = prev.inner.xor(&p.inner);
+                        (!inner.is_zero()).then(|| {
+                            let pair = Pair {
+                                inner,
+                                outer: prev.outer,
+                                nullspace: prev.nullspace.product(&p.nullspace),
+                            };
+                            (first, pair)
+                        })
+                    }
+                };
+            }
+            merged.extend(acc);
+        }
+        merged.sort_unstable_by_key(|&(first, _)| first);
+        self.pairs = merged.into_iter().map(|(_, p)| p).collect();
         self.sort();
-        changed
+        true
     }
 
     /// Rule 2: merges pairs with equal inners by XOR-ing their outers.
+    ///
+    /// The list is stably sorted by inner first (rule 3 and the basis
+    /// passes can leave it unsorted), so each run of equal inners folds
+    /// in pair order; a fold whose outer cancels is dropped and the run
+    /// restarts at its next pair.
     pub fn merge_same_inner(&mut self) -> bool {
-        let mut by_inner: HashMap<Anf, Pair> = HashMap::new();
-        let mut changed = false;
-        for p in self.pairs.drain(..) {
-            match by_inner.remove(&p.inner) {
-                None => {
-                    by_inner.insert(p.inner.clone(), p);
-                }
-                Some(prev) => {
-                    changed = true;
-                    let merged = Pair {
+        self.sort();
+        if self.pairs.windows(2).all(|w| w[0].inner != w[1].inner) {
+            return false;
+        }
+        let mut out: Vec<Pair> = Vec::with_capacity(self.pairs.len());
+        let mut acc: Option<Pair> = None;
+        for p in std::mem::take(&mut self.pairs) {
+            acc = match acc {
+                Some(prev) if prev.inner == p.inner => {
+                    let outer = prev.outer.xor(&p.outer);
+                    (!outer.is_zero()).then(|| Pair {
                         inner: prev.inner,
-                        outer: prev.outer.xor(&p.outer),
-                        // Same inner ⇒ same null-space; keep the richer set.
+                        outer,
+                        // Same inner ⇒ same null-space; keep the richer
+                        // set, the earlier pair's on a tie.
                         nullspace: if prev.nullspace.len() >= p.nullspace.len() {
                             prev.nullspace
                         } else {
                             p.nullspace
                         },
-                    };
-                    if !merged.outer.is_zero() {
-                        by_inner.insert(merged.inner.clone(), merged);
-                    }
+                    })
                 }
-            }
+                prev => {
+                    out.extend(prev);
+                    Some(p)
+                }
+            };
         }
-        self.pairs = by_inner.into_values().collect();
-        self.sort();
-        changed
+        out.extend(acc);
+        self.pairs = out;
+        true
     }
 
     /// Runs rules 1 and 2 to a fixed point.
@@ -278,6 +321,52 @@ impl PairList {
     }
 }
 
+/// One chunk of [`PairList::split`]: outers bucketed per inner, buckets
+/// in first-seen order, plus the terms that miss the group.
+#[derive(Default)]
+struct ChunkSplit {
+    inners: Vec<Monomial>,
+    outers: Vec<Vec<Monomial>>,
+    rest: Vec<Monomial>,
+}
+
+impl ChunkSplit {
+    fn scan(terms: &[Monomial], group: &VarSet) -> ChunkSplit {
+        let mut split = ChunkSplit::default();
+        for t in terms {
+            if t.intersects(group) {
+                let (inner, outer) = t.split(group);
+                split.bucket(inner).push(outer);
+            } else {
+                split.rest.push(t.clone());
+            }
+        }
+        split
+    }
+
+    /// The outers of `inner`. A k-group has at most 2ᵏ−1 inners, so a
+    /// linear scan finds them faster than hashing a monomial.
+    fn bucket(&mut self, inner: Monomial) -> &mut Vec<Monomial> {
+        let slot = match self.inners.iter().position(|i| *i == inner) {
+            Some(slot) => slot,
+            None => {
+                self.inners.push(inner);
+                self.outers.push(Vec::new());
+                self.inners.len() - 1
+            }
+        };
+        &mut self.outers[slot]
+    }
+
+    /// Appends a later chunk's terms.
+    fn append(&mut self, later: ChunkSplit) {
+        for (inner, mut outers) in later.inners.into_iter().zip(later.outers) {
+            self.bucket(inner).append(&mut outers);
+        }
+        self.rest.extend(later.rest);
+    }
+}
+
 /// A pair's null-space closure products (capped at `product_cap`) and the
 /// union of their supports, the exact screen of the rule-3 membership
 /// test.
@@ -297,7 +386,7 @@ pub(crate) mod fixtures {
     use pd_anf::{Anf, Monomial, NullSpace, Var};
 
     /// Xorshift64: the next value of `state`.
-    fn next(state: &mut u64) -> u64 {
+    pub(crate) fn next(state: &mut u64) -> u64 {
         *state ^= *state << 13;
         *state ^= *state >> 7;
         *state ^= *state << 17;
@@ -389,7 +478,7 @@ mod reference;
 
 #[cfg(test)]
 mod tests {
-    use super::fixtures::snapshot;
+    use super::fixtures::{next, random_pair_list, snapshot};
     use super::reference::{self, Closures};
     use super::*;
     use crate::identities::IdentityStore;
@@ -591,5 +680,174 @@ mod tests {
         let pl = PairList::split(&x, &group, &HashMap::new());
         // pair (a, pq): 1 + 2; rest r: 1.
         assert_eq!(pl.literal_count(), 4);
+    }
+
+    /// A random monomial over `vars`: each variable with probability 1/4.
+    fn random_monomial(vars: &[Var], state: &mut u64) -> Monomial {
+        let bits = next(state);
+        Monomial::from_vars(
+            vars.iter()
+                .enumerate()
+                .filter(|&(i, _)| bits >> (2 * i % 64) & 3 == 0)
+                .map(|(_, &v)| v),
+        )
+    }
+
+    #[test]
+    fn split_matches_the_hashing_reference() {
+        // Seeded expressions over 20 variables whose ids start at 0, 120
+        // (straddling the 128-id mask limit) or 200, so terms are Small,
+        // mixed or Large. Every fourth case is long enough to split in
+        // parallel chunks. Groups take 1–5 of the variables; half the
+        // cases carry null-spaces from random zero products. The split
+        // must match the reference pair for pair, and index-slice
+        // buckets must sometimes come out of scan order.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let (mut unsorted, mut large, mut chunked) = (0, 0, 0);
+        for case in 0..120u32 {
+            let base = [0, 120, 200][case as usize % 3];
+            let vars: Vec<Var> = (0..20).map(|i| Var(base + i)).collect();
+            let len = if case.is_multiple_of(4) {
+                2 * PairList::PAR_SPLIT_MIN + 100
+            } else {
+                (next(&mut state) % 300) as usize
+            };
+            let x = Anf::from_terms((0..len).map(|_| random_monomial(&vars, &mut state)).collect());
+            let group: VarSet = (0..1 + next(&mut state) % 5)
+                .map(|_| vars[(next(&mut state) % 20) as usize])
+                .collect();
+            let mut store = IdentityStore::new();
+            if case.is_multiple_of(2) {
+                for _ in 0..6 {
+                    let g = vars[(next(&mut state) % 20) as usize];
+                    let o = vars[(next(&mut state) % 20) as usize];
+                    store.add(Anf::var(g).and(&Anf::var(o)));
+                }
+            }
+            let var_ns = store.var_nullspaces();
+            let got = PairList::split(&x, &group, &var_ns);
+            let want = reference::split(&x, &group, &var_ns);
+            assert_eq!(snapshot(&got), snapshot(&want), "case {case}");
+            // Scan order of each bucket, to see the sortedness check fire.
+            let mut scanned: std::collections::BTreeMap<Monomial, Vec<Monomial>> =
+                Default::default();
+            for t in x.terms().filter(|t| t.intersects(&group)) {
+                let (inner, outer) = t.split(&group);
+                scanned.entry(inner).or_default().push(outer);
+            }
+            unsorted += usize::from(scanned.values().any(|o| !o.is_sorted()));
+            large += usize::from(x.terms().any(|t| t.as_small().is_none()));
+            chunked += usize::from(x.term_count() >= PairList::PAR_SPLIT_MIN);
+        }
+        assert!(large >= 60, "only {large} cases had index-slice terms");
+        assert!(unsorted >= 10, "only {unsorted} cases had an unsorted bucket");
+        assert!(chunked >= 25, "only {chunked} cases were long enough to chunk");
+    }
+
+    /// `pl` with every variable id raised by `by`.
+    fn shifted(pl: &PairList, by: u32) -> PairList {
+        let shift = |e: &Anf| e.map_vars(|v| Var(v.0 + by));
+        PairList {
+            pairs: pl
+                .pairs
+                .iter()
+                .map(|p| Pair {
+                    inner: shift(&p.inner),
+                    outer: shift(&p.outer),
+                    nullspace: NullSpace::from_gens(p.nullspace.gens().iter().map(shift).collect()),
+                })
+                .collect(),
+            rest: shift(&pl.rest),
+        }
+    }
+
+    #[test]
+    fn merge_fixpoint_matches_the_hashing_reference() {
+        // Seeded merged pair lists, disturbed the way rule 3 and the
+        // basis passes disturb them: two pairs fold into one (leaving the
+        // list unsorted), and copies of inners and outers create rule 1
+        // and rule 2 collisions. Ids are shifted past 128 in every other
+        // case. Rules 1–2 must reach the reference's fixpoint pair for
+        // pair, null-spaces included.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let (mut left_unsorted, mut merged) = (0, 0);
+        for case in 0..400u32 {
+            let mut pl = random_pair_list(&mut state);
+            if case.is_multiple_of(2) {
+                pl = shifted(&pl, 130);
+            }
+            let n = pl.pairs.len();
+            if n >= 2 {
+                // Rule 3's fold: pairs[i] absorbs pairs[j].
+                let i = (next(&mut state) % (n as u64 - 1)) as usize;
+                let j = i + 1 + (next(&mut state) % (n - i - 1) as u64) as usize;
+                let pj = pl.pairs.remove(j);
+                let pi = &mut pl.pairs[i];
+                pi.inner = pi.inner.xor(&pj.inner);
+                pi.nullspace = pi.nullspace.product(&pj.nullspace);
+                pl.pairs.retain(|p| !p.inner.is_zero());
+            }
+            for _ in 0..next(&mut state) % 3 {
+                let n = pl.pairs.len() as u64;
+                if n < 2 {
+                    break;
+                }
+                let (a, b) = ((next(&mut state) % n) as usize, (next(&mut state) % n) as usize);
+                if next(&mut state).is_multiple_of(2) {
+                    pl.pairs[a].inner = pl.pairs[b].inner.clone();
+                } else {
+                    pl.pairs[a].outer = pl.pairs[b].outer.clone();
+                }
+            }
+            left_unsorted += usize::from(!pl.pairs.is_sorted_by(|a, b| a.inner <= b.inner));
+            let mut want = pl.clone();
+            reference::merge_fixpoint(&mut want);
+            merged += usize::from(want.pairs.len() < pl.pairs.len());
+            pl.merge_fixpoint();
+            assert_eq!(snapshot(&pl), snapshot(&want), "case {case}");
+        }
+        assert!(left_unsorted >= 100, "only {left_unsorted} lists were left unsorted");
+        assert!(merged >= 100, "rules 1-2 merged in only {merged} cases");
+    }
+
+    #[test]
+    fn rule_two_keeps_the_earlier_null_space_on_a_tie() {
+        // (a, p·k), (b, p·k) fold under rule 1 into (a⊕b, p·k) with
+        // null-space {x·y}; (a⊕b, q·k) already has that inner, with
+        // null-space {z}, the same size. q·k sorts before p·k, so rule 1
+        // sees the second outer first. Rule-1 results keep the place of
+        // their first pair, so the fold comes first and rule 2 keeps its
+        // null-space.
+        let (a, b, q, p, k, x, y, z) =
+            (Var(0), Var(1), Var(10), Var(11), Var(12), Var(20), Var(21), Var(22));
+        let pair = |inner: Anf, outer: Var, gen: Anf| Pair {
+            inner,
+            outer: Anf::var(outer).and(&Anf::var(k)),
+            nullspace: NullSpace::from_gens(vec![gen]),
+        };
+        let ab = Anf::var(a).xor(&Anf::var(b));
+        let mut pl = PairList {
+            pairs: vec![
+                pair(Anf::var(a), p, Anf::var(x)),
+                pair(ab.clone(), q, Anf::var(z)),
+                pair(Anf::var(b), p, Anf::var(y)),
+            ],
+            rest: Anf::zero(),
+        };
+        assert!(pl.pairs[1].outer < pl.pairs[0].outer);
+        let mut want = pl.clone();
+        reference::merge_fixpoint(&mut want);
+        pl.merge_fixpoint();
+        assert_eq!(pl.pairs.len(), 1);
+        assert_eq!(pl.pairs[0].inner, ab);
+        assert_eq!(
+            pl.pairs[0].outer,
+            Anf::var(p).xor(&Anf::var(q)).and(&Anf::var(k))
+        );
+        assert_eq!(
+            pl.pairs[0].nullspace,
+            NullSpace::from_gens(vec![Anf::var(x).and(&Anf::var(y))])
+        );
+        assert_eq!(snapshot(&pl), snapshot(&want));
     }
 }

@@ -16,12 +16,13 @@ fn run_with_stdin(args: &[&str], stdin: &str) -> (bool, String, String) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn pd");
-    child
-        .stdin
-        .as_mut()
-        .expect("piped")
-        .write_all(stdin.as_bytes())
-        .expect("write stdin");
+    // `pd` rejects bad flags before it reads stdin and may exit before
+    // the write: a broken pipe is then expected, and the exit status and
+    // stderr below still tell.
+    let written = child.stdin.as_mut().expect("piped").write_all(stdin.as_bytes());
+    if let Err(e) = written {
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
+    }
     let out = child.wait_with_output().expect("wait");
     (
         out.status.success(),
