@@ -82,7 +82,7 @@ use crate::lindep;
 use crate::pairs::{Pair, PairList};
 use crate::size_reduce;
 use pd_anf::{Anf, Monomial, NullSpace, Var, VarSet};
-use pd_factor::{DivisorLibrary, DivisorTable};
+use pd_factor::DivisorTable;
 use pd_par::EffortMeter;
 use std::collections::{HashMap, HashSet};
 
@@ -122,9 +122,6 @@ pub struct RefineStats {
     /// worklist result's gate estimate was already within the learned
     /// skip bound (980‰ of the entry hierarchy's).
     pub arbitration_skipped: bool,
-    /// Leaders of the refined hierarchy whose expression is recorded in
-    /// the persistent divisor library (0 when refining without one).
-    pub library_leaders: usize,
     /// Trials charged against the effort meter across the close rounds
     /// and the arbitration decomposition.
     pub effort_spent: u64,
@@ -181,40 +178,6 @@ struct Patch {
 pub fn refine(d: &mut Decomposition, cfg: &PdConfig) -> RefineStats {
     let mut meter = EffortMeter::with_budget(cfg.effort_budget);
     refine_metered(d, cfg, &mut meter)
-}
-
-/// [`refine`] against a persistent divisor library (see
-/// `pd_factor::library`). The library never alters refinement decisions
-/// — determinism across cache states is sacrosanct here — it is the
-/// *exchange point* of the cross-run loop: leaders the refined hierarchy
-/// settles on are recorded as learned divisors (inputs-only expressions
-/// survive into other circuits' pools), and
-/// [`RefineStats::library_leaders`] reports how many of this hierarchy's
-/// leaders the library already knew. The behavioural half of seeding
-/// lives in `GlobalNetwork::extract_seeded`, where proposals are safe
-/// because every commit is re-priced.
-pub fn refine_with_library(
-    d: &mut Decomposition,
-    cfg: &PdConfig,
-    library: Option<&DivisorLibrary>,
-) -> RefineStats {
-    let mut stats = refine(d, cfg);
-    if let Some(lib) = library {
-        let leaders: Vec<&Anf> = d
-            .blocks
-            .iter()
-            .flat_map(|b| b.basis.iter().map(|(_, e)| e))
-            .collect();
-        stats.library_leaders = leaders
-            .iter()
-            .filter(|e| {
-                pd_factor::library::render_expr(&d.pool, e)
-                    .is_some_and(|text| lib.uses(&text).is_some())
-            })
-            .count();
-        pd_factor::library::record_learned(&d.pool, leaders.into_iter().map(|e| (e, 0)));
-    }
-    stats
 }
 
 /// [`refine`] charging an external [`EffortMeter`].

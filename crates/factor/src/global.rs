@@ -45,7 +45,7 @@ use crate::divide::anf_divide;
 use pd_anf::{Anf, Monomial, Var, VarPool, VarSet};
 use pd_netlist::{Netlist, Synthesizer};
 use pd_par::EffortMeter;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Canonicalises a raw monomial list into GF(2) normal form: sorted
 /// monomial order with XOR-cancellation (terms appearing an even number
@@ -170,21 +170,8 @@ impl DivisorTable {
     }
 
     /// Iterates over `(canonical key, entry)` pairs in arbitrary order.
-    /// Persistence (`DivisorTable::save`) sorts for determinism.
     pub fn iter(&self) -> impl Iterator<Item = (&Vec<Monomial>, &DivisorEntry)> {
         self.entries.iter()
-    }
-
-    /// Reinstates an entry under its canonical key — the deserialisation
-    /// half of `DivisorTable::save`/`load`, which must preserve reuse
-    /// counts that [`DivisorTable::insert`] would reset.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug only) if `key` is not in canonical form.
-    pub fn restore(&mut self, key: Vec<Monomial>, entry: DivisorEntry) {
-        debug_assert_eq!(key, canonical_terms(key.clone()), "non-canonical key");
-        self.entries.insert(key, entry);
     }
 }
 
@@ -236,11 +223,6 @@ pub struct GlobalStats {
     pub literals_after: usize,
     /// Extraction rounds executed.
     pub rounds: usize,
-    /// Library seeds injected into the candidate pool (0 when unseeded).
-    pub library_seeds: usize,
-    /// Committed divisors that came from a library seed rather than
-    /// organic enumeration.
-    pub library_hits: usize,
     /// Divisor candidates charged against the effort meter.
     pub effort_spent: u64,
     /// Whether the round loop stopped early on budget exhaustion.
@@ -325,13 +307,6 @@ impl GlobalNetwork {
         });
     }
 
-    /// Iterates the committed divisors in commit order as
-    /// `(expression, consumer count)` — the shape the cross-run divisor
-    /// library records.
-    pub fn divisors(&self) -> impl Iterator<Item = (&Anf, usize)> {
-        self.divisors.iter().map(|(_, e, consumers)| (e, consumers.len()))
-    }
-
     /// Number of ingested cones.
     pub fn cone_count(&self) -> usize {
         self.cones.len()
@@ -357,28 +332,8 @@ impl GlobalNetwork {
     /// from `pool`. See the module docs for the candidate classes and
     /// the gate-aware commit rule.
     pub fn extract(&mut self, pool: &mut VarPool, cfg: &GlobalConfig) -> GlobalStats {
-        self.extract_seeded(pool, cfg, &[])
-    }
-
-    /// [`GlobalNetwork::extract`] with a persistent-library seed list
-    /// (see `pd_factor::library`): each seed joins the candidate pool of
-    /// every round and then competes under exactly the same literal-gain
-    /// shortlist and gate-aware commit guards as organic candidates, so
-    /// seeding can propose but never force a bad commit. `library_hits`
-    /// in the returned stats counts seeds that actually won a round.
-    pub fn extract_seeded(
-        &mut self,
-        pool: &mut VarPool,
-        cfg: &GlobalConfig,
-        seeds: &[Anf],
-    ) -> GlobalStats {
-        let seed_keys: HashSet<Vec<Monomial>> = seeds
-            .iter()
-            .map(|s| canonical_terms(s.terms().cloned().collect()))
-            .collect();
         let mut stats = GlobalStats {
             literals_before: self.literal_count(),
-            library_seeds: seeds.len(),
             ..GlobalStats::default()
         };
         // One estimator for the whole run: its plan memo persists across
@@ -399,7 +354,7 @@ impl GlobalNetwork {
             // would actually be committed; at most one allocation leaks
             // when the final round finds nothing worth committing.
             let x = pool.fresh_derived(u32::MAX);
-            let (best, trials) = self.best_divisor(x, cfg, seeds, &mut est);
+            let (best, trials) = self.best_divisor(x, cfg, &mut est);
             meter.charge(trials);
             let Some(best) = best else {
                 break;
@@ -420,9 +375,6 @@ impl GlobalNetwork {
             // commit index never collides.
             let existing = self.table.insert(x, self.divisors.len(), &divisor);
             debug_assert_eq!(existing, None, "duplicate divisor commit");
-            if seed_keys.contains(&canonical_terms(divisor.terms().cloned().collect())) {
-                stats.library_hits += 1;
-            }
             for _ in 1..consumers.len() {
                 self.table.note_reuse(&divisor);
             }
@@ -454,7 +406,6 @@ impl GlobalNetwork {
         &self,
         x: Var,
         cfg: &GlobalConfig,
-        seeds: &[Anf],
         est: &mut Synthesizer,
     ) -> (Option<Candidate>, u64) {
         let mut candidates: HashMap<Vec<Monomial>, Anf> = HashMap::new();
@@ -517,12 +468,6 @@ impl GlobalNetwork {
                     add(common);
                 }
             }
-        }
-        // Library seeds join the pool on equal terms — the shortlist and
-        // gate pricing below decide whether any of them is worth a
-        // commit in *this* network.
-        for s in seeds {
-            add(s.terms().cloned().collect());
         }
         // Shortlist by literal gain (cheap), deterministically.
         let considered = candidates.len() as u64;

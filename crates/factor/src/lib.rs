@@ -60,6 +60,5 @@ pub use divide::{anf_divide, divide, divide_cube, recompose};
 pub use factor::{quick_factor, FactorTree};
 pub use global::{canonical_terms, DivisorEntry, DivisorTable, GlobalConfig, GlobalNetwork, GlobalStats};
 pub use kernel::{kernels, kernels_capped, KernelPair};
-pub use library::DivisorLibrary;
 pub use minimize::{minimize_cover, minimum_cover, prime_implicants, Implicant};
 pub use network::{factor_and_synthesize, ExtractConfig, ExtractStats, FactorNetwork};

@@ -1,368 +1,34 @@
-//! The persistent cross-run divisor library.
+//! Reader for the legacy cross-run divisor library file.
 //!
-//! FactorLibrary-style reuse (PAPERS.md): divisors learned while
-//! factoring one circuit seed extraction on the next. Entries are stored
-//! *by variable name* — `a0*b0 ^ a1*b1` — because names are the only
-//! identity that survives across pools: the in-repo generators (and any
-//! sane frontend) name primary inputs consistently, so a divisor learned
-//! on `adder8` re-resolves against `adder10`'s pool. Expressions whose
-//! support includes derived or selector variables are never recorded —
-//! those names are private to one decomposition run.
-//!
-//! Lifecycle per process: the flow layer loads one [`DivisorLibrary`]
-//! snapshot up front (so every circuit in a batch sees the same seeds —
-//! determinism across `PD_THREADS` depends on this), committed divisors
-//! are accumulated via [`record_learned`] into a process-wide pending
-//! set, and [`flush_learned`] folds them into the on-disk library at the
-//! end of the run. On each flush the previous counts are **aged**
-//! (halved, integer floor) before the fresh uses are added, so divisors
-//! that stop earning reuse decay and eventually fall out, while a
-//! consistently useful divisor keeps a high count and stays near the
-//! front of the seed shortlist.
-//!
-//! Seeding is advisory by construction: [`DivisorLibrary::seeds_for`]
-//! only *proposes* candidates to [`crate::GlobalNetwork`]'s scorer,
-//! which prices them with the same literal-gain and gate-estimate guards
-//! as organically enumerated divisors. A useless seed is simply never
-//! committed, so seeded runs can never synthesise worse than the
-//! commit guards allow.
+//! Earlier versions kept a `divisors.lib` in the stage-cache directory
+//! and seeded global factoring from it. That made a stored stage depend
+//! on which circuits had run before, although the file was not part of
+//! the stage key. Nothing writes or reads the file for a flow any more;
+//! [`load_library`] only lists the entries of one left behind, so a tool
+//! that inspects a cache directory can count them.
 
-use crate::global::{canonical_terms, DivisorEntry, DivisorTable};
-use pd_anf::{Anf, Monomial, VarKind, VarPool};
-use std::collections::BTreeMap;
-use std::io;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
 
-/// File name of the library inside a cache directory (`PD_CACHE_DIR`).
-pub const LIBRARY_FILE: &str = "divisors.lib";
+/// File name of the legacy library inside a cache directory.
+const LIBRARY_FILE: &str = "divisors.lib";
 
-const LIBRARY_HEADER: &str = "pd-divisor-library/v1";
-const TABLE_HEADER: &str = "pd-divisor-table/v1";
-
-/// Returns `true` if `name` can appear in the textual expression
-/// encoding without ambiguity.
-fn encodable_name(name: &str) -> bool {
-    !name.is_empty()
-        && name != "1"
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-/// Renders canonical terms over variable names: `a*b ^ c`, spaces
-/// omitted (`a*b^c`). Returns `None` when any name is not encodable.
-fn render_terms(pool: &VarPool, terms: &[Monomial]) -> Option<String> {
-    let mut out = String::new();
-    for (i, m) in terms.iter().enumerate() {
-        if i > 0 {
-            out.push('^');
-        }
-        if m.is_one() {
-            out.push('1');
-            continue;
-        }
-        for (j, v) in m.vars().enumerate() {
-            let name = pool.name(v);
-            if !encodable_name(name) {
-                return None;
-            }
-            if j > 0 {
-                out.push('*');
-            }
-            out.push_str(name);
-        }
-    }
-    Some(out)
-}
-
-/// Renders an expression over variable names (see [`render_terms`]).
-/// `None` for constants/literals (never worth tabling) or unencodable
-/// names.
-pub fn render_expr(pool: &VarPool, expr: &Anf) -> Option<String> {
-    if expr.is_constant() || expr.as_literal().is_some() {
-        return None;
-    }
-    let key = canonical_terms(expr.terms().cloned().collect());
-    render_terms(pool, &key)
-}
-
-/// Parses a rendered expression back against `pool`, resolving every
-/// name with [`VarPool::find`]. Returns `None` when any variable does
-/// not exist in this pool — the entry simply does not apply here.
-pub fn parse_expr(pool: &VarPool, text: &str) -> Option<Anf> {
-    let mut terms = Vec::new();
-    for term in text.split('^') {
-        if term == "1" {
-            terms.push(Monomial::one());
-            continue;
-        }
-        if term.is_empty() {
-            return None;
-        }
-        let mut vars = Vec::new();
-        for name in term.split('*') {
-            vars.push(pool.find(name)?);
-        }
-        terms.push(Monomial::from_vars(vars));
-    }
-    let key = canonical_terms(terms);
-    if key.is_empty() {
-        return None;
-    }
-    Some(Anf::from_terms(key))
-}
-
-/// Returns `true` when every variable in `expr`'s support is a primary
-/// input of `pool` — the condition for an expression to be meaningful
-/// in another circuit's pool.
-pub fn all_inputs(pool: &VarPool, expr: &Anf) -> bool {
-    expr.support()
-        .iter()
-        .all(|v| matches!(pool.kind(v), VarKind::Input { .. }))
-}
-
-/// The on-disk, cross-run divisor library: rendered expressions with
-/// aged usage counts. See the module docs for the lifecycle.
-#[derive(Clone, Debug, Default)]
-pub struct DivisorLibrary {
-    entries: BTreeMap<String, u64>,
-}
-
-impl DivisorLibrary {
-    /// An empty library.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` when the library has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The usage count recorded for a rendered expression.
-    pub fn uses(&self, expr: &str) -> Option<u64> {
-        self.entries.get(expr).copied()
-    }
-
-    /// Adds `uses` to an entry, creating it if new.
-    pub fn record(&mut self, expr: String, uses: u64) {
-        let slot = self.entries.entry(expr).or_insert(0);
-        *slot = slot.saturating_add(uses);
-    }
-
-    /// Ages every count (halved, floor) and drops entries that reach
-    /// zero. Called once per flush, before fresh uses are merged.
-    pub fn age(&mut self) {
-        self.entries.retain(|_, uses| {
-            *uses /= 2;
-            *uses > 0
-        });
-    }
-
-    /// Translates up to `cap` entries into `pool`, best-used first
-    /// (ties broken by expression text, so the order is deterministic).
-    /// Entries mentioning unknown variables are skipped.
-    pub fn seeds_for(&self, pool: &VarPool, cap: usize) -> Vec<Anf> {
-        let mut ranked: Vec<(&String, u64)> =
-            self.entries.iter().map(|(e, &u)| (e, u)).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        ranked
-            .iter()
-            .filter_map(|(text, _)| parse_expr(pool, text))
-            .take(cap)
-            .collect()
-    }
-
-    /// Loads a library from `path`; a missing file is an empty library.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let contents = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Self::new()),
-            Err(e) => return Err(e),
-        };
-        let mut lines = contents.lines();
-        if lines.next() != Some(LIBRARY_HEADER) {
-            // Unknown schema: start fresh rather than guessing.
-            return Ok(Self::new());
-        }
-        let mut lib = Self::new();
-        for line in lines {
-            if let Some((uses, expr)) = line.split_once('\t') {
-                if let Ok(uses) = uses.parse::<u64>() {
-                    lib.record(expr.to_owned(), uses);
-                }
-            }
-        }
-        Ok(lib)
-    }
-
-    /// Writes the library to `path` (atomically via a sibling temp
-    /// file), entries in expression order.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let mut out = String::from(LIBRARY_HEADER);
-        out.push('\n');
-        for (expr, uses) in &self.entries {
-            out.push_str(&format!("{uses}\t{expr}\n"));
-        }
-        write_atomic(path, &out)
-    }
-}
-
-fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("lib")
-    ));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
-}
-
-impl DivisorTable {
-    /// Writes the table to `path`: every entry's defining variable name,
-    /// rank, reuse count, and rendered canonical expression, sorted by
-    /// expression for determinism. Entries with unencodable names are
-    /// skipped (they could not round-trip).
-    pub fn save(&self, pool: &VarPool, path: &Path) -> io::Result<()> {
-        let mut lines: Vec<String> = self
-            .iter()
-            .filter_map(|(key, entry)| {
-                let name = pool.name(entry.var);
-                if !encodable_name(name) {
-                    return None;
-                }
-                let expr = render_terms(pool, key)?;
-                Some(format!("{name}\t{}\t{}\t{expr}", entry.rank, entry.reuses))
-            })
-            .collect();
-        lines.sort_by(|a, b| {
-            let ea = a.rsplit('\t').next();
-            let eb = b.rsplit('\t').next();
-            ea.cmp(&eb).then_with(|| a.cmp(b))
-        });
-        let mut out = String::from(TABLE_HEADER);
-        out.push('\n');
-        for line in lines {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        write_atomic(path, &out)
-    }
-
-    /// Reads a table back against `pool`. Entries whose defining
-    /// variable or expression mention names unknown to this pool are
-    /// skipped — a loaded table is a *view* of the saved one through the
-    /// current pool. Canonical keys and usage counts of surviving
-    /// entries are preserved exactly.
-    pub fn load(pool: &VarPool, path: &Path) -> io::Result<Self> {
-        let contents = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Self::new()),
-            Err(e) => return Err(e),
-        };
-        let mut lines = contents.lines();
-        if lines.next() != Some(TABLE_HEADER) {
-            return Ok(Self::new());
-        }
-        let mut table = Self::new();
-        for line in lines {
-            let mut fields = line.splitn(4, '\t');
-            let (Some(name), Some(rank), Some(reuses), Some(expr)) = (
-                fields.next(),
-                fields.next(),
-                fields.next(),
-                fields.next(),
-            ) else {
-                continue;
-            };
-            let (Some(var), Ok(rank), Ok(reuses)) =
-                (pool.find(name), rank.parse(), reuses.parse())
-            else {
-                continue;
-            };
-            let Some(anf) = parse_expr(pool, expr) else {
-                continue;
-            };
-            let key = canonical_terms(anf.terms().cloned().collect());
-            table.restore(key, DivisorEntry { var, rank, reuses });
-        }
-        Ok(table)
-    }
-}
-
-fn pending() -> &'static Mutex<BTreeMap<String, u64>> {
-    static PENDING: OnceLock<Mutex<BTreeMap<String, u64>>> = OnceLock::new();
-    PENDING.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Records freshly learned divisors into the process-wide pending set,
-/// to be folded into the on-disk library by [`flush_learned`]. Only
-/// expressions over primary inputs qualify (see the module docs); each
-/// call counts one use per expression plus `extra_uses` shared across
-/// the batch (e.g. a divisor's reuse count).
-pub fn record_learned<'a>(
-    pool: &VarPool,
-    divisors: impl IntoIterator<Item = (&'a Anf, u64)>,
-) {
-    let mut fresh: Vec<(String, u64)> = Vec::new();
-    for (expr, extra_uses) in divisors {
-        if !all_inputs(pool, expr) {
-            continue;
-        }
-        if let Some(text) = render_expr(pool, expr) {
-            fresh.push((text, 1 + extra_uses));
-        }
-    }
-    if fresh.is_empty() {
-        return;
-    }
-    let mut pending = pending().lock().unwrap_or_else(|e| e.into_inner());
-    for (text, uses) in fresh {
-        let slot = pending.entry(text).or_insert(0);
-        *slot = slot.saturating_add(uses);
-    }
-}
-
-/// Number of pending learned divisors not yet flushed.
-pub fn pending_learned() -> usize {
-    pending().lock().unwrap_or_else(|e| e.into_inner()).len()
-}
-
-/// Folds the pending learned divisors into `dir`'s library file: load,
-/// [age](DivisorLibrary::age), merge, save. Returns the saved entry
-/// count. A no-op (returning the existing count without aging) when
-/// nothing is pending, so repeated flushes don't decay the library.
-pub fn flush_learned(dir: &Path) -> io::Result<usize> {
-    let path = dir.join(LIBRARY_FILE);
-    let drained: BTreeMap<String, u64> = {
-        let mut pending = pending().lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::take(&mut *pending)
+/// The rendered divisor expressions of `dir`'s legacy `divisors.lib`
+/// (`pd-divisor-library/v1`: a header line, then `uses<TAB>expr` lines).
+/// Empty when the file is missing, unreadable or of another format.
+pub fn load_library(dir: &Path) -> Vec<String> {
+    let Ok(text) = std::fs::read_to_string(dir.join(LIBRARY_FILE)) else {
+        return Vec::new();
     };
-    let mut lib = DivisorLibrary::load(&path)?;
-    if drained.is_empty() {
-        return Ok(lib.len());
+    let mut lines = text.lines();
+    if lines.next() != Some("pd-divisor-library/v1") {
+        return Vec::new();
     }
-    lib.age();
-    for (expr, uses) in drained {
-        lib.record(expr, uses);
-    }
-    lib.save(&path)?;
-    Ok(lib.len())
-}
-
-/// Loads the library from `dir`, treating any I/O or schema problem as
-/// an empty library (the cache is an accelerator, never a correctness
-/// dependency).
-pub fn load_library(dir: &Path) -> DivisorLibrary {
-    DivisorLibrary::load(&dir.join(LIBRARY_FILE)).unwrap_or_default()
+    lines
+        .filter_map(|line| {
+            let (uses, expr) = line.split_once('\t')?;
+            uses.parse::<u64>().ok().map(|_| expr.to_owned())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -370,75 +36,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_parse_round_trip() {
-        let mut pool = VarPool::new();
-        let expr = Anf::parse("a0*b1 ^ c2 ^ 1", &mut pool).unwrap();
-        let text = render_expr(&pool, &expr).unwrap();
-        let back = parse_expr(&pool, &text).unwrap();
-        assert_eq!(back, expr);
-    }
-
-    #[test]
-    fn aging_halves_and_prunes() {
-        let mut lib = DivisorLibrary::new();
-        lib.record("a*b".into(), 5);
-        lib.record("c*d".into(), 1);
-        lib.age();
-        assert_eq!(lib.uses("a*b"), Some(2));
-        assert_eq!(lib.uses("c*d"), None, "count 1 ages to 0 and is pruned");
-        assert_eq!(lib.len(), 1);
-    }
-
-    #[test]
-    fn seeds_resolve_only_known_variables() {
-        let mut lib = DivisorLibrary::new();
-        lib.record("a*b".into(), 3);
-        lib.record("nosuch*b".into(), 9);
-        let mut pool = VarPool::new();
-        pool.input("a", 0, 0);
-        pool.input("b", 0, 1);
-        let seeds = lib.seeds_for(&pool, 8);
-        assert_eq!(seeds.len(), 1);
-        assert_eq!(seeds[0], Anf::parse("a*b", &mut pool).unwrap());
-    }
-
-    #[test]
-    fn divisor_table_save_load_round_trip() {
-        use crate::DivisorTable;
-
-        let mut pool = VarPool::new();
-        let e1 = Anf::parse("a*b ^ c*d", &mut pool).unwrap();
-        let e2 = Anf::parse("a*c ^ b ^ 1", &mut pool).unwrap();
-        let t0 = pool.derived("t0", 1);
-        let t1 = pool.derived("t1", 2);
-        let mut table = DivisorTable::new();
-        assert!(table.insert(t0, 3, &e1).is_none());
-        assert!(table.insert(t1, 5, &e2).is_none());
-        table.note_reuse(&e1);
-        table.note_reuse(&e1);
-
-        let dir = std::env::temp_dir()
-            .join(format!("pd-divtable-test-{}", std::process::id()));
+    fn counts_legacy_entries_and_ignores_other_files() {
+        let dir = std::env::temp_dir().join(format!("pd-legacy-lib-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("table.tsv");
-        table.save(&pool, &path).unwrap();
-        let back = DivisorTable::load(&pool, &path).unwrap();
+        assert!(load_library(&dir).is_empty(), "missing file");
+        let path = dir.join(LIBRARY_FILE);
+        std::fs::write(&path, "pd-divisor-library/v1\n3\ta0*b0\n1\ta4^b4\nbad line\n").unwrap();
+        assert_eq!(load_library(&dir), ["a0*b0", "a4^b4"]);
+        std::fs::write(&path, "other-format\n3\ta0*b0\n").unwrap();
+        assert!(load_library(&dir).is_empty(), "unknown header");
         let _ = std::fs::remove_dir_all(&dir);
-
-        // Canonical keys, defining variables, ranks, and usage counts
-        // all survive the round trip exactly.
-        let snapshot = |t: &DivisorTable| {
-            let mut rows: Vec<_> = t
-                .iter()
-                .map(|(key, e)| (key.clone(), e.var, e.rank, e.reuses))
-                .collect();
-            rows.sort();
-            rows
-        };
-        assert_eq!(snapshot(&back), snapshot(&table));
-        assert_eq!(back.reuse_count(), 2);
-        // A loaded table keeps serving lookups under its original ranks.
-        assert_eq!(back.lookup_before(&e1, 4), Some(t0));
-        assert_eq!(back.lookup_before(&e1, 3), None);
     }
 }

@@ -19,17 +19,16 @@
 //! possible: a re-run serves cached stages until the first key that is
 //! absent, then computes (and stores) from there.
 //!
-//! Three deliberate exclusions from the key:
+//! Two deliberate exclusions from the key:
 //!
 //! * the **fault plan** — a faulted flow never reads or writes the cache
 //!   (injection must actually exercise the machinery it targets);
-//! * the **divisor library** — the library only *accelerates* a miss by
-//!   seeding the divisor search; a hit serves the originally computed,
-//!   already-verified artifact, so warm runs stay bit-identical across
-//!   library states;
 //! * **thread count** — stage results are bit-identical at any
 //!   `PD_THREADS` (the determinism discipline), so one artifact serves
 //!   every pool width.
+//!
+//! Nothing else reaches a stage: the flow keeps no state across runs,
+//! so one key maps to one value whatever the cache history.
 //!
 //! A stage that committed explicitly unverified (`verified:
 //! Some(false)`) is never stored: the cache must only ever serve results
@@ -53,8 +52,8 @@ const ENTRY_SCHEMA: &str = "pd-stage-cache/v1";
 
 /// Semantic fingerprint of a [`FlowConfig`]: every knob that can change a
 /// stage's output, rendered to a stable string. Deliberately excludes the
-/// fault plan, the cache directory, and the divisor-library snapshot (see
-/// the module docs).
+/// fault plan and the thread count (see the module docs), and the cache
+/// directory itself. `library` is the `TechMap`/`STA` cell library.
 pub fn config_fingerprint(cfg: &FlowConfig) -> String {
     format!(
         "pd={:?};extract={:?};global={:?};factor_max_support={};\
@@ -664,9 +663,6 @@ pub fn report_from_json(j: &Json) -> Option<StageReport> {
         .map(str::to_owned);
     r.effort_spent = j.get("effort_spent").and_then(num_u64);
     r.cache = j.get("cache").and_then(Json::as_str).map(str::to_owned);
-    r.library_seeds = j.get("library_seeds").and_then(num_usize);
-    r.library_hits = j.get("library_hits").and_then(num_usize);
-    r.library_leaders = j.get("library_leaders").and_then(num_usize);
     Some(r)
 }
 

@@ -79,22 +79,18 @@ use json::Json;
 use pd_anf::{Anf, Var, VarPool};
 use pd_bdd::{CapacityError, ExactMismatch, VerifyContext};
 use pd_cells::{map, report_mapped, unmap, AreaDelayReport, CellLibrary, MappedNetlist};
-use pd_core::{refine_with_library, Decomposition, PdConfig, ProgressiveDecomposer};
-use pd_factor::{DivisorLibrary, ExtractConfig, FactorNetwork, GlobalConfig, GlobalNetwork};
+use pd_core::{refine, Decomposition, PdConfig, ProgressiveDecomposer};
+use pd_factor::{ExtractConfig, FactorNetwork, GlobalConfig, GlobalNetwork};
 use pd_netlist::{synthesize_outputs, Netlist, NodeId};
 use pd_par::EffortMeter;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 pub use batch::{batch_to_json, run_batch, run_one, BatchOutcome};
 pub use serve::Server;
 pub use spec::{builtin_circuits, circuit_by_name, FlowSpec};
-
-/// Most divisor-library seeds offered to one global-factoring run.
-const LIBRARY_SEED_CAP: usize = 128;
 
 /// One circuit entering the pipeline.
 #[derive(Clone, Debug)]
@@ -386,24 +382,16 @@ pub struct FlowConfig {
     pub node_cap: usize,
     /// Root of the content-addressed stage cache (see [`cache`]). `None`
     /// disables caching. Defaults to the `PD_CACHE_DIR` environment
-    /// variable, or off. A flow with an armed [`FaultPlan`] never touches
-    /// the cache regardless of this setting.
+    /// variable, or off; [`FlowConfig::default`] only records the path
+    /// and reads nothing from it. The directory holds stage entries and
+    /// nothing else, so setting it never changes a result. A flow with
+    /// an armed [`FaultPlan`] never touches the cache regardless of this
+    /// setting.
     pub cache_dir: Option<PathBuf>,
-    /// Cross-run divisor library seeding the `Reduce` worklist ranking
-    /// and the `Factor` stage's divisor search (see
-    /// [`pd_factor::library`]). Defaults to the snapshot under
-    /// `cache_dir` when set (loaded once per [`FlowConfig::default`], so
-    /// every flow sharing a config sees identical seeds at any
-    /// `PD_THREADS`), or `None`. Seeding is advisory — seeds join the
-    /// candidate pool under the same acceptance guards as discovered
-    /// divisors, so a stale library can slow a run but never change
-    /// whether the result verifies.
-    pub divisor_library: Option<Arc<DivisorLibrary>>,
 }
 
 impl Default for FlowConfig {
     fn default() -> Self {
-        let cache_dir = std::env::var_os("PD_CACHE_DIR").map(PathBuf::from);
         FlowConfig {
             pd: PdConfig::default(),
             extract: ExtractConfig::default(),
@@ -419,10 +407,7 @@ impl Default for FlowConfig {
             // injecting would make every fault test vacuously green.
             fault: FaultPlan::from_env().unwrap_or_else(|e| panic!("PD_FAULT: {e}")),
             node_cap: env_node_cap(),
-            cache_dir: cache_dir.clone(),
-            divisor_library: cache_dir
-                .as_deref()
-                .map(|dir| Arc::new(pd_factor::library::load_library(dir))),
+            cache_dir: std::env::var_os("PD_CACHE_DIR").map(PathBuf::from),
         }
     }
 }
@@ -502,13 +487,6 @@ pub struct StageReport {
     /// `"miss"` (cache enabled, stage computed live and stored), or
     /// `None` (caching off or fenced off by an armed fault).
     pub cache: Option<String>,
-    /// Divisor-library seeds offered to the global `Factor` search.
-    pub library_seeds: Option<usize>,
-    /// Offered seeds the search actually committed (global `Factor`).
-    pub library_hits: Option<usize>,
-    /// Leaders whose ranking consulted the divisor library (incremental
-    /// `Reduce` only).
-    pub library_leaders: Option<usize>,
 }
 
 impl StageReport {
@@ -536,9 +514,6 @@ impl StageReport {
             degradation_reason: None,
             effort_spent: None,
             cache: None,
-            library_seeds: None,
-            library_hits: None,
-            library_leaders: None,
         }
     }
 
@@ -623,15 +598,6 @@ impl StageReport {
             if v == "hit" && self.verified == Some(true) {
                 fields.push(("verified_from_cache", Json::from(true)));
             }
-        }
-        if let Some(v) = self.library_seeds {
-            fields.push(("library_seeds", Json::from(v)));
-        }
-        if let Some(v) = self.library_hits {
-            fields.push(("library_hits", Json::from(v)));
-        }
-        if let Some(v) = self.library_leaders {
-            fields.push(("library_leaders", Json::from(v)));
         }
         Json::obj(fields)
     }
@@ -1234,8 +1200,7 @@ impl Flow {
             .as_ref()
             .expect("decompose ran")
             .clone();
-        let library = self.cfg.divisor_library.clone();
-        let stats = refine_with_library(&mut d, &cfg, library.as_deref());
+        let stats = refine(&mut d, &cfg);
         let nl = d.to_netlist();
         report.wall_ms = t.elapsed().as_secs_f64() * 1e3;
         report.literals = Some(d.hierarchy_literal_count());
@@ -1246,9 +1211,6 @@ impl Flow {
         report.refine_reuses = Some(stats.leader_reuses);
         report.refine_arbitrated = Some(stats.arbitrated);
         report.effort_spent = Some(stats.effort_spent);
-        if library.is_some() {
-            report.library_leaders = Some(stats.library_leaders);
-        }
         if stats.budget_exhausted {
             report.note_degradation(format!(
                 "effort budget exhausted after {} trials",
@@ -1321,12 +1283,7 @@ impl Flow {
         for (name, e) in &d.outputs {
             net.add_output(name, e);
         }
-        let seeds = self
-            .cfg
-            .divisor_library
-            .as_ref()
-            .map_or_else(Vec::new, |l| l.seeds_for(&scratch, LIBRARY_SEED_CAP));
-        let stats = net.extract_seeded(&mut scratch, &cfg, &seeds);
+        let stats = net.extract(&mut scratch, &cfg);
         let (nl, extracted) = net.synthesize_choosing();
         report.wall_ms = t.elapsed().as_secs_f64() * 1e3;
         report.literals = Some(if extracted {
@@ -1339,19 +1296,6 @@ impl Flow {
         report.divisor_reuse_count =
             Some(if extracted { stats.divisor_reuse_count } else { 0 });
         report.effort_spent = Some(stats.effort_spent);
-        if self.cfg.divisor_library.is_some() {
-            report.library_seeds = Some(stats.library_seeds);
-            report.library_hits = Some(stats.library_hits);
-        }
-        if self.cfg.cache_dir.is_some() && extracted {
-            // Feed this run's committed divisors to the cross-run
-            // library (usage = reuses beyond the first consumer; flushed
-            // to disk by the driver at end of run).
-            pd_factor::library::record_learned(
-                &scratch,
-                net.divisors().map(|(e, c)| (e, c.saturating_sub(1) as u64)),
-            );
-        }
         if stats.budget_exhausted {
             report.note_degradation(format!(
                 "effort budget exhausted after {} trials",

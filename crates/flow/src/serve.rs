@@ -37,9 +37,7 @@
 //! bound.
 //!
 //! When a job's configuration has a cache directory, its stages read
-//! and write the content-addressed store like any batch run, and the
-//! divisors its circuits learned are flushed to the cross-run library
-//! when the job's last circuit finishes.
+//! and write the content-addressed store like any batch run.
 
 use crate::json::Json;
 use crate::{batch_to_json, FlowConfig, FlowSpec};
@@ -252,11 +250,6 @@ fn submit(doc: &Json, state: &Arc<ServerState>, pool: &Arc<WorkerPool>) -> Json 
                 if let Some(job) = jobs.get_mut(&job_id) {
                     job.outcomes[slot] = Some(outcome);
                     job.done += 1;
-                    if job.done == job.outcomes.len() {
-                        if let Some(dir) = &job.cfg.cache_dir {
-                            let _ = pd_factor::library::flush_learned(dir);
-                        }
-                    }
                 }
             }),
         );

@@ -66,14 +66,13 @@
 //! e.g. under `PD_FAULT=reduce:panic:2` or `PD_FAULT=factor:panic:1`.
 //!
 //! CACHING: set `PD_CACHE_DIR=<dir>` to enable the content-addressed
-//! stage cache and the cross-run divisor library (see `pd_flow::cache`
-//! and `pd_factor::library`). Re-running an identical spec serves every
-//! stage from the store — already BDD-verified, marked
+//! stage cache (see `pd_flow::cache`). Re-running an identical spec
+//! serves every stage from the store — already BDD-verified, marked
 //! `"cache": "hit"` / `"verified_from_cache": true` in the stats — and
-//! a changed spec resumes past its unchanged prefix. The divisors each
-//! run commits are folded into `<dir>/divisors.lib` at exit and seed
-//! the next run's searches. A run with `PD_FAULT` armed never touches
-//! the cache.
+//! a changed spec resumes past its unchanged prefix. A cache directory
+//! never changes a result: each key holds the one value the flow
+//! computes for it. A run with `PD_FAULT` armed never touches the
+//! cache.
 //!
 //! SERVE SUBCOMMAND: a JSON-lines-over-TCP job server around the same
 //! pipeline (see `pd_flow::serve` for the protocol):
@@ -91,7 +90,7 @@
 //!   PD_THREADS=N           worker threads (default: available cores);
 //!                          results are bit-identical at any setting
 //!   PD_WORKERS=N           pd serve worker shards
-//!   PD_CACHE_DIR=DIR       stage cache and divisor library (see above)
+//!   PD_CACHE_DIR=DIR       content-addressed stage cache (see above)
 //!   PD_SKIP_VERIFY=1       skip the BDD oracle (same as --no-verify)
 //!   PD_NODE_CAP=N          BDD oracle node-table cap
 //!   PD_BUDGET_DECOMPOSE=N  per-stage effort budgets (trial counts)
@@ -279,21 +278,12 @@ fn run_flow(args: &[String]) -> Result<(), String> {
         pd_par::max_threads(),
     );
     if let Some(dir) = &cfg.cache_dir {
-        println!(
-            "pd flow: stage cache at {} ({} library divisor(s) seeding)",
-            dir.display(),
-            cfg.divisor_library.as_ref().map_or(0, |l| l.len()),
-        );
+        println!("pd flow: stage cache at {}", dir.display());
     }
     let t0 = std::time::Instant::now();
     let outcomes = run_batch(inputs, &cfg);
     let elapsed = t0.elapsed();
-    if let Some(dir) = &cfg.cache_dir {
-        // Fold this run's committed divisors into the cross-run library.
-        match progressive_decomposition::factor::library::flush_learned(dir) {
-            Ok(n) => println!("pd flow: divisor library now holds {n} entry(ies)"),
-            Err(e) => eprintln!("pd flow: warning: library flush failed: {e}"),
-        }
+    if cfg.cache_dir.is_some() {
         let (hits, stages): (usize, usize) = outcomes
             .iter()
             .filter_map(|o| o.result.as_ref().ok())

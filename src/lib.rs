@@ -88,15 +88,9 @@
 //! (`"cache": "hit"`, `"verified_from_cache": true` in the stats), and
 //! a changed spec resumes computing past its unchanged prefix. Results
 //! that committed explicitly unverified are never stored, and a run
-//! with `PD_FAULT` armed never touches the cache. The same directory
-//! holds the **cross-run divisor library**
-//! ([`factor::library`]): divisors each run commits are usage-counted,
-//! aged (halve-and-prune) across runs, and offered as advisory seeds to
-//! the next run's Reduce ranking and global-Factor search — seeds pass
-//! the same acceptance guards as discovered divisors and the baseline
-//! fallback still applies, so the library can only accelerate, never
-//! regress or perturb determinism (the snapshot is loaded once per
-//! config, identical at any `PD_THREADS`).
+//! with `PD_FAULT` armed never touches the cache. The flow learns
+//! nothing across runs, so one key holds one value whatever the cache
+//! history: a warm run and a cold run agree stage for stage.
 //!
 //! `pd serve` wraps the same pipeline in a std-only TCP/JSON-lines job
 //! server ([`flow::serve`]): jobs reuse the flow-spec JSON schema, and

@@ -1,9 +1,10 @@
 //! Integration tests of the synthesis-as-a-service layer: the
-//! content-addressed stage cache (warm re-runs, prefix resume), the
-//! cross-run divisor library, and the `pd serve` TCP job server.
+//! content-addressed stage cache (warm re-runs, prefix resume, one value
+//! per key whatever the cache history) and the `pd serve` TCP job server.
 
 use progressive_decomposition::flow::json::Json;
 use progressive_decomposition::flow::{circuit_by_name, Flow, FlowConfig};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Lines, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -22,31 +23,18 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// Runs `pd flow <circuits> --out <out>` with the stage cache rooted at
 /// `cache`, returning the parsed stats document.
-fn flow_with_cache(circuits: &str, cache: &Path, out: &Path, threads: Option<&str>) -> Json {
-    let mut cmd = pd();
-    cmd.args(["flow", circuits, "--out", out.to_str().unwrap()])
-        .env("PD_CACHE_DIR", cache);
-    if let Some(t) = threads {
-        cmd.env("PD_THREADS", t);
-    }
-    let output = cmd.output().expect("run pd flow");
+fn flow_with_cache(circuits: &str, cache: &Path, out: &Path) -> Json {
+    let output = pd()
+        .args(["flow", circuits, "--out", out.to_str().unwrap()])
+        .env("PD_CACHE_DIR", cache)
+        .output()
+        .expect("run pd flow");
     assert!(
         output.status.success(),
         "pd flow failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
     Json::parse(&std::fs::read_to_string(out).expect("stats written")).expect("valid stats")
-}
-
-/// Deletes the content-addressed stage entries but keeps the divisor
-/// library, so the next run factors live — seeded, not served.
-fn clear_stage_entries(cache: &Path) {
-    for entry in std::fs::read_dir(cache).expect("cache dir") {
-        let path = entry.expect("entry").path();
-        if path.file_name().is_some_and(|n| n != "divisors.lib") {
-            std::fs::remove_file(&path).expect("remove stage entry");
-        }
-    }
 }
 
 fn circuits_of(stats: &Json) -> &[Json] {
@@ -68,8 +56,8 @@ const STAGES: [&str; 5] = ["decompose", "reduce", "factor", "techmap", "sta"];
 #[test]
 fn warm_rerun_serves_verified_stages_bit_identically() {
     let cache = temp_dir("warm");
-    let cold = flow_with_cache("maj5,gray6", &cache, &cache.join("s1.json"), None);
-    let warm = flow_with_cache("maj5,gray6", &cache, &cache.join("s2.json"), None);
+    let cold = flow_with_cache("maj5,gray6", &cache, &cache.join("s1.json"));
+    let warm = flow_with_cache("maj5,gray6", &cache, &cache.join("s2.json"));
 
     for (c, w) in circuits_of(&cold).iter().zip(circuits_of(&warm)) {
         let name = c.get("name").and_then(Json::as_str).unwrap();
@@ -127,7 +115,6 @@ fn prefix_resume_serves_cached_stages_then_computes() {
     let cache = temp_dir("prefix");
     let cfg = FlowConfig {
         cache_dir: Some(cache.clone()),
-        divisor_library: None,
         ..FlowConfig::default()
     };
     let input = || circuit_by_name("maj5").unwrap();
@@ -168,56 +155,73 @@ fn prefix_resume_serves_cached_stages_then_computes() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
-#[test]
-fn library_seeded_factoring_is_thread_invariant_and_never_regresses_golden() {
-    // Golden mapped cell counts from tests/table1_circuits.rs — the
-    // advisory divisor library must never push a circuit above its pin.
-    let golden = [("adder10", 44.0), ("counter12", 58.0)];
-    let cache = temp_dir("seeded");
+/// The stage entries of a cache directory by file name
+/// (`<hash>.<stage>`).
+fn stage_entries(cache: &Path) -> BTreeMap<String, PathBuf> {
+    std::fs::read_dir(cache)
+        .expect("cache dir")
+        .map(|entry| entry.expect("entry").path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?.to_owned();
+            let (_, stage) = name.rsplit_once('.')?;
+            STAGES.contains(&stage).then_some((name, path))
+        })
+        .collect()
+}
 
-    // Cold run populates the cache and flushes the learned divisors.
-    flow_with_cache("adder10,counter12", &cache, &cache.join("cold.json"), None);
-    assert!(
-        cache.join("divisors.lib").exists(),
-        "cold run must flush a divisor library"
-    );
-
-    // Seeded live runs (stage entries cleared, library kept) at two
-    // thread counts must be bit-identical, and within the golden pins.
-    clear_stage_entries(&cache);
-    let a = flow_with_cache("adder10,counter12", &cache, &cache.join("a.json"), Some("1"));
-    clear_stage_entries(&cache);
-    let b = flow_with_cache("adder10,counter12", &cache, &cache.join("b.json"), Some("4"));
-
-    for ((ca, cb), (name, pin)) in circuits_of(&a).iter().zip(circuits_of(&b)).zip(golden) {
-        assert_eq!(ca.get("name").and_then(Json::as_str), Some(name));
-        for stage in STAGES {
-            assert_eq!(
-                stage_metric(ca, stage, "cache"),
-                None,
-                "{name}/{stage} must have run live"
-            );
-            for key in ["literals", "gates", "cells"] {
-                assert_eq!(
-                    stage_metric(ca, stage, key),
-                    stage_metric(cb, stage, key),
-                    "{name}/{stage}/{key} differs between PD_THREADS=1 and 4"
-                );
+/// A stored stage entry with its report's wall and verify times dropped:
+/// everything else must be equal wherever one key was written.
+fn entry_without_timings(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path).expect("read stage entry");
+    let mut doc = Json::parse(&text).expect("stage entry is JSON");
+    if let Json::Obj(fields) = &mut doc {
+        for (_, value) in fields.iter_mut().filter(|(key, _)| key == "report") {
+            if let Json::Obj(report) = value {
+                report.retain(|(k, _)| k != "wall_ms" && k != "verify_ms");
             }
         }
-        // The factor stage really consulted the library…
+    }
+    doc
+}
+
+#[test]
+fn stage_entries_do_not_depend_on_cache_history() {
+    // Two cache directories filled by the same two circuits in opposite
+    // orders, one process per run: a key written in both must hold the
+    // same value, whichever circuit ran first.
+    let out = temp_dir("history-out");
+    let a = temp_dir("history-a");
+    let b = temp_dir("history-b");
+    for (dir, order) in [(&a, ["adder12", "comparator10"]), (&b, ["comparator10", "adder12"])] {
+        for circuit in order {
+            let tag = dir.file_name().unwrap().to_str().unwrap();
+            flow_with_cache(circuit, dir, &out.join(format!("{tag}-{circuit}.json")));
+        }
+    }
+    let (entries_a, entries_b) = (stage_entries(&a), stage_entries(&b));
+    assert_eq!(entries_a.len(), 10, "two circuits, five stages each");
+    assert_eq!(
+        entries_a.keys().collect::<Vec<_>>(),
+        entries_b.keys().collect::<Vec<_>>(),
+        "both orders store the same keys"
+    );
+    for (key, path) in &entries_a {
+        let (x, y) = (entry_without_timings(path), entry_without_timings(&entries_b[key]));
         assert!(
-            stage_metric(ca, "factor", "library_seeds").is_some(),
-            "{name}: factor stage did not report library seeding"
-        );
-        // …and the seeded result never regresses the golden pin.
-        let cells = ca.get("cells").and_then(Json::as_num).unwrap();
-        assert!(
-            cells <= pin,
-            "{name}: seeded run mapped {cells} cells, golden pin is {pin}"
+            x == y,
+            "{key} depends on the cache history:\n{}\nvs\n{}",
+            x.get("report").map_or_else(String::new, Json::pretty),
+            y.get("report").map_or_else(String::new, Json::pretty),
         );
     }
-    let _ = std::fs::remove_dir_all(&cache);
+    // The directories hold stage entries and nothing else.
+    for dir in [&a, &b] {
+        let files = std::fs::read_dir(dir).expect("cache dir").count();
+        assert_eq!(files, 10, "{}: stray files beside the stage entries", dir.display());
+    }
+    for dir in [out, a, b] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// Spawns `pd serve` on an ephemeral port. Returns the child, the address
