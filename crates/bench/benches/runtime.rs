@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pd_arith::{Adder, Counter, Lzd, Majority};
 use pd_cells::CellLibrary;
 use pd_core::{PdConfig, ProgressiveDecomposer};
-use pd_factor::{ExtractConfig, FactorNetwork};
+use pd_factor::{ExtractConfig, FactorNetwork, GlobalConfig, GlobalNetwork};
+use pd_flow::{Flow, FlowConfig};
 
 fn bench_anf_ops(c: &mut Criterion) {
     let adder = Adder::new(12);
@@ -190,7 +191,45 @@ fn bench_factorisation(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+    // The flow's Factor stage on adder12: workspace-wide extraction over
+    // the hierarchy Decompose and Reduce leave, each sample from a fresh
+    // network (so from an empty estimate cache).
+    let (net, pool) = global_factor_input("adder12");
+    g.bench_function("global_extract_adder12", |b| {
+        b.iter_batched(
+            || (pool.clone(), net.clone()),
+            |(mut pool, mut net)| {
+                std::hint::black_box(net.extract(&mut pool, &GlobalConfig::default()))
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
+}
+
+/// The Factor stage's input for a built-in circuit, ingested as the flow
+/// ingests it, and the pool divisor variables come from.
+fn global_factor_input(name: &str) -> (GlobalNetwork, pd_anf::VarPool) {
+    let input = pd_flow::circuit_by_name(name).expect("built-in circuit");
+    let cfg = FlowConfig {
+        verify: false,
+        ..FlowConfig::default()
+    };
+    let mut flow = Flow::new(input, cfg);
+    for _ in 0..2 {
+        flow.run_next().expect("Decompose and Reduce run");
+    }
+    let d = flow.decomposition().expect("hierarchy");
+    let mut net = GlobalNetwork::new();
+    for (bi, block) in d.blocks.iter().enumerate() {
+        for (v, e) in &block.basis {
+            net.add_leader(bi, *v, e);
+        }
+    }
+    for (name, e) in &d.outputs {
+        net.add_output(name, e);
+    }
+    (net, d.pool.clone())
 }
 
 criterion_group!(

@@ -36,10 +36,17 @@
 //! synthesiser's own cost model ([`pd_netlist::Synthesizer::estimate`]),
 //! because the emitter maps OR/majority/mux-shaped cones far below their
 //! literal counts and a literal-positive extraction can easily be a
-//! gate-negative one. As a final guard, [`GlobalNetwork::synthesize`]
-//! emits both the extracted and the unextracted network through one
-//! shared synthesiser and returns the smaller netlist, so the global
-//! path is never worse than direct synthesis of the same cones.
+//! gate-negative one. An estimate is a function of its expression alone,
+//! so pricing is incremental and parallel without changing a commit:
+//! every round writes its rewrites over one fixed probe variable rather
+//! than the divisor variable a commit would allocate, so a (candidate,
+//! cone) pair priced in an earlier round is a cache hit, and the round's
+//! new expressions are priced concurrently before a sequential fold picks
+//! the winner. Only the committed rewrites get the real variable. As a
+//! final guard, [`GlobalNetwork::synthesize`] emits both the extracted
+//! and the unextracted network through one shared synthesiser and
+//! returns the smaller netlist, so the global path is never worse than
+//! direct synthesis of the same cones.
 
 use crate::divide::anf_divide;
 use pd_anf::{Anf, Monomial, Var, VarPool, VarSet};
@@ -230,7 +237,8 @@ pub struct GlobalStats {
 }
 
 /// A scored commit candidate: estimated gate gain, the divisor
-/// expression, and the accepted per-cone rewrites.
+/// expression, and the accepted per-cone rewrites (over the round's
+/// probe variable).
 type Candidate = (f64, Anf, Vec<(usize, Anf)>);
 
 /// One function of the network: a block leader or a primary output.
@@ -329,18 +337,29 @@ impl GlobalNetwork {
     }
 
     /// Greedy workspace-wide extraction; fresh divisor variables come
-    /// from `pool`. See the module docs for the candidate classes and
-    /// the gate-aware commit rule.
+    /// from `pool`, one per committed divisor. See the module docs for
+    /// the candidate classes and the gate-aware commit rule.
     pub fn extract(&mut self, pool: &mut VarPool, cfg: &GlobalConfig) -> GlobalStats {
+        self.extract_logged(pool, cfg).0
+    }
+
+    /// [`GlobalNetwork::extract`], also returning each commit's estimated
+    /// gate gain in commit order.
+    fn extract_logged(
+        &mut self,
+        pool: &mut VarPool,
+        cfg: &GlobalConfig,
+    ) -> (GlobalStats, Vec<f64>) {
         let mut stats = GlobalStats {
             literals_before: self.literal_count(),
             ..GlobalStats::default()
         };
-        // One estimator for the whole run: its plan memo persists across
-        // rounds, so re-pricing a cone the previous round left untouched
-        // is a table hit.
+        // One cache of history-free estimates for the whole run. Every
+        // round prices its rewrites against the same probe variable, so a
+        // (candidate, cone) pair priced in an earlier round is a hit.
         let mut est = Synthesizer::new();
         let mut meter = EffortMeter::with_budget(cfg.effort_budget);
+        let mut gains = Vec::new();
         for round in 0..cfg.max_rounds {
             // Budget check between rounds only: the round that crosses
             // the budget completes (and may commit), so the stopping
@@ -349,38 +368,52 @@ impl GlobalNetwork {
                 stats.budget_exhausted = true;
                 break;
             }
-            // The divisor variable is allocated before scoring so the
-            // candidate rewrites can be priced as the expressions that
-            // would actually be committed; at most one allocation leaks
-            // when the final round finds nothing worth committing.
-            let x = pool.fresh_derived(u32::MAX);
-            let (best, trials) = self.best_divisor(x, cfg, &mut est);
+            let probe = probe_var(pool);
+            let (best, trials) = self.best_divisor(probe, cfg, &mut est);
             meter.charge(trials);
-            let Some(best) = best else {
+            let Some((gain, divisor, rewrites)) = best else {
                 break;
             };
-            let (gain, divisor, rewrites) = best;
             if gain < cfg.min_gate_gain {
                 break;
             }
-            let mut consumers: Vec<usize> = Vec::new();
-            for (ci, new_expr) in rewrites {
-                self.cones[ci].expr = new_expr;
-                consumers.push(ci);
-            }
-            // A committed divisor cannot be re-proposed and accepted: its
-            // pattern is gone from every cone that accepted the rewrite,
-            // and the cones that rejected it price it non-positive again
-            // (the estimator is deterministic), so interning at the
-            // commit index never collides.
-            let existing = self.table.insert(x, self.divisors.len(), &divisor);
-            debug_assert_eq!(existing, None, "duplicate divisor commit");
-            for _ in 1..consumers.len() {
-                self.table.note_reuse(&divisor);
-            }
-            self.divisors.push((x, divisor, consumers));
+            // Only a commit allocates its divisor variable, at the index
+            // the probe stood in for.
+            let x = pool.fresh_derived(u32::MAX);
+            let rewrites = rewrites
+                .into_iter()
+                .map(|(ci, e)| (ci, e.substitute(probe, &Anf::var(x))))
+                .collect();
+            self.commit(x, divisor, rewrites);
+            gains.push(gain);
             stats.rounds = round + 1;
         }
+        (self.finish_stats(stats, &meter), gains)
+    }
+
+    /// Applies one commit: rewrites its consumers and records the divisor
+    /// `x = divisor`.
+    fn commit(&mut self, x: Var, divisor: Anf, rewrites: Vec<(usize, Anf)>) {
+        let mut consumers: Vec<usize> = Vec::new();
+        for (ci, new_expr) in rewrites {
+            self.cones[ci].expr = new_expr;
+            consumers.push(ci);
+        }
+        // A committed divisor cannot be re-proposed and accepted: its
+        // pattern is gone from every cone that accepted the rewrite,
+        // and the cones that rejected it price it non-positive again
+        // (an estimate depends on its expression alone), so interning
+        // at the commit index never collides.
+        let existing = self.table.insert(x, self.divisors.len(), &divisor);
+        debug_assert_eq!(existing, None, "duplicate divisor commit");
+        for _ in 1..consumers.len() {
+            self.table.note_reuse(&divisor);
+        }
+        self.divisors.push((x, divisor, consumers));
+    }
+
+    /// Fills in the counters of a finished run.
+    fn finish_stats(&self, mut stats: GlobalStats, meter: &EffortMeter) -> GlobalStats {
         stats.divisors = self.divisors.len();
         stats.shared_divisors = self
             .divisors
@@ -397,17 +430,81 @@ impl GlobalNetwork {
         stats
     }
 
-    /// Enumerates candidates, shortlists by literal gain, prices the
-    /// shortlist with the synthesiser cost model, and returns the best
-    /// `(estimated gate gain, divisor, per-cone rewrites)` together with
-    /// the number of distinct candidates considered (the round's effort
-    /// charge).
+    /// Shortlists the round's candidates and prices them with the
+    /// synthesiser cost model, each rewrite written over `probe` in place
+    /// of the divisor variable. Returns the best `(estimated gate gain,
+    /// divisor, per-cone rewrites over probe)` together with the number
+    /// of distinct candidates considered (the round's effort charge).
     fn best_divisor(
         &self,
-        x: Var,
+        probe: Var,
         cfg: &GlobalConfig,
         est: &mut Synthesizer,
     ) -> (Option<Candidate>, u64) {
+        let (shortlist, considered) = self.shortlist(cfg);
+        let rewrites: Vec<Vec<(usize, Anf)>> = shortlist
+            .iter()
+            .map(|(_, d)| self.rewrites(d, probe))
+            .collect();
+        // Price everything the fold below reads; the misses in parallel.
+        est.estimate_all(shortlist.iter().zip(&rewrites).flat_map(|((_, d), rw)| {
+            std::iter::once(d).chain(rw.iter().flat_map(|(ci, e)| [&self.cones[*ci].expr, e]))
+        }));
+        // Gate-aware pricing of the shortlist, in shortlist order: keep
+        // only per-cone rewrites the cost model likes, then charge the
+        // divisor itself. The incumbent carries its canonical key for
+        // the tie-break.
+        let mut best: Option<(Candidate, &Vec<Monomial>)> = None;
+        for ((key, d), rw) in shortlist.iter().zip(rewrites) {
+            let mut gain = -est.estimate(d);
+            let mut lit_delta = -(d.literal_count() as isize);
+            let mut accepted: Vec<(usize, Anf)> = Vec::new();
+            for (ci, new_expr) in rw {
+                let cone = &self.cones[ci].expr;
+                let delta = est.estimate(cone) - est.estimate(&new_expr);
+                if delta > 0.0 {
+                    gain += delta;
+                    lit_delta += cone.literal_count() as isize - new_expr.literal_count() as isize;
+                    accepted.push((ci, new_expr));
+                }
+            }
+            // A commit must not regress either objective: the gate
+            // estimate is the ranking signal, but the accepted rewrite
+            // subset must also keep the network's literal count from
+            // growing (so extraction is monotone in the classical cost
+            // too, and the network never ends up above its ingested
+            // size).
+            if accepted.is_empty() || lit_delta < 0 {
+                continue;
+            }
+            let better = match &best {
+                None => true,
+                Some(((g, _, _), best_key)) => gain > *g || (gain == *g && key < *best_key),
+            };
+            if better {
+                best = Some(((gain, d.clone(), accepted), key));
+            }
+        }
+        (best.map(|(c, _)| c), considered)
+    }
+
+    /// Every cone `f = q·d ⊕ r` with a nonzero quotient, rewritten as
+    /// `q·v ⊕ r`, in cone order.
+    fn rewrites(&self, d: &Anf, v: Var) -> Vec<(usize, Anf)> {
+        self.cones
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, cone)| {
+                let (q, r) = anf_divide(&cone.expr, d);
+                (!q.is_zero()).then(|| (ci, q.and(&Anf::var(v)).xor(&r)))
+            })
+            .collect()
+    }
+
+    /// Enumerates the round's divisor candidates and shortlists them by
+    /// literal gain, deterministically: `(canonical key, divisor)` pairs
+    /// best first, and the number of distinct candidates considered.
+    fn shortlist(&self, cfg: &GlobalConfig) -> (Vec<(Vec<Monomial>, Anf)>, u64) {
         let mut candidates: HashMap<Vec<Monomial>, Anf> = HashMap::new();
         let mut add = |terms: Vec<Monomial>| {
             let key = canonical_terms(terms);
@@ -469,57 +566,18 @@ impl GlobalNetwork {
                 }
             }
         }
-        // Shortlist by literal gain (cheap), deterministically.
         let considered = candidates.len() as u64;
-        let mut scored: Vec<(isize, &Vec<Monomial>, &Anf)> = candidates
-            .iter()
+        let mut scored: Vec<(isize, Vec<Monomial>, Anf)> = candidates
+            .into_iter()
             .filter_map(|(key, d)| {
-                let gain = self.literal_gain(d);
+                let gain = self.literal_gain(&d);
                 (gain > 0).then_some((gain, key, d))
             })
             .collect();
-        scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1)));
+        scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         scored.truncate(cfg.shortlist);
-        // Gate-aware pricing of the shortlist: keep only per-cone
-        // rewrites the cost model likes, then charge the divisor itself.
-        // The incumbent carries its canonical key for the tie-break.
-        let mut best: Option<(Candidate, &Vec<Monomial>)> = None;
-        for (_, key, d) in scored {
-            let mut gain = -est.estimate(d);
-            let mut lit_delta = -(d.literal_count() as isize);
-            let mut rewrites: Vec<(usize, Anf)> = Vec::new();
-            for (ci, cone) in self.cones.iter().enumerate() {
-                let (q, r) = anf_divide(&cone.expr, d);
-                if q.is_zero() {
-                    continue;
-                }
-                let new_expr = q.and(&Anf::var(x)).xor(&r);
-                let delta = est.estimate(&cone.expr) - est.estimate(&new_expr);
-                if delta > 0.0 {
-                    gain += delta;
-                    lit_delta += cone.expr.literal_count() as isize
-                        - new_expr.literal_count() as isize;
-                    rewrites.push((ci, new_expr));
-                }
-            }
-            // A commit must not regress either objective: the gate
-            // estimate is the ranking signal, but the accepted rewrite
-            // subset must also keep the network's literal count from
-            // growing (so extraction is monotone in the classical cost
-            // too, and the network never ends up above its ingested
-            // size).
-            if rewrites.is_empty() || lit_delta < 0 {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some(((g, _, _), best_key)) => gain > *g || (gain == *g && key < *best_key),
-            };
-            if better {
-                best = Some(((gain, d.clone(), rewrites), key));
-            }
-        }
-        (best.map(|(c, _)| c), considered)
+        let shortlist = scored.into_iter().map(|(_, key, d)| (key, d)).collect();
+        (shortlist, considered)
     }
 
     /// Total literal saving if `d` became a node substituted into every
@@ -650,6 +708,21 @@ fn stitch(
     }
 }
 
+/// The variable a round prices its rewrites against, in place of the
+/// divisor variable a commit would allocate next (index `pool.len()`).
+/// It sits above every pool index and in the same [`Monomial`] class as
+/// that variable (`Var(127)` while the next index is below 128, a fixed
+/// large id after that), so each rewrite orders its terms exactly as the
+/// committed one will and prices the same. Being the same in every
+/// round, it lets a round reuse the estimates of earlier rounds.
+fn probe_var(pool: &VarPool) -> Var {
+    if pool.len() < 128 {
+        Var(127)
+    } else {
+        Var(u32::MAX)
+    }
+}
+
 /// Live (output-reachable) gate count.
 fn live_gates(nl: &Netlist) -> usize {
     nl.live_mask().iter().filter(|&&b| b).count()
@@ -661,6 +734,214 @@ mod tests {
 
     fn anf(pool: &mut VarPool, s: &str) -> Anf {
         Anf::parse(s, pool).unwrap()
+    }
+
+    /// The sequential pricing [`GlobalNetwork::extract`] replaced, kept
+    /// as the reference it must match commit for commit: each round
+    /// allocates a fresh divisor variable before scoring, writes every
+    /// rewrite over it, and prices the shortlist one candidate at a time
+    /// (with the same history-free estimates). Returns the stats and each
+    /// commit's gain.
+    fn extract_reference(
+        net: &mut GlobalNetwork,
+        pool: &mut VarPool,
+        cfg: &GlobalConfig,
+    ) -> (GlobalStats, Vec<f64>) {
+        let mut stats = GlobalStats {
+            literals_before: net.literal_count(),
+            ..GlobalStats::default()
+        };
+        let mut est = Synthesizer::new();
+        let mut meter = EffortMeter::with_budget(cfg.effort_budget);
+        let mut gains = Vec::new();
+        for round in 0..cfg.max_rounds {
+            if meter.exhausted() {
+                stats.budget_exhausted = true;
+                break;
+            }
+            let x = pool.fresh_derived(u32::MAX);
+            let (shortlist, considered) = net.shortlist(cfg);
+            meter.charge(considered);
+            let mut best: Option<(Candidate, &Vec<Monomial>)> = None;
+            for (key, d) in &shortlist {
+                let mut gain = -est.estimate(d);
+                let mut lit_delta = -(d.literal_count() as isize);
+                let mut rewrites: Vec<(usize, Anf)> = Vec::new();
+                for (ci, cone) in net.cones.iter().enumerate() {
+                    let (q, r) = anf_divide(&cone.expr, d);
+                    if q.is_zero() {
+                        continue;
+                    }
+                    let new_expr = q.and(&Anf::var(x)).xor(&r);
+                    let delta = est.estimate(&cone.expr) - est.estimate(&new_expr);
+                    if delta > 0.0 {
+                        gain += delta;
+                        lit_delta += cone.expr.literal_count() as isize
+                            - new_expr.literal_count() as isize;
+                        rewrites.push((ci, new_expr));
+                    }
+                }
+                if rewrites.is_empty() || lit_delta < 0 {
+                    continue;
+                }
+                let better = match &best {
+                    None => true,
+                    Some(((g, _, _), best_key)) => gain > *g || (gain == *g && key < *best_key),
+                };
+                if better {
+                    best = Some(((gain, d.clone(), rewrites), key));
+                }
+            }
+            let Some(((gain, divisor, rewrites), _)) = best else {
+                break;
+            };
+            if gain < cfg.min_gate_gain {
+                break;
+            }
+            net.commit(x, divisor, rewrites);
+            gains.push(gain);
+            stats.rounds = round + 1;
+        }
+        (net.finish_stats(stats, &meter), gains)
+    }
+
+    /// Runs [`GlobalNetwork::extract`] and [`extract_reference`] on
+    /// copies of `net` and asserts the same commit sequence: divisor
+    /// variable, expression and consumers, and the gain bit for bit.
+    /// Only the reference allocates a variable in a round that commits
+    /// nothing. Returns the committed divisor variables.
+    fn assert_pricing_matches_reference(
+        label: &str,
+        net: &GlobalNetwork,
+        pool: &VarPool,
+    ) -> Vec<Var> {
+        let cfg = GlobalConfig::default();
+        let (mut fast, mut fast_pool) = (net.clone(), pool.clone());
+        let (mut slow, mut slow_pool) = (net.clone(), pool.clone());
+        let (fast_stats, fast_gains) = fast.extract_logged(&mut fast_pool, &cfg);
+        let (slow_stats, slow_gains) = extract_reference(&mut slow, &mut slow_pool, &cfg);
+        assert_eq!(fast_stats, slow_stats, "{label}: stats");
+        let bits = |g: &[f64]| g.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&fast_gains),
+            bits(&slow_gains),
+            "{label}: gains {fast_gains:?} vs {slow_gains:?}"
+        );
+        assert_eq!(fast.divisors, slow.divisors, "{label}: commits");
+        let exprs = |n: &GlobalNetwork| n.cones.iter().map(|c| c.expr.clone()).collect::<Vec<_>>();
+        assert_eq!(exprs(&fast), exprs(&slow), "{label}: rewritten cones");
+        let leaked = !slow_stats.budget_exhausted && slow_stats.rounds < cfg.max_rounds;
+        assert_eq!(slow_pool.len(), fast_pool.len() + usize::from(leaked), "{label}: pool");
+        assert_eq!(
+            fast_pool.len(),
+            pool.len() + fast_stats.divisors,
+            "{label}: one variable per commit"
+        );
+        fast.divisors.iter().map(|(v, _, _)| *v).collect()
+    }
+
+    /// The Factor stage's input for a built-in circuit: the hierarchy
+    /// after Decompose and Reduce, ingested as the flow ingests it, and
+    /// the pool divisor variables come from.
+    fn flow_factor_input(name: &str) -> (GlobalNetwork, VarPool) {
+        let input = pd_flow::circuit_by_name(name).expect("built-in circuit");
+        let cfg = pd_flow::FlowConfig {
+            verify: false,
+            fault: None,
+            cache_dir: None,
+            ..pd_flow::FlowConfig::default()
+        };
+        let mut flow = pd_flow::Flow::new(input, cfg);
+        for _ in 0..2 {
+            flow.run_next().expect("Decompose and Reduce run");
+        }
+        let d = flow.decomposition().expect("hierarchy");
+        let mut net = GlobalNetwork::new();
+        for (bi, block) in d.blocks.iter().enumerate() {
+            for (v, e) in &block.basis {
+                net.add_leader(bi, *v, e);
+            }
+        }
+        for (name, e) in &d.outputs {
+            net.add_output(name, e);
+        }
+        (net, d.pool.clone())
+    }
+
+    #[test]
+    fn pricing_matches_reference_on_golden_factor_inputs() {
+        // The circuits pinned in FLOW_GOLDEN (tests/table1_circuits.rs).
+        for name in [
+            "maj15", "maj13", "counter12", "lzd12", "gray16", "adder10", "comparator10",
+            "three8", "adder12", "lod16",
+        ] {
+            let (net, pool) = flow_factor_input(name);
+            assert_pricing_matches_reference(name, &net, &pool);
+        }
+    }
+
+    /// A seeded random network over a pool of `pool_len` inputs: cones
+    /// built from a few shared sub-XORs times random cubes, plus noise
+    /// terms, over 12 variables drawn from the whole pool.
+    fn random_network(seed: u64, pool_len: usize) -> (GlobalNetwork, VarPool) {
+        let mut state = seed;
+        let mut next = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let mut pool = VarPool::new();
+        let all: Vec<Var> = (0..pool_len).map(|i| pool.input(&format!("i{i}"), 0, i)).collect();
+        let vars: Vec<Var> = (0..12).map(|_| all[next(pool_len)]).collect();
+        let cube = |next: &mut dyn FnMut(usize) -> usize, degree: usize| {
+            Anf::from_terms(vec![Monomial::from_vars(
+                (0..degree).map(|_| vars[next(vars.len())]),
+            )])
+        };
+        let kernels: Vec<Anf> = (0..4)
+            .map(|_| {
+                (0..2 + next(2)).fold(Anf::zero(), |acc, _| {
+                    let degree = 1 + next(2);
+                    acc.xor(&cube(&mut next, degree))
+                })
+            })
+            .collect();
+        let mut net = GlobalNetwork::new();
+        for i in 0..6 {
+            let mut cone = Anf::zero();
+            for _ in 0..2 + next(2) {
+                let k = &kernels[next(kernels.len())];
+                let degree = 1 + next(2);
+                cone = cone.xor(&cube(&mut next, degree).and(k));
+            }
+            for _ in 0..next(3) {
+                let degree = 1 + next(3);
+                cone = cone.xor(&cube(&mut next, degree));
+            }
+            net.add_output(&format!("y{i}"), &cone);
+        }
+        (net, pool)
+    }
+
+    #[test]
+    fn pricing_matches_reference_across_var_128() {
+        // Pools just below and above 128 inputs: the commits' divisor
+        // variables, and with them the probe, move from the u128-mask
+        // monomial class into the index-slice one partway through a run.
+        let mut straddled = false;
+        for seed in 0..8u64 {
+            for pool_len in [125, 127, 160] {
+                let (net, pool) = random_network(seed, pool_len);
+                let vars = assert_pricing_matches_reference(
+                    &format!("seed {seed}, {pool_len} inputs"),
+                    &net,
+                    &pool,
+                );
+                straddled |= vars.iter().any(|v| v.0 < 128) && vars.iter().any(|v| v.0 >= 128);
+            }
+        }
+        assert!(straddled, "no run committed divisors on both sides of Var(128)");
     }
 
     #[test]

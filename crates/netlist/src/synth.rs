@@ -16,16 +16,16 @@
 //! Both expansions of a variable `v` come from one split
 //! `X = v·Q ⊕ R` ([`Anf::split_on`]): the Shannon cofactors are
 //! `X|v=0 = R` and `X|v=1 = Q ⊕ R`, so pricing a mux costs one XOR of
-//! the parts already in hand rather than two substitutions. Both memo
+//! the parts already in hand rather than two substitutions. The memo
 //! tables are keyed through a seeded Fx-style hasher
-//! ([`crate::fxhash`]); neither is iterated, so plans and emitted gates
-//! do not depend on hash values.
+//! ([`crate::fxhash`]); none is iterated, so plans, estimates and
+//! emitted gates do not depend on hash values.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxBuildHasher, FxHashMap};
 use crate::gate::NodeId;
 use crate::netlist::Netlist;
 use pd_anf::{Anf, Var, VarSet};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 #[cfg(test)]
 mod reference;
@@ -101,6 +101,10 @@ pub struct Synthesizer {
     plan_memo: FxHashMap<Anf, (Decision, f64, bool)>,
     /// Subexpressions planned so far (see [`PLAN_BUDGET`]).
     planned: usize,
+    /// Expression → [`Synthesizer::estimate`], each priced from an empty
+    /// plan memo, so an entry does not depend on what was estimated or
+    /// emitted before it.
+    estimates: FxHashMap<Anf, f64>,
 }
 
 impl Synthesizer {
@@ -143,8 +147,9 @@ impl Synthesizer {
     ///
     /// The flag records the budget state when the search *started*: a
     /// search whose subtree crossed the budget partway through is stored
-    /// as a full plan, so `estimate` depends on memo history. Correcting
-    /// that changes plans, and with them Factor's commit sequence.
+    /// as a full plan, so emission depends on memo history. (An
+    /// [`Synthesizer::estimate`] plans from an empty memo and is not
+    /// affected.)
     fn plan(&mut self, expr: &Anf) -> (Decision, f64) {
         let over_budget = self.planned >= PLAN_BUDGET;
         if let Some(&(d, c, degraded)) = self.plan_memo.get(expr) {
@@ -221,12 +226,38 @@ impl Synthesizer {
     /// alternative expressions — e.g. a divisor rewrite, or two candidate
     /// hierarchies — by how they would actually map, rather than by raw
     /// literal counts (which undervalue OR/majority-shaped cones the
-    /// emitter handles specially). Variables are priced as free inputs;
-    /// plans are memoised across calls, so repeated estimates over
-    /// overlapping expressions are cheap. Deterministic.
+    /// emitter handles specially). Variables are priced as free inputs.
+    ///
+    /// The estimate is a function of `expr` alone: a miss plans `expr`
+    /// from an empty plan memo under a fresh [`PLAN_BUDGET`], exactly as
+    /// `Synthesizer::new().estimate(expr)` would, and only the top-level
+    /// cost is cached. Re-estimating an expression is a table hit, and
+    /// neither earlier estimates nor emitted cones change the value (the
+    /// emission memo is not touched).
     pub fn estimate(&mut self, expr: &Anf) -> f64 {
-        self.planned = 0;
-        self.cost(expr)
+        if let Some(&c) = self.estimates.get(expr) {
+            return c;
+        }
+        let c = price(expr);
+        self.estimates.insert(expr.clone(), c);
+        c
+    }
+
+    /// Caches the [`Synthesizer::estimate`] of every expression in
+    /// `exprs`, pricing the distinct uncached ones in parallel
+    /// (`pd_par::par_map`). An estimate depends on its expression alone,
+    /// so the cache ends up the same as after estimating them one by one,
+    /// at any thread count.
+    pub fn estimate_all<'a>(&mut self, exprs: impl IntoIterator<Item = &'a Anf>) {
+        let mut seen: HashSet<&Anf, FxBuildHasher> = HashSet::default();
+        let misses: Vec<&Anf> = exprs
+            .into_iter()
+            .filter(|e| !self.estimates.contains_key(*e) && seen.insert(*e))
+            .collect();
+        let costs = pd_par::par_map(&misses, |e| price(e));
+        for (e, c) in misses.into_iter().zip(costs) {
+            self.estimates.insert(e.clone(), c);
+        }
     }
 
     /// Builds `expr` into `nl`, returning the output node.
@@ -315,6 +346,12 @@ impl Synthesizer {
             }
         }
     }
+}
+
+/// The estimated cost of `expr`, planned from an empty plan memo under a
+/// fresh budget.
+fn price(expr: &Anf) -> f64 {
+    Synthesizer::new().cost(expr)
 }
 
 /// Returns the variable occurring in the most terms (ties → lowest index).
@@ -501,8 +538,10 @@ mod tests {
     }
 
     /// Replays `calls` on the fast planner and on the reference, and
-    /// asserts bit-equal estimates, equal returned nodes and node-for-node
-    /// equal netlists. Returns the largest per-call planning count, so
+    /// asserts bit-equal estimates (against a fresh-memo reference, since
+    /// an estimate depends on its expression alone), equal returned nodes,
+    /// equal planning counts after each emission and node-for-node equal
+    /// netlists. Returns the largest per-emission planning count, so
     /// callers can check the budget path was reached.
     fn replay_against_reference(calls: &[Call]) -> usize {
         let (mut fast, mut slow) = (
@@ -514,8 +553,9 @@ mod tests {
         for (i, call) in calls.iter().enumerate() {
             match call {
                 Call::Estimate(e) => {
-                    let (a, b) = (fast.estimate(e), slow.estimate(e));
-                    assert_eq!(a.to_bits(), b.to_bits(), "call {i}: estimate {a} vs {b}");
+                    let fresh = reference::ReferenceSynthesizer::default().estimate(e);
+                    let a = fast.estimate(e);
+                    assert_eq!(a.to_bits(), fresh.to_bits(), "call {i}: estimate {a} vs {fresh}");
                 }
                 Call::Emit(e) | Call::EmitBind(e, _) => {
                     let (a, b) = (fast.emit(&mut nl_fast, e), slow.emit(&mut nl_slow, e));
@@ -524,10 +564,10 @@ mod tests {
                         fast.bind(*v, a);
                         slow.bind(*v, b);
                     }
+                    assert_eq!(fast.planned, slow.planned, "call {i}: planning count");
+                    peak = peak.max(fast.planned);
                 }
             }
-            assert_eq!(fast.planned, slow.planned, "call {i}: planning count");
-            peak = peak.max(fast.planned);
         }
         let (a, b): (Vec<_>, Vec<_>) = (nl_fast.iter().collect(), nl_slow.iter().collect());
         assert_eq!(a, b, "netlists differ");
@@ -570,9 +610,20 @@ mod tests {
 
     #[test]
     fn planner_matches_reference_past_the_budget() {
-        // Wide flat cones push a single call past PLAN_BUDGET, so later
-        // calls meet degraded memo entries — re-planned under a fresh
-        // budget, reused while over it.
+        // Wide flat cones push a single emission past PLAN_BUDGET, so
+        // later calls meet degraded memo entries — re-planned under a
+        // fresh budget, reused while over it.
+        let peak = replay_against_reference(&wide_cone_calls());
+        assert!(
+            peak >= PLAN_BUDGET,
+            "no call crossed the budget (peak {peak})"
+        );
+    }
+
+    /// The calls of [`planner_matches_reference_past_the_budget`]: per
+    /// layout, a wide flat cone that crosses `PLAN_BUDGET` and a narrow
+    /// one, estimated, emitted and bound in an interleaved order.
+    fn wide_cone_calls() -> Vec<Call> {
         let mut state = 0x2545_f491u64;
         let mut next = || {
             state = state
@@ -590,11 +641,57 @@ mod tests {
             calls.push(Call::EmitBind(narrow, Var(layout[13])));
             calls.push(Call::Estimate(wide));
         }
-        let peak = replay_against_reference(&calls);
-        assert!(
-            peak >= PLAN_BUDGET,
-            "no call crossed the budget (peak {peak})"
-        );
+        calls
+    }
+
+    /// Replays `calls` on one synthesiser and asserts that every estimate
+    /// is bit-equal to a fresh synthesiser's, whatever was estimated,
+    /// emitted or bound before it.
+    fn assert_estimates_are_pure(calls: &[Call]) {
+        let mut synth = Synthesizer::new();
+        let mut nl = Netlist::new();
+        for (i, call) in calls.iter().enumerate() {
+            match call {
+                Call::Estimate(e) => {
+                    let (a, b) = (synth.estimate(e), Synthesizer::new().estimate(e));
+                    assert_eq!(a.to_bits(), b.to_bits(), "call {i}: estimate {a} vs {b}");
+                }
+                Call::Emit(e) => {
+                    synth.emit(&mut nl, e);
+                }
+                Call::EmitBind(e, v) => {
+                    let n = synth.emit(&mut nl, e);
+                    synth.bind(*v, n);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn estimate_is_history_free(calls in collection::vec(call_strategy(), 1..12)) {
+            assert_estimates_are_pure(&calls);
+        }
+    }
+
+    #[test]
+    fn estimate_is_history_free_past_the_budget() {
+        // Each wide cone is estimated before the emissions that leave
+        // over-budget plans in the emission memo and again (from the
+        // cache) after them; `estimate_all` primes the same values.
+        let calls = wide_cone_calls();
+        assert_estimates_are_pure(&calls);
+        let mut primed = Synthesizer::new();
+        primed.estimate_all(calls.iter().filter_map(|c| match c {
+            Call::Estimate(e) => Some(e),
+            _ => None,
+        }));
+        for call in &calls {
+            if let Call::Estimate(e) = call {
+                let (a, b) = (primed.estimate(e), Synthesizer::new().estimate(e));
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -186,12 +186,13 @@ fn env_combos_agree_and_verify_via_subprocess() {
 
 /// The thread-count knob must never change what the flow computes or
 /// concludes: 1 and 4 threads give bit-identical verdicts, size metrics
-/// and oracle peak node counts on every stage of two generators.
+/// and oracle peak node counts on every stage of four generators.
+/// adder12 and lod16 price Factor shortlists in parallel.
 #[test]
 fn generator_verdicts_agree_across_threads_via_subprocess() {
     let dir = std::env::temp_dir().join(format!("pd-flow-knobs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for circuit in ["maj7", "comparator8"] {
+    for circuit in ["maj7", "comparator8", "adder12", "lod16"] {
         let mut fingerprints: Vec<(String, String)> = Vec::new();
         for threads in ["1", "4"] {
             let out_path = dir.join(format!("{circuit}-t{threads}.json"));
