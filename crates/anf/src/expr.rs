@@ -10,8 +10,9 @@
 //! ## Arithmetic kernel
 //!
 //! The ring operations sit on every hot path of the decomposer, so they
-//! carry dedicated fast paths for the dominant representation — every
-//! monomial [`Monomial::Small`], i.e. all variable indices below 128:
+//! carry dedicated fast paths for the dominant case — every monomial a
+//! *mask monomial* ([`Monomial::as_small`]), i.e. all variable indices
+//! below 128, whose `u128` masks order exactly as the monomials do:
 //!
 //! * [`Anf::and`] multiplies via dense `u128` product keys (`a | b`),
 //!   normalised either by an unstable `u128` sort + parity scan (small
@@ -19,9 +20,13 @@
 //!   materialising and comparison-sorting `n·m` enum monomials;
 //! * [`Anf::xor_assign`] merges in place from the back of its own buffer
 //!   (one `resize`, no fresh allocation per call);
-//! * [`Anf::xor_all`] flattens all-Small operand lists to one key vector
+//! * [`Anf::xor_all`] flattens all-mask operand lists to one key vector
 //!   and falls back to balanced tournament merging otherwise;
-//! * [`Anf::from_terms`] normalises all-Small term lists on raw keys.
+//! * [`Anf::from_terms`] normalises all-mask term lists on raw keys.
+//!
+//! Terms with an index of 128 or more take the generic paths on
+//! [`Monomial`] itself. Below index 192 those are still inline words
+//! (no allocation per product or split); past it they are index slices.
 //!
 //! The `kernel_equivalence` property tests compare every one of these
 //! operations, monomial for monomial, against references written from
@@ -97,8 +102,8 @@ impl Anf {
 
     /// Builds an expression from arbitrary terms, reducing duplicates mod 2.
     ///
-    /// All-[`Monomial::Small`] term lists are normalised on raw `u128`
-    /// keys (unstable sort + parity scan) — no enum dispatch per
+    /// All-mask term lists (see the module docs) are normalised on raw
+    /// `u128` keys (unstable sort + parity scan) — no dispatch per
     /// comparison.
     pub fn from_terms(mut terms: Vec<Monomial>) -> Self {
         if terms.iter().all(|t| t.as_small().is_some()) {
@@ -132,8 +137,8 @@ impl Anf {
         Anf { terms }
     }
 
-    /// Returns `true` when every term is a [`Monomial::Small`]. Terms are
-    /// sorted with Small before Large, so checking the last one suffices.
+    /// Returns `true` when every term is a mask monomial. Terms are sorted
+    /// with mask monomials first, so checking the last one suffices.
     #[inline]
     fn all_small(&self) -> bool {
         self.terms.last().is_none_or(|t| t.as_small().is_some())
@@ -216,7 +221,7 @@ impl Anf {
     pub fn support(&self) -> VarSet {
         let mut s = VarSet::new();
         for t in &self.terms {
-            s.extend(t.vars());
+            t.insert_into(&mut s);
         }
         s
     }
@@ -325,7 +330,7 @@ impl Anf {
     /// AND (ring multiplication). Distributes over XOR with idempotent
     /// monomial products and mod-2 cancellation.
     ///
-    /// When both operands are all-[`Monomial::Small`] the products are
+    /// When both operands are all mask monomials the products are
     /// dense `u128` keys (`a | b`); they are normalised by an unstable
     /// key sort for up to [`AND_HASH_THRESHOLD`] products and by a hash
     /// parity map beyond (the map is bounded by the number of *distinct*
@@ -353,7 +358,7 @@ impl Anf {
         Self::from_terms(products)
     }
 
-    /// The all-Small multiplication fast path; see [`Anf::and`].
+    /// The all-mask multiplication fast path; see [`Anf::and`].
     fn and_small(&self, other: &Anf) -> Anf {
         let key = |t: &Monomial| t.as_small().expect("all_small checked");
         let n = self.terms.len();
@@ -456,8 +461,9 @@ impl Anf {
     /// Both parts come out canonical without renormalising: `R` is a
     /// subsequence of the canonical terms, and removing `v` from the
     /// distinct terms that contain it leaves them distinct. It also keeps
-    /// `u128`-mask terms in order; only index-slice ([`Monomial::Large`])
-    /// terms can fall out of order, and `Q` is then re-sorted.
+    /// mask monomials (the colex class) in order; only terms with an index
+    /// of 128 or more (the lexicographic class) can fall out of order, and
+    /// `Q` is then re-sorted.
     ///
     /// # Examples
     ///
@@ -502,7 +508,7 @@ impl Anf {
 
     /// XOR of many expressions (k-way merge).
     ///
-    /// All-[`Monomial::Small`] operands are flattened into one `u128` key
+    /// All-mask operands are flattened into one `u128` key
     /// vector and normalised in a single sort; mixed operands fall back to
     /// balanced tournament merging of the sorted term lists, which keeps
     /// the total work at `O(N log k)` instead of the `O(N·k)` of folding

@@ -7,182 +7,28 @@
 //! incremental Gaussian elimination over GF(2) where, for every dependent
 //! vector, the *combination* of previously inserted vectors that produces
 //! it must be recovered.
+//!
+//! This module serves §5.3, over sparse [`Anf`] rows ([`AnfSpan`]). The
+//! §5.5 truth columns are dense bit vectors, one word per 64 assignments,
+//! and their eliminator lives with the identity search that drives it
+//! (`pd_core::identities`).
 
 use crate::expr::Anf;
 use crate::monomial::Monomial;
 use std::collections::HashMap;
 
-/// Outcome of inserting a vector into a [`Gf2Matrix`].
+/// Outcome of inserting an expression into an [`AnfSpan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Insert {
-    /// The vector was independent of all previously inserted vectors and
+    /// The expression was independent of all previously inserted ones and
     /// has been added to the span.
     Independent,
-    /// The vector equals the XOR of the given previously inserted vectors
-    /// (indices in insertion order). It was *not* added.
+    /// The expression equals the XOR of the given previously inserted
+    /// ones (indices in insertion order). It was *not* added.
     Dependent {
-        /// Insertion indices whose XOR equals the inserted vector.
+        /// Insertion indices whose XOR equals the inserted expression.
         combination: Vec<usize>,
     },
-}
-
-/// An incremental GF(2) row space (row-echelon basis) over dense bit
-/// vectors, tracking for every pivot row the combination of *inserted*
-/// vectors it was built from.
-///
-/// Pivot rows are only ever built from independent insertions, so a
-/// row's combination is kept over those alone — at most one bit per
-/// column — and mapped back to insertion indices when a dependency is
-/// reported. A dependent vector's combination over the independent ones
-/// is unique, so the reported indices do not depend on this encoding.
-///
-/// # Examples
-///
-/// ```
-/// use pd_anf::gf2::{Gf2Matrix, Insert};
-/// let mut m = Gf2Matrix::new(8);
-/// assert_eq!(m.insert_bits(&[0b0011]), Insert::Independent);
-/// assert_eq!(m.insert_bits(&[0b0101]), Insert::Independent);
-/// // 0b0110 = row0 ^ row1:
-/// assert_eq!(
-///     m.insert_bits(&[0b0110]),
-///     Insert::Dependent { combination: vec![0, 1] }
-/// );
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Gf2Matrix {
-    /// Words per vector, and per combination (rank ≤ column count).
-    n_words: usize,
-    /// Pivot bit of each row, in insertion order.
-    pivots: Vec<usize>,
-    /// Row bits, `n_words` per row. A dependent insertion leaves its
-    /// reduced vector in one slot past the last row; the next insertion
-    /// overwrites it.
-    bits: Vec<u64>,
-    /// Row combinations over independent insertions (bit `r` is the
-    /// insertion that created row `r`), `n_words` per row, with the same
-    /// trailing slot as `bits`.
-    combos: Vec<u64>,
-    /// Insertion index of each row's own vector.
-    independent: Vec<usize>,
-    n_inserted: usize,
-}
-
-impl Gf2Matrix {
-    /// Creates a matrix for vectors of `n_cols` bits.
-    pub fn new(n_cols: usize) -> Self {
-        Gf2Matrix {
-            n_words: n_cols.div_ceil(64).max(1),
-            ..Self::default()
-        }
-    }
-
-    /// Number of linearly independent vectors inserted so far.
-    pub fn rank(&self) -> usize {
-        self.pivots.len()
-    }
-
-    /// Number of vectors inserted so far (independent or not).
-    pub fn n_inserted(&self) -> usize {
-        self.n_inserted
-    }
-
-    /// Inserts a bit vector (low word first; missing words are zero).
-    ///
-    /// The vector is reduced in place in the row storage's next slot, so
-    /// an insertion allocates nothing once the storage has grown.
-    pub fn insert_bits(&mut self, bits: &[u64]) -> Insert {
-        let (n, r) = (self.n_words, self.pivots.len());
-        self.bits.truncate(r * n);
-        self.bits.resize((r + 1) * n, 0);
-        let len = bits.len().min(n);
-        self.bits[r * n..r * n + len].copy_from_slice(&bits[..len]);
-        self.combos.truncate(r * n);
-        self.combos.resize((r + 1) * n, 0);
-        let (rows, vec) = self.bits.split_at_mut(r * n);
-        let (row_combos, combo) = self.combos.split_at_mut(r * n);
-        reduce(&self.pivots, rows, row_combos, vec, combo);
-        let idx = self.n_inserted;
-        self.n_inserted += 1;
-        match first_set_bit(vec) {
-            None => Insert::Dependent {
-                combination: combination(&self.independent, combo),
-            },
-            Some(pivot) => {
-                combo[r / 64] |= 1 << (r % 64);
-                self.pivots.push(pivot);
-                self.independent.push(idx);
-                Insert::Independent
-            }
-        }
-    }
-
-    /// Tests membership of a bit vector in the current span without
-    /// modifying the matrix.
-    pub fn contains_bits(&self, bits: &[u64]) -> bool {
-        self.express_bits(bits).is_some()
-    }
-
-    /// Expresses a bit vector as a combination of inserted vectors, if it
-    /// lies in the span. Does not modify the matrix.
-    pub fn express_bits(&self, bits: &[u64]) -> Option<Vec<usize>> {
-        let n = self.n_words;
-        let rows = self.pivots.len() * n;
-        let mut vec = vec![0u64; n];
-        let len = bits.len().min(n);
-        vec[..len].copy_from_slice(&bits[..len]);
-        let mut combo = vec![0u64; n];
-        reduce(
-            &self.pivots,
-            &self.bits[..rows],
-            &self.combos[..rows],
-            &mut vec,
-            &mut combo,
-        );
-        match first_set_bit(&vec) {
-            None => Some(combination(&self.independent, &combo)),
-            Some(_) => None,
-        }
-    }
-}
-
-/// Reduces `vec` by every pivot row (`rows`/`row_combos` hold
-/// `vec.len()` words per row), accumulating the rows used into `combo`.
-fn reduce(pivots: &[usize], rows: &[u64], row_combos: &[u64], vec: &mut [u64], combo: &mut [u64]) {
-    let n = vec.len();
-    for (r, &pivot) in pivots.iter().enumerate() {
-        if vec[pivot / 64] >> (pivot % 64) & 1 == 1 {
-            // A row is zero below its pivot: start at the pivot's word.
-            let from = pivot / 64;
-            for (a, b) in vec[from..].iter_mut().zip(&rows[r * n + from..(r + 1) * n]) {
-                *a ^= b;
-            }
-            for (a, b) in combo.iter_mut().zip(&row_combos[r * n..(r + 1) * n]) {
-                *a ^= b;
-            }
-        }
-    }
-}
-
-fn first_set_bit(vec: &[u64]) -> Option<usize> {
-    vec.iter()
-        .enumerate()
-        .find(|(_, &w)| w != 0)
-        .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
-}
-
-/// Maps the rows set in `combo` to the insertion indices that created
-/// them (`independent[r]` for row `r`), ascending.
-fn combination(independent: &[usize], combo: &[u64]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (wi, &w) in combo.iter().enumerate() {
-        let mut w = w;
-        while w != 0 {
-            out.push(independent[wi * 64 + w.trailing_zeros() as usize]);
-            w &= w - 1;
-        }
-    }
-    out
 }
 
 fn combo_to_indices(combo: &[u64], exclude: usize) -> Vec<usize> {
@@ -376,114 +222,6 @@ pub fn linear_dependencies_of<'a>(
 mod tests {
     use super::*;
     use crate::var::VarPool;
-
-    #[test]
-    fn bit_matrix_dependencies() {
-        let mut m = Gf2Matrix::new(4);
-        assert_eq!(m.insert_bits(&[0b0001]), Insert::Independent);
-        assert_eq!(m.insert_bits(&[0b0010]), Insert::Independent);
-        assert_eq!(
-            m.insert_bits(&[0b0011]),
-            Insert::Dependent {
-                combination: vec![0, 1]
-            }
-        );
-        assert_eq!(m.rank(), 2);
-        assert!(m.contains_bits(&[0b0011]));
-        assert!(!m.contains_bits(&[0b0100]));
-        assert_eq!(m.express_bits(&[0b0010]), Some(vec![1]));
-        assert_eq!(m.express_bits(&[0b0100]), None);
-    }
-
-    #[test]
-    fn zero_vector_is_dependent_on_nothing() {
-        let mut m = Gf2Matrix::new(4);
-        assert_eq!(
-            m.insert_bits(&[0]),
-            Insert::Dependent {
-                combination: vec![]
-            }
-        );
-    }
-
-    #[test]
-    fn wide_vectors() {
-        let mut m = Gf2Matrix::new(130);
-        let mut a = vec![0u64; 3];
-        a[2] = 0b1; // bit 128
-        assert_eq!(m.insert_bits(&a), Insert::Independent);
-        assert!(m.contains_bits(&a));
-        assert_eq!(
-            m.insert_bits(&a),
-            Insert::Dependent {
-                combination: vec![0]
-            }
-        );
-    }
-
-    #[test]
-    fn dependent_combinations_xor_to_their_vector() {
-        // Random low-rank vectors over one- and multi-word widths: every
-        // reported combination names earlier independent insertions whose
-        // XOR is the inserted vector, and express_bits agrees with it.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for n_cols in [5usize, 64, 100, 256] {
-            let words = n_cols.div_ceil(64);
-            let tail = if n_cols.is_multiple_of(64) {
-                u64::MAX
-            } else {
-                (1 << (n_cols % 64)) - 1
-            };
-            let seeds: Vec<Vec<u64>> = (0..6)
-                .map(|_| {
-                    let mut v: Vec<u64> = (0..words).map(|_| next()).collect();
-                    v[words - 1] &= tail;
-                    v
-                })
-                .collect();
-            let mut m = Gf2Matrix::new(n_cols);
-            let mut inserted: Vec<Vec<u64>> = Vec::new();
-            let mut independent = Vec::new();
-            for _ in 0..20 {
-                let pick = next();
-                let mut v = vec![0u64; words];
-                for (i, s) in seeds.iter().enumerate() {
-                    if pick >> i & 1 == 1 {
-                        for (a, b) in v.iter_mut().zip(s) {
-                            *a ^= b;
-                        }
-                    }
-                }
-                let expressed = m.express_bits(&v);
-                match m.insert_bits(&v) {
-                    Insert::Independent => {
-                        assert_eq!(expressed, None);
-                        independent.push(inserted.len());
-                    }
-                    Insert::Dependent { combination } => {
-                        assert_eq!(expressed.as_ref(), Some(&combination));
-                        let mut acc = vec![0u64; words];
-                        for &i in &combination {
-                            assert!(independent.contains(&i), "{i} is not independent");
-                            for (a, b) in acc.iter_mut().zip(&inserted[i]) {
-                                *a ^= b;
-                            }
-                        }
-                        assert_eq!(acc, v, "combination {combination:?} at {n_cols} columns");
-                    }
-                }
-                inserted.push(v);
-            }
-            assert_eq!(m.rank(), independent.len());
-            assert_eq!(m.n_inserted(), 20);
-        }
-    }
 
     #[test]
     fn anf_span_tracks_combinations() {

@@ -19,11 +19,15 @@
 //!
 //! ## Kernel complexity
 //!
-//! Expressions are canonical sorted term vectors; monomials with all
-//! variable indices below 128 are single `u128` bitmasks
-//! ([`Monomial::Small`]), which is every term of every circuit the paper
-//! measures. On all-Small operands the kernel works on raw keys
-//! (see `expr` module docs for the dispatch rules):
+//! Expressions are canonical sorted term vectors. A [`Monomial`] is 32
+//! bytes: every variable index below 192 is stored inline in three `u64`
+//! words, and only a product with a larger index keeps a sorted index
+//! slice, so the re-decompositions of Reduce's close rounds and
+//! arbitration, whose leaders sit past index 128, stay inline too.
+//! Products with all indices below 128 — every term of every circuit the
+//! paper measures — are *mask monomials*, whose `u128` masks order
+//! exactly as the monomials do; on all-mask operands the kernel works on
+//! raw keys (see `expr` module docs for the dispatch rules):
 //!
 //! | operation | cost | notes |
 //! |---|---|---|

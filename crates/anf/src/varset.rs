@@ -2,14 +2,19 @@
 //!
 //! [`VarSet`] is a small-set representation optimised for the variable
 //! groups used by Progressive Decomposition (typically `k = 4` variables)
-//! and for expression supports (tens of variables). Indices below 128 are
-//! stored in a bitmask; larger indices spill into a sorted vector.
+//! and for expression supports (tens of variables). Indices below 192 are
+//! stored in three inline words, the same boundary as [`Monomial`]'s
+//! inline form, so a monomial splits by a group with three word masks;
+//! larger indices spill into a sorted vector.
+//!
+//! [`Monomial`]: crate::Monomial
 
 use crate::var::Var;
 use std::fmt;
 
-/// Number of variable indices representable in the inline bitmask.
-pub(crate) const SMALL_VARS: u32 = 128;
+/// Number of variable indices stored inline (bit `i % 64` of word
+/// `i / 64`) by [`VarSet`] and [`Monomial`](crate::Monomial).
+pub(crate) const INLINE_VARS: u32 = 192;
 
 /// A set of [`Var`]s.
 ///
@@ -24,9 +29,15 @@ pub(crate) const SMALL_VARS: u32 = 128;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct VarSet {
-    small: u128,
-    /// Sorted, deduplicated indices `>= SMALL_VARS`.
+    inline: [u64; 3],
+    /// Sorted, deduplicated indices `>= INLINE_VARS`.
     large: Vec<u32>,
+}
+
+/// Word index and bit of `v < INLINE_VARS`.
+#[inline]
+fn slot(v: Var) -> (usize, u64) {
+    ((v.0 / 64) as usize, 1 << (v.0 % 64))
 }
 
 impl VarSet {
@@ -44,20 +55,24 @@ impl VarSet {
 
     /// Number of variables in the set.
     pub fn len(&self) -> usize {
-        self.small.count_ones() as usize + self.large.len()
+        self.inline
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+            + self.large.len()
     }
 
     /// Returns `true` if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.small == 0 && self.large.is_empty()
+        self.inline == [0; 3] && self.large.is_empty()
     }
 
     /// Inserts a variable; returns `true` if it was not already present.
     pub fn insert(&mut self, v: Var) -> bool {
-        if v.0 < SMALL_VARS {
-            let bit = 1u128 << v.0;
-            let fresh = self.small & bit == 0;
-            self.small |= bit;
+        if v.0 < INLINE_VARS {
+            let (w, bit) = slot(v);
+            let fresh = self.inline[w] & bit == 0;
+            self.inline[w] |= bit;
             fresh
         } else {
             match self.large.binary_search(&v.0) {
@@ -72,10 +87,10 @@ impl VarSet {
 
     /// Removes a variable; returns `true` if it was present.
     pub fn remove(&mut self, v: Var) -> bool {
-        if v.0 < SMALL_VARS {
-            let bit = 1u128 << v.0;
-            let present = self.small & bit != 0;
-            self.small &= !bit;
+        if v.0 < INLINE_VARS {
+            let (w, bit) = slot(v);
+            let present = self.inline[w] & bit != 0;
+            self.inline[w] &= !bit;
             present
         } else {
             match self.large.binary_search(&v.0) {
@@ -91,8 +106,9 @@ impl VarSet {
     /// Membership test.
     #[inline]
     pub fn contains(&self, v: Var) -> bool {
-        if v.0 < SMALL_VARS {
-            self.small & (1u128 << v.0) != 0
+        if v.0 < INLINE_VARS {
+            let (w, bit) = slot(v);
+            self.inline[w] & bit != 0
         } else {
             self.large.binary_search(&v.0).is_ok()
         }
@@ -100,15 +116,19 @@ impl VarSet {
 
     /// Iterates over the variables in ascending index order.
     pub fn iter(&self) -> impl Iterator<Item = Var> + '_ {
-        BitIter(self.small)
+        InlineBits::new(self.inline)
+            .chain(self.large.iter().copied())
             .map(Var)
-            .chain(self.large.iter().map(|&i| Var(i)))
+    }
+
+    fn zip_words(&self, other: &VarSet, f: impl Fn(u64, u64) -> u64) -> [u64; 3] {
+        [0, 1, 2].map(|w| f(self.inline[w], other.inline[w]))
     }
 
     /// Set union.
     pub fn union(&self, other: &VarSet) -> VarSet {
         let mut out = self.clone();
-        out.small |= other.small;
+        out.inline = self.zip_words(other, |a, b| a | b);
         for &i in &other.large {
             out.insert(Var(i));
         }
@@ -124,7 +144,7 @@ impl VarSet {
             .copied()
             .collect();
         VarSet {
-            small: self.small & other.small,
+            inline: self.zip_words(other, |a, b| a & b),
             large,
         }
     }
@@ -138,14 +158,14 @@ impl VarSet {
             .copied()
             .collect();
         VarSet {
-            small: self.small & !other.small,
+            inline: self.zip_words(other, |a, b| a & !b),
             large,
         }
     }
 
     /// Returns `true` if the sets share at least one variable.
     pub fn intersects(&self, other: &VarSet) -> bool {
-        if self.small & other.small != 0 {
+        if self.zip_words(other, |a, b| a & b) != [0; 3] {
             return true;
         }
         // Both spill vectors are expected to be tiny.
@@ -156,7 +176,7 @@ impl VarSet {
 
     /// Returns `true` if every variable of `self` is in `other`.
     pub fn is_subset(&self, other: &VarSet) -> bool {
-        if self.small & !other.small != 0 {
+        if self.zip_words(other, |a, b| a & !b) != [0; 3] {
             return false;
         }
         self.large
@@ -164,22 +184,58 @@ impl VarSet {
             .all(|i| other.large.binary_search(i).is_ok())
     }
 
-    pub(crate) fn small_mask(&self) -> u128 {
-        self.small
+    /// Inserts every variable of the inline words `words`.
+    #[inline]
+    pub(crate) fn insert_inline_words(&mut self, words: &[u64; 3]) {
+        for (a, b) in self.inline.iter_mut().zip(words) {
+            *a |= b;
+        }
+    }
+
+    /// The inline words: the members below [`INLINE_VARS`].
+    #[inline]
+    pub(crate) fn inline_words(&self) -> [u64; 3] {
+        self.inline
     }
 }
 
-struct BitIter(u128);
+/// The `u128` mask of inline words' indices below 128.
+#[inline]
+pub(crate) fn mask_key(words: &[u64; 3]) -> u128 {
+    u128::from(words[0]) | u128::from(words[1]) << 64
+}
 
-impl Iterator for BitIter {
+/// The indices set in three inline words, ascending: the bits below 128
+/// as one `u128`, then the top word.
+pub(crate) struct InlineBits {
+    mask: u128,
+    top: u64,
+}
+
+impl InlineBits {
+    #[inline]
+    pub(crate) fn new(words: [u64; 3]) -> Self {
+        InlineBits {
+            mask: mask_key(&words),
+            top: words[2],
+        }
+    }
+}
+
+impl Iterator for InlineBits {
     type Item = u32;
+    #[inline]
     fn next(&mut self) -> Option<u32> {
-        if self.0 == 0 {
-            None
-        } else {
-            let tz = self.0.trailing_zeros();
-            self.0 &= self.0 - 1;
+        if self.mask != 0 {
+            let tz = self.mask.trailing_zeros();
+            self.mask &= self.mask - 1;
             Some(tz)
+        } else if self.top != 0 {
+            let tz = self.top.trailing_zeros();
+            self.top &= self.top - 1;
+            Some(128 + tz)
+        } else {
+            None
         }
     }
 }
@@ -262,11 +318,12 @@ mod tests {
     #[test]
     fn large_indices_round_trip() {
         let mut s = VarSet::new();
-        for i in [500u32, 128, 127, 0] {
+        for i in [500u32, 192, 191, 128, 127, 0] {
             s.insert(Var(i));
         }
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.len(), 6);
         let got: Vec<u32> = s.iter().map(|v| v.0).collect();
-        assert_eq!(got, vec![0, 127, 128, 500]);
+        assert_eq!(got, vec![0, 127, 128, 191, 192, 500]);
+        assert!(s.remove(Var(191)) && !s.contains(Var(191)) && s.contains(Var(192)));
     }
 }

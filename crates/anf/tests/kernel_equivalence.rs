@@ -6,9 +6,10 @@
 //! written here from the ring definitions. Inputs are seeded-random and
 //! cover the three operand shapes the kernel dispatches on:
 //!
-//! * all-`Monomial::Small` (indices < 128) — the dense `u128` key path,
-//! * all-`Monomial::Large` spill (indices ≥ 128),
-//! * mixed Small/Large operands.
+//! * mask monomials only (indices < 128) — the dense `u128` key path,
+//! * lexicographic-class monomials only (indices from [`HIGH`], on both
+//!   sides of the 192 boundary between inline words and index slices),
+//! * both mixed within one expression.
 //!
 //! Failures print the deterministic seed of the failing case.
 
@@ -35,9 +36,9 @@ impl Rng {
 /// Which index ranges an expression's variables are drawn from.
 #[derive(Clone, Copy, Debug)]
 enum Shape {
-    /// All indices < 128 (Small masks only).
+    /// All indices < 128 (mask monomials only).
     Small,
-    /// All indices ≥ 128 (Large spill only).
+    /// All indices in `HIGH..HIGH + 16` (no mask monomial but `1`).
     Large,
     /// Both ranges mixed within one expression.
     Mixed,
@@ -45,17 +46,20 @@ enum Shape {
 
 const SHAPES: [Shape; 3] = [Shape::Small, Shape::Large, Shape::Mixed];
 
+/// First index of the `Large` shape's range, which straddles `Var(192)`.
+const HIGH: u32 = 184;
+
 fn random_monomial(rng: &mut Rng, shape: Shape) -> Monomial {
     let degree = rng.below(5) as usize;
     let vars = (0..degree).map(|_| {
         let idx = match shape {
             Shape::Small => rng.below(12) as u32,
-            Shape::Large => 128 + rng.below(12) as u32,
+            Shape::Large => HIGH + rng.below(16) as u32,
             Shape::Mixed => {
                 if rng.below(2) == 0 {
                     rng.below(12) as u32
                 } else {
-                    128 + rng.below(12) as u32
+                    HIGH + rng.below(16) as u32
                 }
             }
         };
@@ -251,11 +255,11 @@ fn substitute_matches_reference() {
             let a = random_anf(&mut rng, shape, 20);
             let v = match shape {
                 Shape::Small => Var(rng.below(12) as u32),
-                Shape::Large => Var(128 + rng.below(12) as u32),
+                Shape::Large => Var(HIGH + rng.below(16) as u32),
                 Shape::Mixed => Var(if rng.below(2) == 0 {
                     rng.below(12) as u32
                 } else {
-                    128 + rng.below(12) as u32
+                    HIGH + rng.below(16) as u32
                 }),
             };
             let replacement = random_anf(&mut rng, shape, 6);

@@ -35,8 +35,9 @@ fn decode_anf(masks: &[u8], vars: &[Var]) -> Anf {
     Anf::from_terms(terms)
 }
 
-/// Variables spanning both monomial encodings: indices ≥ 128 force
-/// `Monomial::Large` terms.
+/// Variables spanning both monomial order classes and both storage
+/// forms: an index ≥ 128 puts a term in the lexicographic class, and an
+/// index ≥ 192 stores it as a heap index slice.
 fn wide_vars() -> Vec<Var> {
     [0, 3, 64, 127, 128, 200].into_iter().map(Var).collect()
 }
@@ -239,7 +240,7 @@ fn davio_builds_constants_and_large_monomials_like_term_fold() {
     let large = Monomial::from_vars([vars[1], vars[4], vars[5]]);
     assert!(
         large.as_small().is_none(),
-        "index >= 128 must spill to Large"
+        "an index >= 128 has no u128 mask"
     );
     let mixed = Anf::from_terms(vec![Monomial::one(), large, Monomial::var(vars[2])]);
     let reversed: Vec<Var> = vars.iter().rev().copied().collect();

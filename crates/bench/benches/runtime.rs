@@ -75,7 +75,8 @@ fn bench_pairs_split(c: &mut Criterion) {
         })
     });
     // The shape Reduce's close rounds and arbitration split: every
-    // variable id at 128 or more, so terms are index slices.
+    // variable id at 128 or more, so terms are in the lexicographic order
+    // class (still inline below Var(192)).
     let shift = |v: pd_anf::Var| pd_anf::Var(v.0 + 128);
     let maj_large = maj.map_vars(shift);
     let group4_large: pd_anf::VarSet = m.bits[..4].iter().map(|&v| shift(v)).collect();
@@ -112,6 +113,47 @@ fn bench_pairs_split(c: &mut Criterion) {
             ))
         })
     });
+}
+
+fn bench_identities(c: &mut Criterion) {
+    use pd_anf::{Anf, Var, VarSet};
+    use pd_core::identities::{find_identities, IdentityStore, Search};
+    use std::collections::HashMap;
+    // Identity search (§5.5) over the leaders of maj15's first group of
+    // six inputs, after the basis passes, named as findBasis names them:
+    // fresh variables past the pool, group literals passing through. A
+    // group-search trial builds only the substitution-capable identities;
+    // the committed run builds them all.
+    let m = Majority::new(15);
+    let maj = &m.spec()[0].1;
+    let group: Vec<Var> = m.bits[..6].to_vec();
+    let group_set: VarSet = group.iter().copied().collect();
+    let cfg = PdConfig::default();
+    let mut pl = pd_core::pairs::PairList::split(maj, &group_set, &HashMap::new());
+    pl.merge_fixpoint();
+    pd_core::lindep::minimize(&mut pl, cfg.lindep_outer_term_cap);
+    pd_core::size_reduce::improve(&mut pl);
+    let mut fresh = m.pool.len() as u32;
+    let basis: Vec<(Var, Anf)> = pl
+        .pairs
+        .iter()
+        .map(|p| {
+            let v = p.inner.as_literal().unwrap_or_else(|| {
+                fresh += 1;
+                Var(fresh - 1)
+            });
+            (v, p.inner.clone())
+        })
+        .collect();
+    let store = IdentityStore::new();
+    for (name, search) in [
+        ("identities/maj15_k6_trial", Search::Substitutions),
+        ("identities/maj15_k6_all", Search::All),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(find_identities(&basis, &group, &store, &cfg, search)))
+        });
+    }
 }
 
 /// A named benchmark case: circuit label, pool and specification.
@@ -236,6 +278,7 @@ criterion_group!(
     benches,
     bench_anf_ops,
     bench_pairs_split,
+    bench_identities,
     bench_decompose,
     bench_flow,
     bench_verify,

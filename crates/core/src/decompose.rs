@@ -46,7 +46,7 @@
 
 use crate::config::PdConfig;
 use crate::group::{find_group_metered, live_vars};
-use crate::identities::{find_identities, IdentityStore};
+use crate::identities::{find_identities, IdentityStore, Search};
 use crate::lindep;
 use crate::pairs::{Pair, PairList};
 use crate::size_reduce;
@@ -251,12 +251,16 @@ impl ProgressiveDecomposer {
             // depend on the group: every trial and the winner's re-run
             // borrow them.
             let x = combine(&l, &selectors, &identities);
-            let var_ns = identities.var_nullspaces();
+            let shared = Iteration {
+                n_vars: pool.len(),
+                x: &x,
+                var_ns: &identities.var_nullspaces(),
+                identities: &identities,
+            };
             let cfg = &self.cfg;
-            let n_vars = pool.len();
             let group = find_group_metered(&l, &pool, &finalized, cfg, meter, |g| {
                 let mut laps = Laps::start();
-                let found = find_basis(n_vars, &x, &var_ns, &identities, g, cfg, &mut laps);
+                let found = find_basis(&shared, g, cfg, Search::Substitutions, &mut laps);
                 // Objective (§5.1): size of the rewritten expression in
                 // literals; basis size and the depth of the consumed
                 // leaders break ties (prefer shallow, parallel blocks).
@@ -274,16 +278,8 @@ impl ProgressiveDecomposer {
             let Some(group) = group else { break };
             let before_literals: usize = l.iter().map(Anf::literal_count).sum();
             let mut laps = Laps::start();
-            let outcome = find_basis(
-                pool.len(),
-                &x,
-                &var_ns,
-                &identities,
-                &group,
-                &self.cfg,
-                &mut laps,
-            )
-            .rewrite(&selectors, &group, iteration, &mut laps);
+            let outcome = find_basis(&shared, &group, &self.cfg, Search::All, &mut laps)
+                .rewrite(&selectors, &group, iteration, &mut laps);
             if outcome.allocated == 0 {
                 // Only literal leaders: abstraction is a no-op. Retire the
                 // group so the search moves on; stop when nothing is left.
@@ -438,26 +434,39 @@ struct FoundBasis {
     /// Identities found and not applied as substitutions; substitutions
     /// are inlined only by [`FoundBasis::rewrite`].
     identities: Vec<Anf>,
+    /// What the identity search built: under [`Search::Substitutions`]
+    /// `identities` holds only the substitution-capable ones, so only a
+    /// [`Search::All`] result may be rewritten.
+    search: Search,
     events: Vec<TraceEvent>,
 }
 
-/// findBasis on the combined expression `x` (see [`combine`]), the three
-/// optimisations, leader naming, and identity discovery with the
-/// substitutions it allows. Pure with respect to the caller's state, so
-/// it doubles as the trial for group search. Fresh leaders are named from
-/// `n_vars`, the size of the pool the iteration runs against; `var_ns` is
-/// [`IdentityStore::var_nullspaces`] of `identities`.
-fn find_basis(
+/// What every find_basis run of one iteration shares, whatever the
+/// group: the size of the pool it runs against (fresh leaders are named
+/// from there), the combined expression `X` (see [`combine`]), and the
+/// identity store with its [`IdentityStore::var_nullspaces`].
+struct Iteration<'a> {
     n_vars: usize,
-    x: &Anf,
-    var_ns: &HashMap<Var, NullSpace>,
-    identities: &IdentityStore,
+    x: &'a Anf,
+    var_ns: &'a HashMap<Var, NullSpace>,
+    identities: &'a IdentityStore,
+}
+
+/// findBasis on the combined expression, the three optimisations, leader
+/// naming, and identity discovery with the substitutions it allows. Pure
+/// with respect to the caller's state, so it doubles as the trial for
+/// group search. A trial searches with [`Search::Substitutions`]: its
+/// substitutions, and so its score, are the same, but identities that
+/// cannot substitute are not built.
+fn find_basis(
+    it: &Iteration<'_>,
     group: &VarSet,
     cfg: &PdConfig,
+    search: Search,
     laps: &mut Laps,
 ) -> FoundBasis {
     let mut events = Vec::new();
-    let mut pl = PairList::split(x, group, var_ns);
+    let mut pl = PairList::split(it.x, group, it.var_ns);
     laps.lap("split");
     pl.merge_fixpoint();
     laps.lap("merge");
@@ -493,7 +502,7 @@ fn find_basis(
             leaders.push((v, p.inner.clone()));
             leader_of_pair.push(p.inner.clone());
         } else {
-            let v = Var((n_vars + allocated) as u32);
+            let v = Var((it.n_vars + allocated) as u32);
             leaders.push((v, p.inner.clone()));
             leader_of_pair.push(Anf::var(v));
             allocated += 1;
@@ -505,23 +514,21 @@ fn find_basis(
     let mut substitutions: Vec<(Var, Anf)> = Vec::new();
     if cfg.enable_identities && !leaders.is_empty() {
         let group_vars: Vec<Var> = group.iter().collect();
-        let found = find_identities(&leaders, &group_vars, identities, cfg);
+        let found = find_identities(&leaders, &group_vars, it.identities, cfg, search);
         laps.lap("identities");
-        let fresh_vars: Vec<Var> = leaders
+        let passthrough_set: VarSet = passthrough.iter().copied().collect();
+        // Fresh leaders not substituted yet: the candidates' variables.
+        let mut unsubstituted: VarSet = leaders
             .iter()
-            .filter(|(v, _)| !passthrough.contains(v))
             .map(|(v, _)| *v)
+            .filter(|v| !passthrough_set.contains(*v))
             .collect();
         for f in found {
             let candidate = f
                 .expr
                 .terms()
                 .find(|t| {
-                    t.degree() == 1 && {
-                        let v = t.vars().next().expect("degree 1");
-                        fresh_vars.contains(&v)
-                            && !substitutions.iter().any(|(sv, _)| *sv == v)
-                    }
+                    t.degree() == 1 && unsubstituted.contains(t.vars().next().expect("degree 1"))
                 })
                 .map(|t| t.vars().next().expect("degree 1"));
             let mut applied = false;
@@ -535,10 +542,10 @@ fn find_basis(
                 // A replacement built from passthrough variables would
                 // re-expand what this iteration just abstracted (and can
                 // livelock the main loop); allow it only as a free alias.
-                let passthrough_set: pd_anf::VarSet = passthrough.iter().copied().collect();
                 let re_expands = replacement.support().intersects(&passthrough_set)
                     && replacement.literal_count() > 1;
                 if within_budget && !re_expands && !replacement.contains_var(v) {
+                    unsubstituted.remove(v);
                     substitutions.push((v, replacement.clone()));
                     events.push(TraceEvent::Substitution(v, replacement));
                     applied = true;
@@ -562,6 +569,7 @@ fn find_basis(
         leader_of_pair,
         substitutions,
         identities: new_identities,
+        search,
         events,
     }
 }
@@ -647,6 +655,7 @@ impl FoundBasis {
         iteration: u32,
         laps: &mut Laps,
     ) -> IterationOutcome {
+        debug_assert_eq!(self.search, Search::All, "a trial's identities are incomplete");
         let new_l = self.rewritten_list(selectors);
         // No eliminated leader may remain referenced by an identity.
         let mut new_identities = std::mem::take(&mut self.identities);
@@ -1242,7 +1251,8 @@ mod tests {
     }
 
     /// Inputs `a1..an` with ids from `pad` up, so `pad ≥ 128` gives the
-    /// index-slice terms Reduce's close rounds and arbitration see.
+    /// lexicographic-class terms Reduce's close rounds and arbitration
+    /// see.
     fn padded_majority(n: usize, pad: usize) -> (VarPool, Anf) {
         let mut pool = VarPool::new();
         for i in 0..pad {
@@ -1296,8 +1306,8 @@ mod tests {
         assert!(count(|c| !c.identities_known) >= 1000, "empty stores");
         assert!(count(|c| c.identities_known) >= 1000, "non-empty stores");
         assert!(count(|c| c.substituted) >= 100, "substitution trials");
-        assert!(count(|c| c.large) >= 1000, "index-slice trials");
-        assert!(count(|c| c.large && c.substituted) >= 50, "index-slice substitution trials");
+        assert!(count(|c| c.large) >= 1000, "trials past Var(128)");
+        assert!(count(|c| c.large && c.substituted) >= 50, "substitution trials past Var(128)");
     }
 
     /// A seeded [`FoundBasis`] over variable ids from `base`: 1–6 pairs
@@ -1413,6 +1423,7 @@ mod tests {
             leader_of_pair,
             substitutions,
             identities: Vec::new(),
+            search: Search::All,
             events: Vec::new(),
         };
         (found, selectors)

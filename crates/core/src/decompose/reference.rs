@@ -29,21 +29,15 @@ pub(super) fn bucket_by_selector(terms: &[Monomial], selectors: &[Var]) -> Vec<A
 }
 
 /// `(Σ lit(L′ᵢ), basis literals)` of the fully rewritten list and the
-/// recorded basis.
+/// recorded basis. (A trial's identities are incomplete, so it reads the
+/// two parts of [`FoundBasis::rewrite`] that do not touch them.)
 pub(super) fn score(found: &FoundBasis, selectors: &[Var]) -> (usize, usize) {
-    let outcome = found.clone().rewrite(
-        selectors,
-        &pd_anf::VarSet::new(),
-        0,
-        &mut super::Laps::start(),
-    );
-    let rewritten = outcome.new_l.iter().map(Anf::literal_count).sum();
-    let basis = outcome
-        .block
-        .basis
+    let rewritten = found
+        .rewritten_list(selectors)
         .iter()
-        .map(|(_, e)| e.literal_count())
+        .map(Anf::literal_count)
         .sum();
+    let basis = found.basis().map(|(_, e)| e.literal_count()).sum();
     (rewritten, basis)
 }
 
@@ -58,7 +52,7 @@ pub(super) struct ScoreCheck {
     pub identities_known: bool,
     /// Some leader was substituted.
     pub substituted: bool,
-    /// `X` had index-slice terms (a variable id of 128 or more).
+    /// `X` had terms past the mask class (a variable id of 128 or more).
     pub large: bool,
 }
 

@@ -14,9 +14,23 @@
 //! Identities are discovered on assignment sets restricted only by
 //! *previously known* identities — a superset of the value combinations
 //! reachable from primary inputs — so every emitted identity is sound.
+//!
+//! ## One routine, two modes
+//!
+//! [`find_identities`] runs once per group-search trial (§5.1) and once
+//! per committed iteration, so it is built to cost about as much as the
+//! masks it works on. Columns are packed bit-parallel; product subsets
+//! are enumerated in place, each column one AND away from its prefix's;
+//! elimination keeps its rows indexed by pivot, each with its combination
+//! over the independent columns, so at `k ≤ 6` (at most 64 admissible
+//! assignments) a row and its combination are two words. An [`Anf`] is
+//! built only for a dependency that is reported. A trial asks for
+//! [`Search::Substitutions`]: only dependencies with a degree-1 term
+//! naming a fresh leader can become substitutions, and substitutions are
+//! all its score depends on, so the rest are never built. The committed
+//! run asks for [`Search::All`] and records every identity.
 
 use crate::config::PdConfig;
-use pd_anf::gf2::{Gf2Matrix, Insert};
 use pd_anf::{Anf, Monomial, NullSpace, Var, VarSet};
 use std::collections::HashMap;
 
@@ -169,18 +183,98 @@ fn pack(col: &[u64], mask: &[u64], out: &mut [u64]) {
     }
 }
 
-/// Discovers identities among `basis`: `basis[i].0` is the fresh variable
-/// naming expression `basis[i].1` (over `group` variables).
+/// Which dependencies [`find_identities`] turns into identities.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Search {
+    /// Every dependency: the committed iteration records them all.
+    All,
+    /// Only dependencies with a degree-1 term naming a *fresh* leader (one
+    /// whose variable is not a group variable, i.e. not a passthrough).
+    /// Only those can become substitutions, and substitutions are all a
+    /// group-search trial's score reads; the rest are never built.
+    Substitutions,
+}
+
+/// Incremental GF(2) elimination of `words`-word columns with rows
+/// indexed by pivot: the row with pivot `p` has `p` as its lowest set
+/// bit, so a column reduces by walking its lowest set bit upwards. Each
+/// row carries its combination over the independent *slots* (insertion
+/// order of the independent columns only), which fits in as many words
+/// as the columns since the rank is at most the row count. At `k ≤ 6`
+/// a row and its combination are one word each.
+struct Eliminator {
+    words: usize,
+    /// Index into `rows` of pivot `p`'s row, or `u32::MAX`.
+    row_of: Vec<u32>,
+    /// Rows in slot order, `2·words` each: bits, then combination.
+    rows: Vec<u64>,
+    /// The column being reduced and its combination.
+    scratch: Vec<u64>,
+}
+
+impl Eliminator {
+    fn new(words: usize) -> Self {
+        Eliminator {
+            words,
+            row_of: vec![u32::MAX; 64 * words],
+            rows: Vec::new(),
+            scratch: vec![0; 2 * words],
+        }
+    }
+
+    /// Inserts `col`: `None` when it is independent (it takes the next
+    /// slot), else the slots whose columns XOR to it.
+    fn insert(&mut self, col: &[u64]) -> Option<&[u64]> {
+        let w = self.words;
+        self.scratch[..w].copy_from_slice(col);
+        self.scratch[w..].fill(0);
+        let mut word = 0;
+        while word < w {
+            let bits = self.scratch[word];
+            if bits == 0 {
+                word += 1;
+                continue;
+            }
+            let p = word * 64 + bits.trailing_zeros() as usize;
+            let slot = self.row_of[p] as usize;
+            if slot == u32::MAX as usize {
+                let slot = self.rows.len() / (2 * w);
+                self.scratch[w + slot / 64] |= 1 << (slot % 64);
+                self.rows.extend_from_slice(&self.scratch);
+                self.row_of[p] = slot as u32;
+                return None;
+            }
+            // Bits below `p` are clear in both: only `word` onwards of
+            // the bits change.
+            let row = &self.rows[2 * w * slot..2 * w * (slot + 1)];
+            for (a, b) in self.scratch[word..].iter_mut().zip(&row[word..]) {
+                *a ^= b;
+            }
+        }
+        Some(&self.scratch[w..])
+    }
+}
+
+/// Discovers identities among `basis`: `basis[i].0` is the variable
+/// naming expression `basis[i].1` (over `group` variables); a leader
+/// whose variable is itself a group variable is a passthrough. Leader
+/// variables must be distinct.
 ///
 /// Assignments of `group` violating a known identity (with support inside
 /// the group) are excluded. Products of up to `cfg.identity_product_depth`
-/// basis variables are enumerated, plus the constant 1; every GF(2)
-/// dependency among their value columns is returned.
+/// basis variables are enumerated, smallest first and lexicographically
+/// within a size, after the constant 1; every GF(2) dependency among their
+/// value columns is an identity, returned in that order. With
+/// [`Search::Substitutions`] only the substitution-capable ones are built:
+/// exactly that subsequence of [`Search::All`]'s result.
 ///
 /// Value columns are built bit-parallel: every expression is evaluated
 /// with [`Anf::eval64`] over all `2ⁿ` group assignments, 64 at a time,
-/// and the admissible rows are packed out of that. An identity's [`Anf`]
-/// is only built for a product that turns out dependent.
+/// and the admissible rows are packed out of that. Products are
+/// enumerated in place, each one's column the AND of its prefix's and one
+/// more variable's, and reduced by the pivot-indexed eliminator. An identity's
+/// [`Anf`] is only built for a product that turns out dependent (and,
+/// in a trial, substitution-capable).
 ///
 /// # Panics
 ///
@@ -191,12 +285,18 @@ pub fn find_identities(
     group: &[Var],
     store: &IdentityStore,
     cfg: &PdConfig,
+    search: Search,
 ) -> Vec<FoundIdentity> {
     assert!(group.len() <= 24, "group too large for identity search");
     if basis.is_empty() {
         return Vec::new();
     }
     let group_set: VarSet = group.iter().copied().collect();
+    debug_assert_eq!(
+        basis.iter().map(|(v, _)| *v).collect::<VarSet>().len(),
+        basis.len(),
+        "leader variables are distinct"
+    );
     let constraints = store.restricted_to(&group_set);
     // Word `w` of the truth column of `expr` over all assignments
     // (variables outside the group read as 0).
@@ -238,62 +338,93 @@ pub fn find_identities(
         }
         pack(&full, &mask, col);
     }
-    // Enumerate product subsets up to the configured depth, smallest first
-    // so substitutions prefer low-degree right-hand sides. A level is only
-    // built when the depth reaches it.
-    let depth = cfg.identity_product_depth;
-    let mut subsets: Vec<Vec<usize>> = Vec::new();
-    let mut frontier: Vec<Vec<usize>> = (0..m).map(|i| vec![i]).collect();
-    for d in 1..=depth {
-        let mut next = Vec::new();
-        if d < depth {
-            for s in &frontier {
-                let last = *s.last().expect("nonempty");
-                for j in last + 1..m {
-                    let mut t = s.clone();
-                    t.push(j);
-                    next.push(t);
-                }
-            }
-        }
-        subsets.append(&mut frontier);
-        frontier = next;
-    }
-    // The constant 1 is inserted first so "≡ 1" relations surface as
-    // XOR-with-1. `independent[i]` is the product monomial of insertion
-    // `i` when it was independent: a dependency only ever names those.
-    let mut independent: Vec<Option<Monomial>> = vec![Some(Monomial::one())];
+    let var_col = |i: usize| &var_cols[i * words..(i + 1) * words];
+    let fresh = |i: usize| !group_set.contains(basis[i].0);
+    // The constant 1 takes slot 0, so "≡ 1" relations surface as
+    // XOR-with-1. `slot_products[s]` is the product monomial of slot `s`;
+    // bit `s` of `fresh_slots` marks a single fresh leader.
+    let mut elim = Eliminator::new(words);
     let mut ones = vec![u64::MAX; words];
     if !rows.is_multiple_of(64) {
         ones[words - 1] = (1u64 << (rows % 64)) - 1;
     }
-    let mut matrix = Gf2Matrix::new(rows);
-    matrix.insert_bits(&ones);
+    let inserted = elim.insert(&ones);
+    debug_assert!(inserted.is_none(), "the constant column is nonzero");
+    let mut slot_products: Vec<Monomial> = vec![Monomial::one()];
+    let mut fresh_slots = vec![0u64; words];
     let mut found = Vec::new();
-    let mut col = vec![0u64; words];
-    for s in &subsets {
-        col.copy_from_slice(&ones);
-        for &bi in s {
-            for (w, v) in col.iter_mut().zip(&var_cols[bi * words..(bi + 1) * words]) {
-                *w &= v;
-            }
-        }
-        let product = Monomial::from_vars(s.iter().map(|&bi| basis[bi].0));
-        match matrix.insert_bits(&col) {
-            Insert::Independent => independent.push(Some(product)),
-            Insert::Dependent { combination } => {
-                let mut terms = vec![product];
-                terms.extend(
-                    combination
-                        .iter()
-                        .map(|&i| independent[i].clone().expect("combination of independents")),
-                );
-                let expr = Anf::from_terms(terms);
-                if !expr.is_zero() {
-                    found.push(FoundIdentity { expr });
+    // `subset` holds the product's basis indices, ascending; `prefix`
+    // holds the column of each prefix of it (the last is the product's).
+    let depth = cfg.identity_product_depth.min(m);
+    let mut subset: Vec<usize> = Vec::with_capacity(depth);
+    let mut prefix = vec![0u64; depth * words];
+    for d in 1..=depth {
+        subset.clear();
+        subset.extend(0..d);
+        // Prefix columns from position `from` on are stale.
+        let mut from = 0;
+        loop {
+            for t in from..d {
+                let (done, rest) = prefix.split_at_mut(t * words);
+                let col = &mut rest[..words];
+                col.copy_from_slice(var_col(subset[t]));
+                if t > 0 {
+                    for (a, b) in col.iter_mut().zip(&done[(t - 1) * words..]) {
+                        *a &= b;
+                    }
                 }
-                independent.push(None);
             }
+            let single_fresh = d == 1 && fresh(subset[0]);
+            let product = || Monomial::from_vars(subset.iter().map(|&i| basis[i].0));
+            match elim.insert(&prefix[(d - 1) * words..d * words]) {
+                None => {
+                    let slot = slot_products.len();
+                    if single_fresh {
+                        fresh_slots[slot / 64] |= 1 << (slot % 64);
+                    }
+                    slot_products.push(product());
+                }
+                Some(combination) => {
+                    let wanted = match search {
+                        Search::All => true,
+                        Search::Substitutions => {
+                            single_fresh
+                                || combination
+                                    .iter()
+                                    .zip(&fresh_slots)
+                                    .any(|(c, f)| c & f != 0)
+                        }
+                    };
+                    if wanted {
+                        let mut terms = vec![product()];
+                        for (w, &c) in combination.iter().enumerate() {
+                            let mut c = c;
+                            while c != 0 {
+                                terms.push(
+                                    slot_products[w * 64 + c.trailing_zeros() as usize].clone(),
+                                );
+                                c &= c - 1;
+                            }
+                        }
+                        // Distinct subsets of distinct leaders are distinct
+                        // monomials: nothing cancels, sorting is enough.
+                        terms.sort_unstable();
+                        found.push(FoundIdentity {
+                            expr: Anf::from_canonical_terms(terms),
+                        });
+                    }
+                }
+            }
+            // Next subset of size `d` in lexicographic order: bump the
+            // rightmost index with room, reset the ones after it.
+            let Some(t) = (0..d).rev().find(|&t| subset[t] < m - d + t) else {
+                break;
+            };
+            subset[t] += 1;
+            for u in t + 1..d {
+                subset[u] = subset[u - 1] + 1;
+            }
+            from = t;
         }
     }
     found
@@ -305,6 +436,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pd_anf::gf2::Insert;
     use pd_anf::VarPool;
 
     fn setup_counter4() -> (VarPool, Vec<Var>, Vec<(Var, Anf)>) {
@@ -333,7 +465,7 @@ mod tests {
         let (mut pool, a, basis) = setup_counter4();
         let store = IdentityStore::new();
         let cfg = PdConfig::default();
-        let found = find_identities(&basis, &a, &store, &cfg);
+        let found = find_identities(&basis, &a, &store, &cfg, Search::All);
         let exprs: Vec<Anf> = found.iter().map(|f| f.expr.clone()).collect();
         let expect = [
             "s3 ^ s1*s2",
@@ -408,7 +540,7 @@ mod tests {
             (s_xor, Anf::parse("a ^ b", &mut pool).unwrap()),
         ];
         let cfg = PdConfig::default();
-        let found = find_identities(&basis, &[a, b], &store, &cfg);
+        let found = find_identities(&basis, &[a, b], &store, &cfg, Search::All);
         let want = Anf::var(s_or).xor(&Anf::var(s_xor));
         assert!(found.iter().any(|f| f.expr == want), "got {found:?}");
     }
@@ -448,16 +580,48 @@ mod tests {
         )
     }
 
+    /// Whether `expr` has a degree-1 term naming a leader outside `group`.
+    fn substitution_capable(expr: &Anf, group: &[Var]) -> bool {
+        expr.terms()
+            .any(|t| t.degree() == 1 && t.vars().all(|v| !group.contains(&v)))
+    }
+
+    /// Both search modes on one case: full mode must match the reference
+    /// identity for identity, and trial mode must return exactly the
+    /// substitution-capable subsequence of full mode, in order. Returns
+    /// the identity count of each mode.
+    fn check_modes(
+        basis: &[(Var, Anf)],
+        group: &[Var],
+        store: &IdentityStore,
+        cfg: &PdConfig,
+        case: &str,
+    ) -> (usize, usize) {
+        let all = find_identities(basis, group, store, cfg, Search::All);
+        let slow = reference::find_identities(basis, group, store, cfg);
+        assert_eq!(all, slow, "{case}: basis {basis:?}");
+        let trial = find_identities(basis, group, store, cfg, Search::Substitutions);
+        let capable: Vec<FoundIdentity> = all
+            .iter()
+            .filter(|f| substitution_capable(&f.expr, group))
+            .cloned()
+            .collect();
+        assert_eq!(trial, capable, "{case}: trial mode, basis {basis:?}");
+        (all.len(), trial.len())
+    }
+
     #[test]
     fn identity_search_matches_reference() {
         // Random bases over 2–8 group variables under random known
         // constraints: 7 and 8 variables give multi-word columns, and
-        // constraints leave gaps for the packing to close. Both searches
-        // must report the same identities in the same order, and on the
-        // reference's own columns both matrices must agree insert for
-        // insert, with every combination XOR-ing to its vector.
+        // constraints leave gaps for the packing to close. Full mode must
+        // report the reference's identities in the same order, and trial
+        // mode their substitution-capable subsequence. On the reference's
+        // own columns the eliminator must agree with the reference matrix
+        // insert for insert (its slots mapped back to insertion indices),
+        // with every combination XOR-ing to its vector.
         let mut state = 0x2545_f491_4f6c_dd1du64;
-        let (mut found_total, mut multi_word) = (0, 0);
+        let (mut found_total, mut trial_total, mut multi_word) = (0, 0, 0);
         for case in 0..400 {
             let n = 2 + (case % 7);
             let group: Vec<Var> = (0..n as u32).map(|i| Var(3 * i + 1)).collect();
@@ -502,20 +666,32 @@ mod tests {
                 identity_product_depth: 1 + (case % 3),
                 ..PdConfig::default()
             };
-            let fast = find_identities(&basis, &group, &store, &cfg);
-            let slow = reference::find_identities(&basis, &group, &store, &cfg);
-            assert_eq!(fast, slow, "case {case}: basis {basis:?}");
-            found_total += fast.len();
+            let (all, trial) = check_modes(&basis, &group, &store, &cfg, &format!("case {case}"));
+            found_total += all;
+            trial_total += trial;
 
             let cols = reference::columns(&basis, &group, &store, &cfg);
             let Some((_, ones)) = cols.first() else {
                 continue;
             };
             multi_word += usize::from(ones.len() > 1);
-            let mut new = Gf2Matrix::new(ones.len() * 64);
+            let mut elim = Eliminator::new(ones.len());
             let mut old = reference::ReferenceGf2Matrix::new(ones.len() * 64);
+            // Insertion index of each slot.
+            let mut independent: Vec<usize> = Vec::new();
             for (i, (_, col)) in cols.iter().enumerate() {
-                let got = new.insert_bits(col);
+                let got = match elim.insert(col) {
+                    None => {
+                        independent.push(i);
+                        Insert::Independent
+                    }
+                    Some(slots) => Insert::Dependent {
+                        combination: (0..independent.len())
+                            .filter(|&s| slots[s / 64] >> (s % 64) & 1 == 1)
+                            .map(|s| independent[s])
+                            .collect(),
+                    },
+                };
                 assert_eq!(got, old.insert_bits(col), "case {case}: insert {i}");
                 if let Insert::Dependent { combination } = got {
                     let mut acc = vec![0u64; col.len()];
@@ -532,7 +708,39 @@ mod tests {
             found_total > 100,
             "too few identities exercised: {found_total}"
         );
+        assert!(
+            trial_total > 20 && trial_total < found_total,
+            "trial mode kept {trial_total} of {found_total} identities"
+        );
         assert!(multi_word > 20, "too few multi-word cases: {multi_word}");
+    }
+
+    #[test]
+    fn identity_search_spans_words_at_k7() {
+        // A k = 7 group without constraints: 128 rows, two-word columns
+        // and combinations, the elementary symmetric basis of a 7-bit
+        // counter (a dependent product for every pair past the rank), a
+        // passthrough and two leaders that substitute.
+        let mut pool = VarPool::new();
+        let a: Vec<Var> = (0..7).map(|i| pool.input(&format!("a{i}"), 0, i)).collect();
+        let sym = |d: usize| {
+            Anf::from_terms(
+                (0u32..128)
+                    .filter(|m| m.count_ones() as usize == d)
+                    .map(|m| Monomial::from_vars((0..7).filter(|i| m >> i & 1 == 1).map(|i| a[i])))
+                    .collect(),
+            )
+        };
+        let mut basis: Vec<(Var, Anf)> = (1..=7)
+            .map(|d| (pool.derived(&format!("s{d}"), 1), sym(d)))
+            .collect();
+        basis.push((a[0], Anf::var(a[0])));
+        let s1 = basis[0].1.clone();
+        basis.push((pool.derived("t", 1), s1.and(&Anf::var(a[0]))));
+        basis.push((pool.derived("u", 1), s1.xor(&Anf::var(a[0]))));
+        let cfg = PdConfig::default();
+        let (all, trial) = check_modes(&basis, &a, &IdentityStore::new(), &cfg, "k = 7");
+        assert!(all > 20 && trial > 0 && trial < all, "{trial} of {all}");
     }
 
     #[test]
@@ -543,7 +751,13 @@ mod tests {
         let s = pool.derived("s", 1);
         let tautology = Anf::parse("a ^ a ^ 1", &mut pool).unwrap();
         let basis = vec![(s, tautology)];
-        let found = find_identities(&basis, &[a], &IdentityStore::new(), &PdConfig::default());
+        let found = find_identities(
+            &basis,
+            &[a],
+            &IdentityStore::new(),
+            &PdConfig::default(),
+            Search::All,
+        );
         let want = Anf::var(s).xor(&Anf::one());
         assert!(found.iter().any(|f| f.expr == want));
     }

@@ -12,8 +12,8 @@ use crate::config::PdConfig;
 use pd_anf::gf2::Insert;
 use pd_anf::{Anf, Monomial, Var, VarSet};
 
-/// The pre-change `Gf2Matrix`: pivot rows with combinations over every
-/// insertion index.
+/// The original dense-column matrix: pivot rows with combinations over
+/// every insertion index.
 #[derive(Debug, Clone, Default)]
 pub(super) struct ReferenceGf2Matrix {
     n_words: usize,

@@ -16,14 +16,18 @@
 //! ## Order, without hashing
 //!
 //! The split needs no normalising pass. `rest` is a subsequence of the
-//! canonical term list, so it is canonical. For `u128`-mask terms
-//! ([`Monomial::Small`]), two terms with the same inner `i` are `i | o₁`
-//! and `i | o₂` with `o` disjoint from `i`, so `t ↦ t & !G` is strictly
-//! increasing within one inner and every bucket of outers is canonical
-//! as scanned. Index-slice terms ([`Monomial::Large`]) can fall out of
-//! order when the group's variables are removed; their buckets are
-//! checked in one pass and sorted only if needed (distinct terms with one
-//! inner have distinct outers, so nothing cancels).
+//! canonical term list, so it is canonical. Mask monomials (all indices
+//! below 128, see [`Monomial::as_small`]) are in colex order, and two
+//! terms with the same inner `i` are `i | o₁` and `i | o₂` with `o`
+//! disjoint from `i`, so `t ↦ t & !G` is strictly increasing within one
+//! inner and every bucket of outers is canonical as scanned. Terms with
+//! an index of 128 or more are in lexicographic order, which removing
+//! the group's variables can upset (and such a term's outer can fall back
+//! into the colex class); their buckets are checked in one pass and
+//! sorted only if needed (distinct terms with one inner have distinct
+//! outers, so nothing cancels). Below index 192 those terms are inline
+//! words, so splitting one is three mask operations, as for a mask
+//! monomial; only index-slice terms (an index of 192 or more) allocate.
 //!
 //! Rules 1–2 fold runs of equal outers (rule 1) or equal inners (rule 2)
 //! in *pair order*, the order of the list they are given, so the result
@@ -69,7 +73,7 @@ impl PairList {
     /// parallel chunks, concatenated per inner in chunk order, so the
     /// result is identical to the sequential scan. Outers and `rest` come
     /// out canonical without renormalising (see the module docs); only
-    /// expressions with index-slice terms pay a sortedness check.
+    /// expressions with terms past index 128 pay a sortedness check.
     pub fn split(
         expr: &Anf,
         group: &VarSet,
@@ -696,16 +700,17 @@ mod tests {
     #[test]
     fn split_matches_the_hashing_reference() {
         // Seeded expressions over 20 variables whose ids start at 0, 120
-        // (straddling the 128-id mask limit) or 200, so terms are Small,
-        // mixed or Large. Every fourth case is long enough to split in
-        // parallel chunks. Groups take 1–5 of the variables; half the
-        // cases carry null-spaces from random zero products. The split
-        // must match the reference pair for pair, and index-slice
-        // buckets must sometimes come out of scan order.
+        // (straddling the 128-id mask limit), 140 (inline, lexicographic
+        // class), 180 (straddling the 192-id inline limit) or 200 (index
+        // slices). Every fourth case is long enough to split in parallel
+        // chunks. Groups take 1–5 of the variables; half the cases carry
+        // null-spaces from random zero products. The split must match the
+        // reference pair for pair, and buckets of terms past index 128
+        // must sometimes come out of scan order.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let (mut unsorted, mut large, mut chunked) = (0, 0, 0);
-        for case in 0..120u32 {
-            let base = [0, 120, 200][case as usize % 3];
+        for case in 0..200u32 {
+            let base = [0, 120, 140, 180, 200][case as usize % 5];
             let vars: Vec<Var> = (0..20).map(|i| Var(base + i)).collect();
             let len = if case.is_multiple_of(4) {
                 2 * PairList::PAR_SPLIT_MIN + 100
@@ -739,7 +744,7 @@ mod tests {
             large += usize::from(x.terms().any(|t| t.as_small().is_none()));
             chunked += usize::from(x.term_count() >= PairList::PAR_SPLIT_MIN);
         }
-        assert!(large >= 60, "only {large} cases had index-slice terms");
+        assert!(large >= 120, "only {large} cases had terms past index 128");
         assert!(unsorted >= 10, "only {unsorted} cases had an unsorted bucket");
         assert!(chunked >= 25, "only {chunked} cases were long enough to chunk");
     }

@@ -710,16 +710,19 @@ fn stitch(
 
 /// The variable a round prices its rewrites against, in place of the
 /// divisor variable a commit would allocate next (index `pool.len()`).
-/// It sits above every pool index and in the same [`Monomial`] class as
-/// that variable (`Var(127)` while the next index is below 128, a fixed
-/// large id after that), so each rewrite orders its terms exactly as the
-/// committed one will and prices the same. Being the same in every
-/// round, it lets a round reuse the estimates of earlier rounds.
+/// It sits above every pool index and in the same [`Monomial`] order
+/// class and storage form as that variable: `Var(127)` while the next
+/// index is below 128 (the colex class), `Var(191)` while it is at most
+/// 191 (the lexicographic class, still inline), a fixed heap id after
+/// that. So each rewrite orders its terms exactly as the committed one
+/// will and prices the same, without moving inline terms to the heap.
+/// Being the same in every round, it lets a round reuse the estimates of
+/// earlier rounds.
 fn probe_var(pool: &VarPool) -> Var {
-    if pool.len() < 128 {
-        Var(127)
-    } else {
-        Var(u32::MAX)
+    match pool.len() {
+        0..128 => Var(127),
+        128..192 => Var(191),
+        _ => Var(u32::MAX),
     }
 }
 
@@ -926,22 +929,28 @@ mod tests {
 
     #[test]
     fn pricing_matches_reference_across_var_128() {
-        // Pools just below and above 128 inputs: the commits' divisor
-        // variables, and with them the probe, move from the u128-mask
-        // monomial class into the index-slice one partway through a run.
-        let mut straddled = false;
+        // Pools just below and above 128 and 192 inputs: the commits'
+        // divisor variables, and with them the probe, move from the colex
+        // class into the lexicographic one, and from the inline form onto
+        // the heap, partway through a run.
+        let (mut straddled_128, mut straddled_192) = (false, false);
         for seed in 0..8u64 {
-            for pool_len in [125, 127, 160] {
+            for pool_len in [125, 127, 160, 189, 191, 230] {
                 let (net, pool) = random_network(seed, pool_len);
                 let vars = assert_pricing_matches_reference(
                     &format!("seed {seed}, {pool_len} inputs"),
                     &net,
                     &pool,
                 );
-                straddled |= vars.iter().any(|v| v.0 < 128) && vars.iter().any(|v| v.0 >= 128);
+                let across = |limit: u32| {
+                    vars.iter().any(|v| v.0 < limit) && vars.iter().any(|v| v.0 >= limit)
+                };
+                straddled_128 |= across(128);
+                straddled_192 |= across(192);
             }
         }
-        assert!(straddled, "no run committed divisors on both sides of Var(128)");
+        assert!(straddled_128, "no run committed divisors on both sides of Var(128)");
+        assert!(straddled_192, "no run committed divisors on both sides of Var(192)");
     }
 
     #[test]

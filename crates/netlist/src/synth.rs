@@ -486,7 +486,8 @@ mod tests {
         // Deterministic pseudo-random ANFs over 6 variables at small
         // indices, at indices ≥128 only, and mixed across 128: Factor's
         // divisor variables sit above every pool index, so the cones it
-        // prices carry `Monomial::Large` terms.
+        // prices carry terms in the lexicographic order class (an index
+        // of 128 or more), stored as heap index slices from 192 on.
         let layouts: [[u32; 6]; 3] = [
             [0, 1, 2, 3, 4, 5],
             [128, 129, 140, 165, 200, 300],
