@@ -70,13 +70,6 @@ pub struct PdConfig {
     pub enable_size_reduction: bool,
     /// Enable identity discovery and application (§5.5).
     pub enable_identities: bool,
-    /// Let [`crate::refine`]'s final close round arbitrate between the
-    /// incrementally refined hierarchy and a from-scratch refined
-    /// re-decomposition, keeping whichever synthesises to fewer gates.
-    /// This bounds the incremental path's quality regression to zero at
-    /// the cost of one extra decomposition; disable to time or test the
-    /// pure worklist path.
-    pub refine_arbitration: bool,
     /// Deterministic trial budget for one decomposition run (group-search
     /// candidates charged against a [`pd_par::EffortMeter`]); the main
     /// loop stops early — still emitting a valid, equivalent hierarchy —
@@ -98,7 +91,6 @@ impl Default for PdConfig {
             enable_linear_minimisation: true,
             enable_size_reduction: true,
             enable_identities: true,
-            refine_arbitration: true,
             effort_budget: u64::MAX,
         }
     }
@@ -126,19 +118,12 @@ impl PdConfig {
     /// discovery stay on.
     ///
     /// The flow pipeline uses this for its `decompose` stage; its
-    /// `reduce` stage then re-runs with refinement enabled, so the two
-    /// stages report the refinement's contribution separately.
+    /// `reduce` stage then refines that hierarchy in place
+    /// ([`crate::refine`]), so the two stages report the refinement's
+    /// contribution separately.
     pub fn without_basis_refinement(mut self) -> Self {
         self.enable_linear_minimisation = false;
         self.enable_size_reduction = false;
-        self
-    }
-
-    /// Disables the refine pass's final arbitration round (see
-    /// [`PdConfig::refine_arbitration`]); used to exercise or time the
-    /// pure incremental worklist.
-    pub fn without_refine_arbitration(mut self) -> Self {
-        self.refine_arbitration = false;
         self
     }
 

@@ -66,15 +66,13 @@
 //! Because the worklist can only rearrange the block structure stage 1
 //! chose, a final **arbitration close** re-decomposes the specification
 //! from scratch with refinement enabled and keeps whichever hierarchy
-//! emits fewer gates ([`PdConfig::refine_arbitration`]; ties keep the
-//! incremental result). This bounds the incremental path's quality
-//! regression at zero for one extra decomposition — on circuits where
-//! stage 1 grouped well (comparator10) the worklist result survives and
-//! wins outright; where it grouped poorly (the ROADMAP's lzd12 case,
-//! 117 vs 41 mapped cells before this pass) the re-decomposition does.
-//! The `pd-flow` Reduce ladder's last rung (`full-reduce`) remains the
-//! pure from-scratch path; every incremental rewrite is still exact, so
-//! correctness never depends on which side arbitration picks.
+//! emits fewer gates (ties keep the incremental result). This bounds the
+//! incremental path's quality regression at zero for one extra
+//! decomposition — on circuits where stage 1 grouped well (comparator10)
+//! the worklist result survives and wins outright; where it grouped
+//! poorly (the ROADMAP's lzd12 case, 117 vs 41 mapped cells before this
+//! pass) the re-decomposition does. Every incremental rewrite is exact,
+//! so correctness never depends on which side arbitration picks.
 
 use crate::config::PdConfig;
 use crate::decompose::{Block, Decomposition, ProgressiveDecomposer};
@@ -114,9 +112,8 @@ pub struct RefineStats {
     /// the cross-block divisor table, plus close-round CSE merges of
     /// re-abstracted residue against it.
     pub leader_reuses: usize,
-    /// Whether the final close round replaced the worklist result with a
-    /// from-scratch refined re-decomposition that synthesised smaller
-    /// (see [`PdConfig::refine_arbitration`]).
+    /// Whether the arbitration close replaced the worklist result with a
+    /// from-scratch refined re-decomposition that synthesised smaller.
     pub arbitrated: bool,
     /// Whether the arbitration re-decomposition was skipped because the
     /// worklist result's gate estimate was already within the learned
@@ -206,7 +203,7 @@ pub fn refine_metered(
     // the hierarchy as it *entered* refinement, so its gate estimate must
     // be taken before any rewrite. Only measured when the bound can
     // actually be consulted (the synthesis pass is not free).
-    let entry_gates = (cfg.refine_arbitration && !meter.exhausted()).then(|| gate_estimate(d));
+    let entry_gates = (!meter.exhausted()).then(|| gate_estimate(d));
     // Hierarchies can arrive with duplicated leaders (stage-1 runs over
     // overlapping groups rediscover the same expressions); fold them into
     // one definition before any refinement work is spent on the copies.
@@ -299,48 +296,46 @@ pub fn refine_metered(
     // forms, cross-cone sharing), where literal counts mislead. Ties
     // keep the incremental result, so refine-friendly circuits pay no
     // churn; the comparison is deterministic at any thread count.
-    if cfg.refine_arbitration {
-        if meter.exhausted() {
-            stats.budget_exhausted = true;
+    if meter.exhausted() {
+        stats.budget_exhausted = true;
+    } else {
+        let t3 = std::time::Instant::now();
+        let gates_now = gate_estimate(d);
+        // Learned skip bound: when the worklist barely moved the gate
+        // estimate, the from-scratch hierarchy has never beaten it
+        // (measured across the golden circuits — the ones arbitration
+        // helps are exactly the ones the worklist already improved by
+        // >2%), so the re-decomposition is pure cost. The comparison
+        // uses trial-counted estimates only — never wall-clock — so
+        // the decision is bit-identical across `PD_THREADS`.
+        let skip = entry_gates.is_some_and(|entry| {
+            gates_now as u64 * 1000 >= ARBITRATION_SKIP_PERMILLE * entry as u64
+        });
+        if skip {
+            stats.arbitration_skipped = true;
         } else {
-            let t3 = std::time::Instant::now();
-            let gates_now = gate_estimate(d);
-            // Learned skip bound: when the worklist barely moved the gate
-            // estimate, the from-scratch hierarchy has never beaten it
-            // (measured across the golden circuits — the ones arbitration
-            // helps are exactly the ones the worklist already improved by
-            // >2%), so the re-decomposition is pure cost. The comparison
-            // uses trial-counted estimates only — never wall-clock — so
-            // the decision is bit-identical across `PD_THREADS`.
-            let skip = entry_gates.is_some_and(|entry| {
-                gates_now as u64 * 1000 >= ARBITRATION_SKIP_PERMILLE * entry as u64
-            });
-            if skip {
-                stats.arbitration_skipped = true;
-            } else {
-                let alt = ProgressiveDecomposer::new(cfg.clone()).decompose_metered(
-                    d.pool.clone(),
-                    d.spec.clone(),
-                    meter,
-                );
-                if gate_estimate(&alt) < gates_now {
-                    *d = alt;
-                    stats.arbitrated = true;
+            let alt = ProgressiveDecomposer::new(cfg.clone()).decompose_metered(
+                d.pool.clone(),
+                d.spec.clone(),
+                meter,
+            );
+            if gate_estimate(&alt) < gates_now {
+                *d = alt;
+                stats.arbitrated = true;
+            }
+        }
+        if timing {
+            eprintln!(
+                "      [refine/arbitrate: {:?} ({})]",
+                t3.elapsed(),
+                if stats.arbitration_skipped {
+                    "skipped"
+                } else if stats.arbitrated {
+                    "replaced"
+                } else {
+                    "kept"
                 }
-            }
-            if timing {
-                eprintln!(
-                    "      [refine/arbitrate: {:?} ({})]",
-                    t3.elapsed(),
-                    if stats.arbitration_skipped {
-                        "skipped"
-                    } else if stats.arbitrated {
-                        "replaced"
-                    } else {
-                        "kept"
-                    }
-                );
-            }
+            );
         }
     }
     stats.effort_spent = meter.spent();
@@ -1034,27 +1029,25 @@ mod tests {
     }
 
     #[test]
-    fn arbitration_is_optional_and_never_worse() {
+    fn arbitrated_refine_emits_no_more_gates_than_a_from_scratch_run() {
+        // On maj11 the worklist moves the gate estimate past the skip
+        // bound, so the arbitration close really runs here.
         let mut pool = VarPool::new();
         let maj = majority_anf(&mut pool, 11);
         let spec = vec![("maj".into(), maj)];
-        let mut plain = unrefined(pool.clone(), spec.clone());
-        let mut arb = plain.clone();
-        let cfg_off = PdConfig::default().without_refine_arbitration();
-        let s_off = refine(&mut plain, &cfg_off);
-        assert!(!s_off.arbitrated);
-        let s_on = refine(&mut arb, &PdConfig::default());
-        let gates = |d: &Decomposition| {
-            d.to_netlist().live_mask().iter().filter(|&&b| b).count()
-        };
+        let scratch =
+            ProgressiveDecomposer::new(PdConfig::default()).decompose(pool.clone(), spec.clone());
+        let mut d = unrefined(pool, spec);
+        let stats = refine(&mut d, &PdConfig::default());
+        assert!(!stats.budget_exhausted);
+        assert!(!stats.arbitration_skipped, "arbitration must run on maj11");
         assert!(
-            gates(&arb) <= gates(&plain),
-            "arbitration must never emit more gates: {} vs {}",
-            gates(&arb),
-            gates(&plain)
+            gate_estimate(&d) <= gate_estimate(&scratch),
+            "refine must never emit more gates than the from-scratch refined run: {} vs {}",
+            gate_estimate(&d),
+            gate_estimate(&scratch)
         );
-        let _ = s_on;
-        assert!(arb.check_equivalence(256, 13).is_none());
+        assert!(d.check_equivalence(256, 13).is_none());
     }
 
     #[test]

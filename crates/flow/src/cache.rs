@@ -54,22 +54,25 @@ const ENTRY_SCHEMA: &str = "pd-stage-cache/v1";
 /// stage's output, rendered to a stable string. Deliberately excludes the
 /// fault plan and the thread count (see the module docs), and the cache
 /// directory itself. `library` is the `TechMap`/`STA` cell library.
+///
+/// The destructuring is exhaustive, so a new `FlowConfig` field does not
+/// compile until it is either rendered here or excluded by name.
 pub fn config_fingerprint(cfg: &FlowConfig) -> String {
+    let FlowConfig {
+        pd,
+        global_extract,
+        library,
+        verify,
+        budget_decompose,
+        budget_reduce,
+        budget_factor,
+        node_cap,
+        fault: _,
+        cache_dir: _,
+    } = cfg;
     format!(
-        "pd={:?};extract={:?};global={:?};factor_max_support={};\
-         minimize={};library={:?};verify={};\
-         budgets={}/{}/{};node_cap={}",
-        cfg.pd,
-        cfg.extract,
-        cfg.global_extract,
-        cfg.factor_max_support,
-        cfg.minimize,
-        cfg.library,
-        cfg.verify,
-        cfg.budget_decompose,
-        cfg.budget_reduce,
-        cfg.budget_factor,
-        cfg.node_cap,
+        "pd={pd:?};global={global_extract:?};library={library:?};verify={verify};\
+         budgets={budget_decompose}/{budget_reduce}/{budget_factor};node_cap={node_cap}"
     )
 }
 
@@ -774,5 +777,36 @@ mod tests {
         other.verify = false;
         let keys2 = stage_keys(&pool, &outputs, &other);
         assert!(keys.iter().zip(&keys2).all(|(a, b)| a != b));
+    }
+
+    #[test]
+    fn fingerprint_covers_results_and_nothing_else() {
+        let base = FlowConfig {
+            budget_factor: u64::MAX,
+            node_cap: pd_bdd::DEFAULT_NODE_CAP,
+            fault: None,
+            cache_dir: None,
+            ..FlowConfig::default()
+        };
+        let key = config_fingerprint(&base);
+        // Neither the fault plan nor the cache directory reaches a stage
+        // result, so neither may split the key.
+        let faulted = FlowConfig {
+            fault: Some(crate::FaultPlan::parse("reduce:panic:1").unwrap()),
+            cache_dir: Some("elsewhere".into()),
+            ..base.clone()
+        };
+        assert_eq!(config_fingerprint(&faulted), key);
+        // Knobs that can change a result must.
+        let budgeted = FlowConfig {
+            budget_factor: 7,
+            ..base.clone()
+        };
+        assert_ne!(config_fingerprint(&budgeted), key);
+        let capped = FlowConfig {
+            node_cap: 4096,
+            ..base.clone()
+        };
+        assert_ne!(config_fingerprint(&capped), key);
     }
 }

@@ -34,12 +34,27 @@
 //! stages later. Set `PD_SKIP_VERIFY=1` (or [`FlowConfig::verify`] =
 //! `false`) to benchmark the transforms alone.
 //!
+//! Each stage runs its one algorithm inside a panic fence and, when
+//! that fails, falls back to the cheapest step that still hands on a
+//! verified netlist:
+//!
+//! ```text
+//! reduce :  incremental ──► skip
+//! factor :  global ───────► skip
+//! techmap:  planner ──────► greedy
+//! ```
+//!
+//! `skip` passes the previous stage's (already verified) hierarchy and
+//! netlist through unchanged. TechMap cannot be skipped — STA needs a
+//! mapped netlist — so its fallback is the 1:1 greedy mapper.
+//! Decompose and STA have a single rung each.
+//!
 //! The oracle's node table is bounded by [`FlowConfig::node_cap`]
 //! (`PD_NODE_CAP`), and each boundary is **one capped check** under the
 //! context's fixed interleaved order. A check that overflows the cap is
 //! *undecided*, not wrong: on a stage's earlier degradation rung it fails
-//! that rung (with [`FlowError::Capacity`]) so the cheaper rungs below
-//! get their chance; on the stage's *final* rung the stage commits with
+//! that rung (with [`FlowError::Capacity`]) so the fallback rung gets its
+//! chance; on the stage's *final* rung the stage commits with
 //! `verified: false` and an explicit `unverified` degradation note
 //! instead of aborting an otherwise sound flow.
 //!
@@ -76,14 +91,13 @@ pub mod spec;
 
 use cache::{CachedStage, StageCache};
 use json::Json;
-use pd_anf::{Anf, Var, VarPool};
+use pd_anf::{Anf, VarPool};
 use pd_bdd::{CapacityError, ExactMismatch, VerifyContext};
 use pd_cells::{map, report_mapped, unmap, AreaDelayReport, CellLibrary, MappedNetlist};
 use pd_core::{refine, Decomposition, PdConfig, ProgressiveDecomposer};
-use pd_factor::{ExtractConfig, FactorNetwork, GlobalConfig, GlobalNetwork};
-use pd_netlist::{synthesize_outputs, Netlist, NodeId};
+use pd_factor::{GlobalConfig, GlobalNetwork};
+use pd_netlist::Netlist;
 use pd_par::EffortMeter;
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -133,17 +147,15 @@ pub enum StageKind {
     Decompose,
     /// Incremental refinement of the stage-1 hierarchy: linear-dependence
     /// minimisation (§5.3) and local size reduction (§5.4) applied in
-    /// place by `pd_core::refine`'s dirty-block worklist. The ladder's
-    /// last rung (`full-reduce`) instead re-runs the whole decomposition
-    /// with refinement enabled — the original, slower from-scratch path.
+    /// place by `pd_core::refine`'s dirty-block worklist. Its fallback
+    /// rung (`skip`) hands the stage-1 hierarchy on unchanged.
     Reduce,
     /// Workspace-wide shared-divisor resynthesis: every block's leaders
     /// and every output enter one `pd_factor::GlobalNetwork`, whose
     /// hash-consed divisor table extracts kernels/co-kernels shared
     /// across blocks and whose single synthesiser stitches the divisor
-    /// nets across cone boundaries. The ladder's `local` rung instead
-    /// runs the pre-global per-block path (two-level minimisation +
-    /// kernel extraction per cone).
+    /// nets across cone boundaries. Its fallback rung (`skip`) hands the
+    /// Reduce netlist on unchanged.
     Factor,
     /// Technology mapping onto the cell library (`pd-cells`).
     TechMap,
@@ -217,14 +229,14 @@ impl FaultMode {
 /// `fires` is the number of injection opportunities the fault consumes
 /// before disarming. For `panic`/`mismatch`/`capacity` each rung attempt
 /// of the target stage's degradation ladder is one opportunity, so
-/// `reduce:panic:1` fails the incremental rung and lands on
-/// `worklist-only`, `reduce:panic:2` lands on `full-reduce`, and
-/// `reduce:panic:3` exhausts the ladder into a typed
-/// [`FlowError::Panicked`]. A `capacity` fault that is still armed at a
-/// stage's final rung does not kill the flow: the boundary commits as
-/// explicitly *unverified* (see [`StageReport::verified`]). Injection is
-/// counted, never timed, so a faulted run is bit-identical at any
-/// `PD_THREADS`.
+/// `reduce:panic:1` fails the incremental rung and lands on `skip`, and
+/// `reduce:panic:2` exhausts the ladder into a typed
+/// [`FlowError::Panicked`]. `mismatch` and `capacity` fire only at a
+/// verify boundary, and `skip` has none, so they cannot fail it. A
+/// `capacity` fault that is still armed at a stage's final verifying
+/// rung does not kill the flow: the boundary commits as explicitly
+/// *unverified* (see [`StageReport::verified`]). Injection is counted,
+/// never timed, so a faulted run is bit-identical at any `PD_THREADS`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Stage at which the fault fires.
@@ -336,21 +348,12 @@ fn env_node_cap() -> usize {
 #[derive(Clone, Debug)]
 pub struct FlowConfig {
     /// Decomposer configuration (`Decompose` runs it with
-    /// [`PdConfig::without_basis_refinement`]; `Reduce` runs it as given).
+    /// [`PdConfig::without_basis_refinement`]; `Reduce` refines with it
+    /// as given, and passes the hierarchy through when it enables
+    /// neither refinement pass).
     pub pd: PdConfig,
-    /// Kernel-extraction knobs for the `Factor` stage's per-block path.
-    pub extract: ExtractConfig,
-    /// Workspace-wide extraction knobs for the `Factor` stage's default
-    /// (global) path.
+    /// Workspace-wide extraction knobs for the `Factor` stage.
     pub global_extract: GlobalConfig,
-    /// Support cap for the per-block path's truth-table conversion;
-    /// cones wider than this are synthesised directly instead of
-    /// factored. No effect on the default (global) path, which never
-    /// builds truth tables.
-    pub factor_max_support: usize,
-    /// Run exact two-level minimisation on every node before extraction
-    /// (per-block path only).
-    pub minimize: bool,
     /// Cell library for `TechMap`/`STA`.
     pub library: CellLibrary,
     /// Verify every stage boundary with the BDD oracle. Defaults to
@@ -394,10 +397,7 @@ impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
             pd: PdConfig::default(),
-            extract: ExtractConfig::default(),
             global_extract: GlobalConfig::default(),
-            factor_max_support: 12,
-            minimize: true,
             library: CellLibrary::umc130(),
             verify: std::env::var_os("PD_SKIP_VERIFY").is_none(),
             budget_decompose: env_budget("PD_BUDGET_DECOMPOSE"),
@@ -471,9 +471,9 @@ pub struct StageReport {
     /// `Factor` only).
     pub divisor_reuse_count: Option<usize>,
     /// Rung of the stage's degradation ladder that produced this result,
-    /// when it was **not** the preferred first rung (e.g.
-    /// `"worklist-only"`, `"full-reduce"`, `"local"`, `"skip"`,
-    /// `"greedy"`). `None` means the stage ran at full strength.
+    /// when it was **not** the preferred first rung: `"skip"` (Reduce,
+    /// Factor) or `"greedy"` (TechMap). `None` means the stage ran at
+    /// full strength.
     pub degraded: Option<String>,
     /// Why the stage did not run at full strength: the failures of the
     /// rungs above the one that succeeded, a budget exhaustion, or an
@@ -713,7 +713,8 @@ impl FlowSummary {
 pub struct Flow {
     cfg: FlowConfig,
     name: String,
-    /// The untouched input pool (the `Reduce` re-run starts from it).
+    /// The untouched input pool (the oracle's variable order is built
+    /// from it).
     input_pool: VarPool,
     /// Working pool: grows leader/divisor variables as stages run.
     pool: VarPool,
@@ -1137,15 +1138,11 @@ impl Flow {
         }
     }
 
-    /// Shared body of the decomposition rungs: run the decomposer under
-    /// `cfg` (metered by `cfg.effort_budget`), snapshot, record metrics,
-    /// verify, commit state.
-    fn run_decomposition_stage(
-        &mut self,
-        stage: StageKind,
-        cfg: PdConfig,
-    ) -> Result<StageReport, FlowError> {
-        let mut report = StageReport::new(stage);
+    /// The Decompose rung: run the decomposer under `cfg` (metered by
+    /// `cfg.effort_budget`), snapshot, record metrics, verify, commit
+    /// state.
+    fn run_decomposition_stage(&mut self, cfg: PdConfig) -> Result<StageReport, FlowError> {
+        let mut report = StageReport::new(StageKind::Decompose);
         let t = std::time::Instant::now();
         let mut meter = EffortMeter::with_budget(cfg.effort_budget);
         let d = ProgressiveDecomposer::new(cfg).decompose_metered(
@@ -1182,9 +1179,7 @@ impl Flow {
             StageKind::Decompose,
             vec![(
                 "decompose",
-                Box::new(move |f: &mut Flow| {
-                    f.run_decomposition_stage(StageKind::Decompose, cfg)
-                }),
+                Box::new(move |f: &mut Flow| f.run_decomposition_stage(cfg)),
             )],
         )
     }
@@ -1224,42 +1219,40 @@ impl Flow {
         Ok(report)
     }
 
+    /// The Reduce pass-through: hand the stage-1 hierarchy and its
+    /// (already verified) netlist on unchanged. Nothing moves, so there
+    /// is no boundary to verify and no way for it to fail (short of an
+    /// injected panic).
+    fn reduce_skip(&mut self) -> Result<StageReport, FlowError> {
+        let mut report = StageReport::new(StageKind::Reduce);
+        let d = self.decomposition.as_ref().expect("decompose ran");
+        report.literals = Some(d.hierarchy_literal_count());
+        report.blocks = Some(d.blocks.len());
+        report.gates = self.netlist.as_ref().map(live_gates);
+        Ok(report)
+    }
+
+    /// The `Reduce` stage ladder: incremental → skip. A config that
+    /// enables neither refinement pass runs the pass-through alone.
     fn stage_reduce(&mut self) -> Result<StageReport, FlowError> {
         let refines = self.cfg.pd.enable_linear_minimisation
             || self.cfg.pd.enable_size_reduction;
         if !refines {
-            // Refinement disabled in the config: pass the decomposition
-            // through unchanged (the stage reports, but moves nothing).
-            let mut report = StageReport::new(StageKind::Reduce);
-            let d = self.decomposition.as_ref().expect("decompose ran");
-            report.literals = Some(d.hierarchy_literal_count());
-            report.blocks = Some(d.blocks.len());
-            report.gates = self.netlist.as_ref().map(live_gates);
+            let mut report = self.reduce_skip()?;
             if let Some(note) = self.inert_fault_note(StageKind::Reduce) {
                 report.note_degradation(note);
             }
             return Ok(report);
         }
         let budget = self.effective_budget(StageKind::Reduce);
-        let mut base = self.cfg.pd.clone();
-        base.effort_budget = base.effort_budget.min(budget);
-        let c1 = base.clone();
-        let c2 = base.clone().without_refine_arbitration();
-        // Last rung: the pre-incremental from-scratch re-decomposition.
-        let c3 = base;
+        let mut cfg = self.cfg.pd.clone();
+        cfg.effort_budget = cfg.effort_budget.min(budget);
         let rungs: Vec<(&'static str, RungBody<'_>)> = vec![
             (
                 "incremental",
-                Box::new(move |f: &mut Flow| f.reduce_incremental(c1)),
+                Box::new(move |f: &mut Flow| f.reduce_incremental(cfg)),
             ),
-            (
-                "worklist-only",
-                Box::new(move |f: &mut Flow| f.reduce_incremental(c2)),
-            ),
-            (
-                "full-reduce",
-                Box::new(move |f: &mut Flow| f.run_decomposition_stage(StageKind::Reduce, c3)),
-            ),
+            ("skip", Box::new(|f: &mut Flow| f.reduce_skip())),
         ];
         self.run_ladder(StageKind::Reduce, rungs)
     }
@@ -1308,9 +1301,9 @@ impl Flow {
         Ok(report)
     }
 
-    /// The final Factor rung: pass the Reduce netlist through unchanged.
+    /// The Factor pass-through: hand the Reduce netlist on unchanged.
     /// Nothing moves, so there is no boundary to verify and no way for
-    /// this rung to fail (short of an injected panic).
+    /// it to fail (short of an injected panic).
     fn factor_skip(&mut self) -> Result<StageReport, FlowError> {
         let mut report = StageReport::new(StageKind::Factor);
         let d = self.decomposition.as_ref().expect("decompose ran");
@@ -1319,100 +1312,16 @@ impl Flow {
         Ok(report)
     }
 
-    /// The `Factor` stage ladder: global → local → skip.
+    /// The `Factor` stage ladder: global → skip.
     fn stage_factor(&mut self) -> Result<StageReport, FlowError> {
         let budget = self.effective_budget(StageKind::Factor);
         let mut cfg = self.cfg.global_extract.clone();
         cfg.effort_budget = cfg.effort_budget.min(budget);
         let rungs: Vec<(&'static str, RungBody<'_>)> = vec![
             ("global", Box::new(move |f: &mut Flow| f.factor_global(cfg))),
-            ("local", Box::new(|f: &mut Flow| f.stage_factor_local())),
             ("skip", Box::new(|f: &mut Flow| f.factor_skip())),
         ];
         self.run_ladder(StageKind::Factor, rungs)
-    }
-
-    /// The per-block Factor rung: each block resynthesised in
-    /// isolation, divisors never shared across blocks.
-    fn stage_factor_local(&mut self) -> Result<StageReport, FlowError> {
-        let mut report = StageReport::new(StageKind::Factor);
-        let d = self.decomposition.as_ref().expect("decompose ran");
-        let t = std::time::Instant::now();
-        let mut nl = Netlist::new();
-        let mut bound: HashMap<Var, NodeId> = HashMap::new();
-        let mut scratch = self.pool.clone();
-        let mut literals = 0usize;
-        for block in &d.blocks {
-            let named: Vec<(String, Anf)> = block
-                .basis
-                .iter()
-                .map(|(v, e)| (scratch.name(*v).to_owned(), e.clone()))
-                .collect();
-            // Direct cost-driven RM synthesis is the baseline; the
-            // algebraic candidate (two-level minimise + kernel extraction
-            // on the minterm SOP) wins only where it is actually smaller.
-            // XOR-dominated leaders — the paper's §2 point — keep the RM
-            // structure; AND/OR-shaped cones get factored. Cones wider
-            // than the support cap (possible when the main loop retired a
-            // group) always take the direct path.
-            let direct = synthesize_outputs(&named);
-            let factored = FactorNetwork::from_anf_outputs(&named, self.cfg.factor_max_support)
-                .map(|mut net| {
-                    if self.cfg.minimize {
-                        net.minimize_nodes(self.cfg.factor_max_support);
-                    }
-                    net.extract(&mut scratch, &self.cfg.extract);
-                    (net.literal_count(), net.synthesize())
-                });
-            let direct_literals: usize =
-                named.iter().map(|(_, e)| e.literal_count()).sum();
-            let small = match factored {
-                Some((net_literals, nl_factored))
-                    if live_gates(&nl_factored) < live_gates(&direct) =>
-                {
-                    literals += net_literals;
-                    nl_factored
-                }
-                _ => {
-                    literals += direct_literals;
-                    direct
-                }
-            };
-            let remap = nl
-                .inline(&small, &bound)
-                .expect("synthesised block netlists are topologically ordered");
-            for (name, node) in small.outputs() {
-                let v = block
-                    .basis
-                    .iter()
-                    .find(|(v, _)| scratch.name(*v) == *name)
-                    .expect("block output names its leader")
-                    .0;
-                bound.insert(v, remap[node.index()]);
-            }
-        }
-        let finals = synthesize_outputs(&d.outputs);
-        let remap = nl
-            .inline(&finals, &bound)
-            .expect("synthesised output netlists are topologically ordered");
-        for (name, node) in finals.outputs() {
-            nl.set_output(name, remap[node.index()]);
-        }
-        // Count the final output expressions too, so this stage's literal
-        // metric is comparable with hierarchy_literal_count (basis +
-        // outputs) reported by the decomposition stages.
-        literals += d
-            .outputs
-            .iter()
-            .map(|(_, e)| e.literal_count())
-            .sum::<usize>();
-        report.wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        report.literals = Some(literals);
-        report.gates = Some(live_gates(&nl));
-        self.verify_boundary(&mut report, &nl)?;
-        self.pool = scratch;
-        self.netlist = Some(nl);
-        Ok(report)
     }
 
     /// One TechMap rung: map with `mapper`, verify the mapping by
@@ -1657,10 +1566,13 @@ mod tests {
         let red = &summary.stages[1];
         assert_eq!(
             red.degraded.as_deref(),
-            Some("worklist-only"),
-            "capacity failed the incremental rung, the next rung verified"
+            Some("skip"),
+            "capacity failed the incremental rung, the pass-through took over"
         );
-        assert_eq!(red.verified, Some(true));
+        assert_eq!(red.verified, None, "the pass-through has no boundary");
+        for s in &summary.stages[2..4] {
+            assert_eq!(s.verified, Some(true), "{:?}", s.stage);
+        }
         assert!(red
             .degradation_reason
             .as_deref()

@@ -8,9 +8,6 @@
 //!   "circuits": ["maj15", "counter12", "designs/alu.v"],
 //!   "group_size": 4,
 //!   "verify": true,
-//!   "minimize": true,
-//!   "factor_max_support": 12,
-//!   "extract": { "max_rounds": 256, "min_gain": 1 },
 //!   "budget_decompose": 100000,
 //!   "budget_reduce": 100000,
 //!   "budget_factor": 100000,
@@ -298,15 +295,6 @@ impl FlowSpec {
             }
             Ok(n as usize)
         };
-        let integer = |v: &Json, key: &str| -> Result<isize, String> {
-            let n = v
-                .as_num()
-                .ok_or_else(|| format!("key {key:?} must be a number"))?;
-            if n.fract() != 0.0 || n.abs() > isize::MAX as f64 {
-                return Err(format!("key {key:?} must be an integer, got {n}"));
-            }
-            Ok(n as isize)
-        };
         let boolean = |v: &Json, key: &str| {
             v.as_bool()
                 .ok_or_else(|| format!("key {key:?} must be a boolean"))
@@ -333,7 +321,6 @@ impl FlowSpec {
                     spec.config.pd.group_size = k;
                 }
                 "verify" => spec.config.verify = boolean(value, key)?,
-                "minimize" => spec.config.minimize = boolean(value, key)?,
                 // Effort budgets: usize is enough headroom for any spec a
                 // human writes; unset keys stay unlimited.
                 "budget_decompose" => {
@@ -358,41 +345,6 @@ impl FlowSpec {
                         return Err("node_cap must be positive".into());
                     }
                     spec.config.node_cap = n;
-                }
-                "factor_max_support" => {
-                    spec.config.factor_max_support = unsigned(value, key)?;
-                }
-                "extract" => {
-                    let Json::Obj(ex) = value else {
-                        return Err("key \"extract\" must be an object".into());
-                    };
-                    for (k2, v2) in ex {
-                        match k2.as_str() {
-                            "max_kernels_per_node" => {
-                                spec.config.extract.max_kernels_per_node =
-                                    unsigned(v2, k2)?;
-                            }
-                            "max_rounds" => {
-                                spec.config.extract.max_rounds = unsigned(v2, k2)?;
-                            }
-                            "cube_divisors" => {
-                                spec.config.extract.cube_divisors = boolean(v2, k2)?;
-                            }
-                            // A negative minimum gain is meaningful (accept
-                            // literal-increasing extractions), so only the
-                            // integer-ness is enforced here.
-                            "min_gain" => {
-                                spec.config.extract.min_gain = integer(v2, k2)?;
-                            }
-                            other => {
-                                if spec.strict {
-                                    return Err(format!("unknown extract key {other:?}"));
-                                }
-                                spec.warnings
-                                    .push(format!("ignoring unknown extract key {other:?}"));
-                            }
-                        }
-                    }
                 }
                 "out" => {
                     spec.out = Some(
@@ -461,7 +413,7 @@ mod tests {
                 "circuits": ["maj7", "counter8"],
                 "group_size": 3,
                 "verify": false,
-                "extract": { "max_rounds": 7, "min_gain": 2 },
+                "budget_factor": 7,
                 "out": "stats.json"
             }"#,
         )
@@ -469,8 +421,7 @@ mod tests {
         assert_eq!(spec.circuits, vec!["maj7", "counter8"]);
         assert_eq!(spec.config.pd.group_size, 3);
         assert!(!spec.config.verify);
-        assert_eq!(spec.config.extract.max_rounds, 7);
-        assert_eq!(spec.config.extract.min_gain, 2);
+        assert_eq!(spec.config.budget_factor, 7);
         assert_eq!(spec.out.as_deref(), Some("stats.json"));
         assert_eq!(spec.resolve().unwrap().len(), 2);
     }
@@ -485,12 +436,12 @@ mod tests {
     #[test]
     fn non_strict_spec_downgrades_unknown_keys_to_warnings() {
         // `strict` softens unknown keys everywhere in the document, even
-        // ones that precede it, and even inside the `extract` object.
+        // ones that precede it.
         let spec = FlowSpec::parse(
             r#"{
                 "bogus": 1,
                 "circuits": ["maj7"],
-                "extract": { "warp_drive": true },
+                "warp_drive": { "factor": 9 },
                 "strict": false
             }"#,
         )
@@ -533,20 +484,36 @@ mod tests {
     }
 
     #[test]
+    fn removed_per_block_factor_keys_are_unknown_keys() {
+        // Only the deleted per-block Factor path read these.
+        for (key, value) in [
+            ("minimize", "true"),
+            ("factor_max_support", "12"),
+            ("extract", r#"{"max_rounds": 7, "min_gain": 2}"#),
+        ] {
+            let doc = format!(r#"{{"circuits": ["maj7"], "{key}": {value}}}"#);
+            let e = FlowSpec::parse(&doc).unwrap_err();
+            assert!(
+                matches!(&e, FlowError::BadSpec { position: None, message } if message.contains(key)),
+                "{e}"
+            );
+            let lax = format!(r#"{{"circuits": ["maj7"], "{key}": {value}, "strict": false}}"#);
+            let spec = FlowSpec::parse(&lax).unwrap();
+            assert_eq!(spec.warnings.len(), 1, "{:?}", spec.warnings);
+            assert!(spec.warnings[0].contains(key), "{:?}", spec.warnings);
+        }
+    }
+
+    #[test]
     fn spec_rejects_negative_and_fractional_knobs() {
         let bad = [
-            r#"{"circuits": ["maj7"], "factor_max_support": -12}"#,
+            r#"{"circuits": ["maj7"], "budget_factor": -12}"#,
             r#"{"circuits": ["maj7"], "group_size": 2.5}"#,
-            r#"{"circuits": ["maj7"], "extract": {"max_rounds": -5}}"#,
-            r#"{"circuits": ["maj7"], "extract": {"min_gain": 0.5}}"#,
+            r#"{"circuits": ["maj7"], "budget_factor": 0.5}"#,
         ];
         for doc in bad {
             assert!(FlowSpec::parse(doc).is_err(), "{doc}");
         }
-        // min_gain may be negative (accept literal-increasing extractions).
-        let ok = FlowSpec::parse(r#"{"circuits": ["maj7"], "extract": {"min_gain": -3}}"#)
-            .unwrap();
-        assert_eq!(ok.config.extract.min_gain, -3);
     }
 
     #[test]

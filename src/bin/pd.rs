@@ -61,9 +61,10 @@
 //! panic, budget, mismatch, capacity) injects a deterministic fault to
 //! exercise each stage's degradation ladder — degradations are reported
 //! under the per-stage table and in the JSON stats. The ladders are the
-//! only recovery layer: from-scratch Reduce (`full-reduce`) and
-//! per-block Factor (`local`) run only when the rungs above them fail,
-//! e.g. under `PD_FAULT=reduce:panic:2` or `PD_FAULT=factor:panic:1`.
+//! only recovery layer: Reduce and Factor fall back to `skip` (the
+//! previous stage's netlist handed on unchanged) and TechMap to the
+//! greedy mapper only when the stage's algorithm fails, e.g. under
+//! `PD_FAULT=reduce:panic:1` or `PD_FAULT=factor:panic:1`.
 //!
 //! CACHING: set `PD_CACHE_DIR=<dir>` to enable the content-addressed
 //! stage cache (see `pd_flow::cache`). Re-running an identical spec

@@ -55,11 +55,11 @@
 //! from-scratch one (this closed the historical lzd12 regression, 117
 //! vs 41 cells). Every rewrite preserves `Σ inner·outer` exactly and
 //! the BDD oracle re-proves the boundary, so the refined hierarchy is
-//! equivalent by construction *and* by check. The from-scratch re-run
-//! survives as the Reduce ladder's last rung (`full-reduce`, below);
-//! `tests/table1_circuits.rs` pins both paths' literal and cell counts,
-//! `FLOW_GOLDEN` on the incremental path and `FULL_REDUCE_GOLDEN` on
-//! `full-reduce`.
+//! equivalent by construction *and* by check.
+//! `tests/table1_circuits.rs` pins the literal and cell counts of both
+//! hierarchies: `FLOW_GOLDEN` for the flow, and `FULL_REDUCE_GOLDEN` for
+//! the from-scratch refined one that arbitration computes, driven
+//! through the same Factor, TechMap and STA calls.
 //!
 //! The **Factor** stage is workspace-wide: every block's leaders and
 //! every output enter one `pd_factor::GlobalNetwork`, whose extraction
@@ -71,10 +71,10 @@
 //! largest. Commits are priced with the synthesiser's own cost model —
 //! not literal counts — so OR/majority-shaped cones the emitter maps
 //! specially are left alone, and a final guard returns the unextracted
-//! emission if it is smaller. The per-block path survives as the Factor
-//! ladder's `local` rung (below); `tests/table1_circuits.rs` pins the
-//! global path's counts in `FLOW_GOLDEN` and checks that it maps to no
-//! more cells than the `local` rung on the headline circuits.
+//! emission if it is smaller. `tests/table1_circuits.rs` pins the
+//! global path's counts in `FLOW_GOLDEN` and checks that it maps to
+//! fewer cells than a per-block reference (each block factored in
+//! isolation with [`factor::FactorNetwork`]) on the headline circuits.
 //!
 //! ### Caching & serving
 //!
@@ -114,29 +114,32 @@
 //! re-decomposition when the worklist result's gate estimate is already
 //! within a learned bound (980‰) of the entry estimate, reclaiming the
 //! incremental path's speed at the arbitrated path's quality —
-//! `FLOW_GOLDEN` and `FULL_REDUCE_GOLDEN` in `tests/table1_circuits.rs`
-//! pin the literal and cell counts Reduce reaches with the skip on.
+//! `FLOW_GOLDEN` in `tests/table1_circuits.rs` pins the literal and
+//! cell counts Reduce reaches with the skip on.
 //!
-//! Every stage runs inside its own panic fence and degrades down an
-//! ordered ladder of BDD-verified fallbacks instead of failing:
+//! Every stage runs inside its own panic fence. A stage with a fallback
+//! degrades to it instead of failing, and each fallback is the cheapest
+//! step that still hands on a verified netlist:
 //!
 //! ```text
-//! reduce :  incremental ──► worklist-only ──► full-reduce
-//! factor :  global ───────► local ──────────► skip
+//! reduce :  incremental ──► skip
+//! factor :  global ───────► skip
 //! techmap:  planner ──────► greedy
 //! ```
 //!
-//! A rung commits only after its verify boundary is green; a rung that
-//! panics, runs red, or errors is discarded and the next rung starts
-//! from the same pre-stage state. Any degradation is recorded in the
-//! stage's report (`degraded`, `degradation_reason`) and its JSON. Only
-//! when every rung of a ladder is dead does the flow return a typed
-//! [`flow::FlowError`], which a batch (`pd flow all`) reports in that
-//! circuit's slot. The ladders are the only recovery layer: the lower
-//! rungs run only when the rungs above them fail, so one configuration
-//! means one code path. `PD_FAULT=reduce:panic:2` and
-//! `PD_FAULT=factor:panic:1` drive the `full-reduce` and `local` rungs
-//! directly.
+//! `skip` passes the previous stage's hierarchy and netlist through
+//! unchanged, so it has nothing to verify; TechMap cannot be skipped
+//! (STA needs a mapped netlist), so its fallback is the 1:1 greedy
+//! mapper. A rung commits only after its verify boundary is green; a
+//! rung that panics, runs red, or errors is discarded and the next rung
+//! starts from the same pre-stage state. Any degradation is recorded in
+//! the stage's report (`degraded`, `degradation_reason`) and its JSON.
+//! Only when every rung of a ladder is dead does the flow return a
+//! typed [`flow::FlowError`], which a batch (`pd flow all`) reports in
+//! that circuit's slot. The ladders are the only recovery layer: a
+//! fallback runs only when the stage's algorithm fails, so one
+//! configuration means one code path. `PD_FAULT=reduce:panic:1` and
+//! `PD_FAULT=factor:panic:1` drive the two `skip` rungs directly.
 //!
 //! ## The BDD oracle at scale: one capped check per boundary
 //!

@@ -78,12 +78,12 @@ proptest! {
 
 /// Seeded random spec files driven through `pd flow` child processes
 /// under all four environment combinations: Factor path ×
-/// `PD_THREADS` ∈ {1, 4}. The per-block Factor path is the ladder's
-/// `local` rung, driven by `PD_FAULT=factor:panic:1`. The flow exits
-/// non-zero if any stage boundary fails the BDD oracle, and the emitted
-/// stats must be bit-identical across thread counts *within* each Factor
-/// path (the engine's determinism guarantee; the two Factor paths
-/// legitimately produce different netlists).
+/// `PD_THREADS` ∈ {1, 4}. The second Factor path is the ladder's `skip`
+/// rung, driven by `PD_FAULT=factor:panic:1`. The flow exits non-zero if
+/// any stage boundary fails the BDD oracle, and the emitted stats must
+/// be bit-identical across thread counts *within* each Factor path (the
+/// engine's determinism guarantee; the two Factor paths legitimately
+/// produce different netlists).
 #[test]
 fn env_combos_agree_and_verify_via_subprocess() {
     let dir = std::env::temp_dir().join(format!("pd-flow-prop-{}", std::process::id()));
@@ -100,14 +100,14 @@ fn env_combos_agree_and_verify_via_subprocess() {
         let spec_path = dir.join(format!("case{case}.pd"));
         std::fs::write(&spec_path, format!("y = {}\n", expr_text(&masks, n_vars)))
             .expect("write spec");
-        // stats[local] collects the per-combo fingerprints that must
+        // stats[skip] collects the per-combo fingerprints that must
         // agree with each other.
         let mut stats: [Vec<(String, String)>; 2] = [Vec::new(), Vec::new()];
-        for local in [false, true] {
+        for skip in [false, true] {
             for threads in ["1", "4"] {
                 let out_path = dir.join(format!(
                     "case{case}-{}-t{threads}.json",
-                    if local { "local" } else { "global" },
+                    if skip { "skip" } else { "global" },
                 ));
                 let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_pd"));
                 cmd.arg("flow")
@@ -117,35 +117,37 @@ fn env_combos_agree_and_verify_via_subprocess() {
                     .env("PD_THREADS", threads)
                     .env_remove("PD_SKIP_VERIFY")
                     .env_remove("PD_FAULT");
-                if local {
+                if skip {
                     cmd.env("PD_FAULT", "factor:panic:1");
                 }
                 let out = cmd.output().expect("spawn pd flow");
                 assert!(
                     out.status.success(),
-                    "case {case} local={local} threads={threads} failed:\n{}",
+                    "case {case} skip={skip} threads={threads} failed:\n{}",
                     String::from_utf8_lossy(&out.stderr)
                 );
                 let doc = std::fs::read_to_string(&out_path).expect("stats written");
                 let parsed = Json::parse(&doc).expect("stats parse");
                 let circuits = parsed.get("circuits").and_then(Json::as_arr).expect("circuits");
-                // Every transforming stage's oracle verdict must be green.
+                // Every transforming stage's oracle verdict must be green;
+                // a skipped Factor transforms nothing and checks nothing.
                 let stages = circuits[0].get("stages").and_then(Json::as_arr).expect("stages");
                 for s in stages {
                     let name = s.get("stage").and_then(Json::as_str).unwrap_or("?");
+                    let skipped = name == "factor" && skip;
                     if name == "factor" {
                         assert_eq!(
                             s.get("degraded").and_then(Json::as_str),
-                            local.then_some("local"),
-                            "case {case} local={local}: factor rung"
+                            skip.then_some("skip"),
+                            "case {case} skip={skip}: factor rung"
                         );
                     }
                     if name != "sta" {
                         assert_eq!(
                             s.get("verified").and_then(Json::as_bool),
-                            Some(true),
-                            "case {case} local={local} threads={threads}: \
-                             stage {name} not verified"
+                            (!skipped).then_some(true),
+                            "case {case} skip={skip} threads={threads}: \
+                             stage {name} verdict"
                         );
                     }
                 }
@@ -165,8 +167,8 @@ fn env_combos_agree_and_verify_via_subprocess() {
                         )
                     })
                     .collect();
-                stats[usize::from(local)].push((
-                    format!("local={local} threads={threads}"),
+                stats[usize::from(skip)].push((
+                    format!("skip={skip} threads={threads}"),
                     fingerprint.join("\n"),
                 ));
             }
@@ -257,33 +259,29 @@ fn pd_flow_all_generators_verify() {
 }
 
 /// Both Reduce paths stay green end to end: the same circuit through the
-/// default (incremental) stage and through the from-scratch `full-reduce`
-/// fallback rung (driven by `PD_FAULT=reduce:panic:2`, which kills the
-/// two rungs above it), oracle on, single-threaded.
+/// default (incremental) stage and through the `skip` fallback rung
+/// (driven by `PD_FAULT=reduce:panic:1`, which kills the incremental
+/// rung), oracle on, single-threaded.
 #[test]
-fn full_reduce_fallback_verifies_via_subprocess() {
-    for full in [false, true] {
+fn reduce_skip_fallback_verifies_via_subprocess() {
+    for skip in [false, true] {
         let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_pd"));
         cmd.args(["flow", "maj7"])
             .env("PD_THREADS", "1")
             .env_remove("PD_SKIP_VERIFY")
             .env_remove("PD_FAULT");
-        if full {
-            cmd.env("PD_FAULT", "reduce:panic:2");
+        if skip {
+            cmd.env("PD_FAULT", "reduce:panic:1");
         }
         let out = cmd.output().expect("spawn pd flow maj7");
         assert!(
             out.status.success(),
-            "full={full} failed:\n{}",
+            "skip={skip} failed:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("1/1 circuits clean"), "{stdout}");
-        assert_eq!(
-            stdout.contains("degraded to full-reduce"),
-            full,
-            "{stdout}"
-        );
+        assert_eq!(stdout.contains("degraded to skip"), skip, "{stdout}");
     }
 }
 

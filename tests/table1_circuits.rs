@@ -6,9 +6,13 @@
 use progressive_decomposition::arith::{
     Adder, Comparator, Counter, Lod, Lzd, Majority, ThreeInputAdder,
 };
-use progressive_decomposition::flow::{circuit_by_name, FaultPlan, StageKind};
+use progressive_decomposition::bdd::VerifyContext;
+use progressive_decomposition::cells::{map, report_mapped, unmap};
+use progressive_decomposition::factor::{GlobalConfig, GlobalNetwork};
+use progressive_decomposition::flow::{circuit_by_name, StageKind};
 use progressive_decomposition::netlist::sim::check_equiv_anf;
 use progressive_decomposition::prelude::*;
+use std::collections::HashMap;
 
 fn decompose_and_check(
     pool: VarPool,
@@ -166,58 +170,106 @@ const FLOW_GOLDEN: [(&str, [usize; 4]); 10] = [
     ("lod16", [81, 70, 69, 45]),
 ];
 
-/// The same pins for the from-scratch Reduce path — the Reduce ladder's
-/// `full-reduce` rung, driven by a `reduce:panic:2` fault that kills the
-/// two rungs above it — so the fallback is protected against silent
-/// drift too. Three circuits
-/// suffice; the full battery runs on the incremental path. lzd12 is
-/// pinned here because it anchors the incremental-vs-full cell-gap bound
-/// below.
+/// The same pins for the from-scratch refined hierarchy: the whole
+/// decomposition re-run with refinement enabled from the input pool,
+/// then the flow's own Factor, TechMap and STA calls (see
+/// [`from_scratch_counts`]). Reduce's arbitration close still computes
+/// this hierarchy in production, so it is protected against silent
+/// drift too. Three circuits suffice; the full battery runs on the
+/// flow. lzd12 is pinned here because it anchors the
+/// incremental-vs-full cell-gap bound below.
 const FULL_REDUCE_GOLDEN: [(&str, [usize; 4]); 3] = [
     ("maj15", [243, 176, 165, 73]),
     ("counter12", [156, 137, 126, 58]),
     ("lzd12", [351, 249, 153, 40]),
 ];
 
-/// Runs each golden circuit through the flow under `cfg` and returns a
-/// human-readable diff of every mismatch (empty when all pins hold).
-/// Every circuit's Reduce stage must commit on `reduce_rung` (`None`:
-/// the top rung, no degradation).
-fn flow_golden_diff(
-    golden: &[(&str, [usize; 4])],
-    cfg: &FlowConfig,
-    reduce_rung: Option<&str>,
-) -> String {
-    let mut diff = String::new();
-    for (name, want) in golden {
-        let input = circuit_by_name(name).expect("golden circuits resolve");
-        let mut flow = Flow::new(input, cfg.clone());
-        let summary = flow
-            .run_to_completion()
-            .unwrap_or_else(|e| panic!("{name}: flow failed: {e}"));
-        for s in &summary.stages {
-            assert_ne!(s.verified, Some(false), "{name}/{} oracle red", s.stage);
-        }
-        let reduce = summary
+/// Maps `nl` with the flow's TechMap planner and returns the mapped cell
+/// count (what the flow's STA stage reports), after proving the mapped
+/// design equivalent to `spec` with the BDD oracle.
+fn mapped_cells(nl: &Netlist, pool: &VarPool, spec: &[(String, Anf)], what: &str) -> usize {
+    let swept = nl.sweep();
+    let mapped = map::map(&swept);
+    let back = unmap(&mapped, &swept);
+    let verdict = VerifyContext::new(pool).check_netlist_vs_anf(&back, spec);
+    assert!(
+        matches!(verdict, Ok(None)),
+        "{what}: mapped netlist is not equivalent to the spec: {verdict:?}"
+    );
+    report_mapped(&mapped, &CellLibrary::umc130()).cell_count
+}
+
+/// Literal counts after decompose, reduce and factor plus the mapped
+/// cell count of one golden circuit through the default flow, with
+/// every stage on its first rung and no boundary red.
+fn flow_counts(name: &str) -> [usize; 4] {
+    let input = circuit_by_name(name).expect("golden circuits resolve");
+    let mut flow = Flow::new(input, FlowConfig::default());
+    let summary = flow
+        .run_to_completion()
+        .unwrap_or_else(|e| panic!("{name}: flow failed: {e}"));
+    for s in &summary.stages {
+        assert_ne!(s.verified, Some(false), "{name}/{} oracle red", s.stage);
+        assert_eq!(s.degraded, None, "{name}/{} degraded", s.stage);
+    }
+    let stage_literals = |kind: StageKind| {
+        summary
             .stages
             .iter()
-            .find(|s| s.stage == StageKind::Reduce)
-            .expect("reduce ran");
-        assert_eq!(reduce.degraded.as_deref(), reduce_rung, "{name}: reduce rung");
-        let stage_literals = |kind: StageKind| {
-            summary
-                .stages
-                .iter()
-                .find(|s| s.stage == kind)
-                .and_then(|s| s.literals)
-                .unwrap_or(0)
-        };
-        let got = [
-            stage_literals(StageKind::Decompose),
-            stage_literals(StageKind::Reduce),
-            stage_literals(StageKind::Factor),
-            summary.cells,
-        ];
+            .find(|s| s.stage == kind)
+            .and_then(|s| s.literals)
+            .unwrap_or(0)
+    };
+    [
+        stage_literals(StageKind::Decompose),
+        stage_literals(StageKind::Reduce),
+        stage_literals(StageKind::Factor),
+        summary.cells,
+    ]
+}
+
+/// The same four counts for the from-scratch refined hierarchy: the
+/// unrefined and the refined decomposition each from the input pool,
+/// then the calls the flow's Factor (workspace-wide extraction, keeping
+/// the unextracted emission when that is smaller), TechMap and STA
+/// stages make. The final netlist is BDD-checked against the spec.
+fn from_scratch_counts(name: &str) -> [usize; 4] {
+    let input = circuit_by_name(name).expect("golden circuits resolve");
+    let unrefined = ProgressiveDecomposer::new(PdConfig::default().without_basis_refinement())
+        .decompose(input.pool.clone(), input.outputs.clone());
+    let d = ProgressiveDecomposer::new(PdConfig::default())
+        .decompose(input.pool.clone(), input.outputs.clone());
+    let mut scratch = d.pool.clone();
+    let mut net = GlobalNetwork::new();
+    for (bi, block) in d.blocks.iter().enumerate() {
+        for (v, e) in &block.basis {
+            net.add_leader(bi, *v, e);
+        }
+    }
+    for (out, e) in &d.outputs {
+        net.add_output(out, e);
+    }
+    net.extract(&mut scratch, &GlobalConfig::default());
+    let (nl, extracted) = net.synthesize_choosing();
+    let factor_literals = if extracted {
+        net.literal_count()
+    } else {
+        d.hierarchy_literal_count()
+    };
+    [
+        unrefined.hierarchy_literal_count(),
+        d.hierarchy_literal_count(),
+        factor_literals,
+        mapped_cells(&nl, &input.pool, &input.outputs, name),
+    ]
+}
+
+/// Compares `counts` of each golden circuit against its pins and returns
+/// a human-readable diff of every mismatch (empty when all pins hold).
+fn golden_diff(golden: &[(&str, [usize; 4])], counts: fn(&str) -> [usize; 4]) -> String {
+    let mut diff = String::new();
+    for (name, want) in golden {
+        let got = counts(name);
         if got != *want {
             use std::fmt::Write as _;
             let _ = writeln!(
@@ -242,7 +294,7 @@ fn flow_golden_diff(
 
 #[test]
 fn full_flow_literal_counts_match_golden() {
-    let diff = flow_golden_diff(&FLOW_GOLDEN, &FlowConfig::default(), None);
+    let diff = golden_diff(&FLOW_GOLDEN, flow_counts);
     assert!(
         diff.is_empty(),
         "flow output drifted from the golden Table-1 numbers:\n{diff}\
@@ -252,14 +304,10 @@ fn full_flow_literal_counts_match_golden() {
 
 #[test]
 fn full_reduce_fallback_matches_legacy_golden() {
-    let cfg = FlowConfig {
-        fault: Some(FaultPlan::parse("reduce:panic:2").expect("valid plan")),
-        ..FlowConfig::default()
-    };
-    let diff = flow_golden_diff(&FULL_REDUCE_GOLDEN, &cfg, Some("full-reduce"));
+    let diff = golden_diff(&FULL_REDUCE_GOLDEN, from_scratch_counts);
     assert!(
         diff.is_empty(),
-        "the full-reduce fallback rung drifted from PR 2's goldens:\n{diff}\
+        "the from-scratch refined hierarchy drifted from PR 2's goldens:\n{diff}\
          If the heuristic change is intentional, update FULL_REDUCE_GOLDEN."
     );
 }
@@ -321,42 +369,82 @@ fn incremental_reduce_with_global_factor_closes_the_cell_gap() {
     );
 }
 
+/// The per-block Factor path, kept as a reference for the global one:
+/// each block's leaders resynthesised in isolation (direct Reed–Muller
+/// synthesis, or two-level minimisation plus kernel extraction on the
+/// minterm SOP where that emits fewer gates), divisors never shared
+/// across blocks, then the outputs over the leaders.
+fn factor_per_block(d: &Decomposition) -> Netlist {
+    const MAX_SUPPORT: usize = 12;
+    let live = |nl: &Netlist| nl.live_mask().iter().filter(|&&b| b).count();
+    let mut nl = Netlist::new();
+    let mut bound: HashMap<Var, NodeId> = HashMap::new();
+    let mut scratch = d.pool.clone();
+    for block in &d.blocks {
+        let named: Vec<(String, Anf)> = block
+            .basis
+            .iter()
+            .map(|(v, e)| (scratch.name(*v).to_owned(), e.clone()))
+            .collect();
+        let direct = synthesize_outputs(&named);
+        let factored = FactorNetwork::from_anf_outputs(&named, MAX_SUPPORT).map(|mut net| {
+            net.minimize_nodes(MAX_SUPPORT);
+            net.extract(&mut scratch, &ExtractConfig::default());
+            net.synthesize()
+        });
+        let small = match factored {
+            Some(f) if live(&f) < live(&direct) => f,
+            _ => direct,
+        };
+        let remap = nl
+            .inline(&small, &bound)
+            .expect("synthesised block netlists are topologically ordered");
+        for (name, node) in small.outputs() {
+            let v = block
+                .basis
+                .iter()
+                .find(|(v, _)| scratch.name(*v) == *name)
+                .expect("block output names its leader")
+                .0;
+            bound.insert(v, remap[node.index()]);
+        }
+    }
+    let finals = synthesize_outputs(&d.outputs);
+    let remap = nl
+        .inline(&finals, &bound)
+        .expect("synthesised output netlists are topologically ordered");
+    for (name, node) in finals.outputs() {
+        nl.set_output(name, remap[node.index()]);
+    }
+    nl
+}
+
 #[test]
 fn global_factor_beats_local_factor_on_the_headline_circuits() {
     // The acceptance criterion of the global-factoring PR: on lzd12 and
     // maj15 the workspace-wide Factor stage must map to strictly fewer
-    // cells than the per-block path, with every boundary still proved by
-    // the BDD oracle. The per-block path is the Factor ladder's `local`
-    // rung, reached by a `factor:panic:1` fault on the `global` rung.
+    // cells than the per-block path on the same Reduce result, with
+    // every boundary proved by the BDD oracle.
     for name in ["lzd12", "maj15"] {
-        let mut cells = [0usize; 2];
-        for (i, local) in [false, true].iter().enumerate() {
-            let input = circuit_by_name(name).expect("headline circuits resolve");
-            let cfg = FlowConfig {
-                fault: local
-                    .then(|| FaultPlan::parse("factor:panic:1").expect("valid plan")),
-                ..FlowConfig::default()
-            };
-            let mut flow = Flow::new(input, cfg);
-            let summary = flow
-                .run_to_completion()
-                .unwrap_or_else(|e| panic!("{name} local={local}: {e}"));
-            for s in &summary.stages {
-                assert_ne!(s.verified, Some(false), "{name}/{} oracle red", s.stage);
-            }
-            let factor = summary
-                .stages
-                .iter()
-                .find(|s| s.stage == StageKind::Factor)
-                .expect("factor ran");
-            assert_eq!(factor.degraded.as_deref(), local.then_some("local"), "{name}");
-            cells[i] = summary.cells;
+        let input = circuit_by_name(name).expect("headline circuits resolve");
+        let (pool, spec) = (input.pool.clone(), input.outputs.clone());
+        let mut flow = Flow::new(input, FlowConfig::default());
+        flow.run_next().unwrap_or_else(|e| panic!("{name}: decompose: {e}"));
+        flow.run_next().unwrap_or_else(|e| panic!("{name}: reduce: {e}"));
+        let reduced = flow.decomposition().expect("reduce ran").clone();
+        let summary = flow
+            .run_to_completion()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for s in &summary.stages {
+            assert_ne!(s.verified, Some(false), "{name}/{} oracle red", s.stage);
+            assert_eq!(s.degraded, None, "{name}/{} degraded", s.stage);
         }
+        let per_block = mapped_cells(&factor_per_block(&reduced), &pool, &spec, name);
         assert!(
-            cells[0] < cells[1],
+            summary.cells < per_block,
             "{name}: global factor must beat per-block ({} vs {} cells)",
-            cells[0],
-            cells[1]
+            summary.cells,
+            per_block
         );
     }
 }
