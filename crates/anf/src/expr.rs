@@ -714,7 +714,10 @@ mod tests {
     fn eval64_matches_eval() {
         let mut pool = VarPool::new();
         let x = Anf::parse("a*b ^ c ^ a*c ^ 1", &mut pool).unwrap();
-        let vs: Vec<Var> = ["a", "b", "c"].iter().map(|n| pool.find(n).unwrap()).collect();
+        let vs: Vec<Var> = ["a", "b", "c"]
+            .iter()
+            .map(|n| pool.find(n).unwrap())
+            .collect();
         for lane in 0..8u32 {
             let bits = |v: Var| -> bool {
                 let pos = vs.iter().position(|&q| q == v).unwrap();

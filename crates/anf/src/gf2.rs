@@ -137,10 +137,7 @@ impl AnfSpan {
                 return cur; // zero
             };
             // Use the row with the same leading column, if any.
-            let row = self
-                .rows
-                .iter()
-                .position(|(pivot, _, _)| *pivot == lead);
+            let row = self.rows.iter().position(|(pivot, _, _)| *pivot == lead);
             match row {
                 None => return cur,
                 Some(i) => {
@@ -236,9 +233,7 @@ mod tests {
         assert_eq!(*i, 3);
         // a^d = (a^b) ^ (b^c) ^ (c^d)
         assert_eq!(combo, &vec![0, 1, 2]);
-        let xor = combo
-            .iter()
-            .fold(Anf::zero(), |acc, &j| acc.xor(&exprs[j]));
+        let xor = combo.iter().fold(Anf::zero(), |acc, &j| acc.xor(&exprs[j]));
         assert_eq!(xor, exprs[3]);
     }
 

@@ -59,7 +59,10 @@ impl TruthTable {
     ///
     /// Panics if `n_vars > 24` (tables become impractically large).
     pub fn zero(n_vars: usize) -> Self {
-        assert!(n_vars <= 24, "truth table over {n_vars} variables is too large");
+        assert!(
+            n_vars <= 24,
+            "truth table over {n_vars} variables is too large"
+        );
         TruthTable {
             n_vars,
             bits: vec![0; Self::words(n_vars)],
@@ -118,11 +121,8 @@ impl TruthTable {
     /// Panics if `expr` mentions a variable not in `vars`.
     pub fn from_anf(expr: &Anf, vars: &[Var]) -> Self {
         let mut t = Self::zero(vars.len());
-        let by_var: std::collections::HashMap<Var, usize> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
+        let by_var: std::collections::HashMap<Var, usize> =
+            vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         for term in expr.terms() {
             let mut idx = 0usize;
             for v in term.vars() {
@@ -295,7 +295,9 @@ impl TruthTable {
                 let s = wi * 64 + w.trailing_zeros() as usize;
                 w &= w - 1;
                 terms.push(Monomial::from_vars(
-                    (0..self.n_vars).filter(|j| s >> j & 1 == 1).map(|j| vars[j]),
+                    (0..self.n_vars)
+                        .filter(|j| s >> j & 1 == 1)
+                        .map(|j| vars[j]),
                 ));
             }
         }
@@ -347,7 +349,10 @@ mod tests {
     fn eval_agreement() {
         let mut pool = VarPool::new();
         let x = Anf::parse("a*b ^ b*c ^ c*a", &mut pool).unwrap(); // maj3
-        let vars: Vec<Var> = ["a", "b", "c"].iter().map(|n| pool.find(n).unwrap()).collect();
+        let vars: Vec<Var> = ["a", "b", "c"]
+            .iter()
+            .map(|n| pool.find(n).unwrap())
+            .collect();
         let tt = TruthTable::from_anf(&x, &vars);
         for i in 0..8usize {
             let direct = x.eval(|v| {

@@ -303,7 +303,10 @@ mod tests {
         let a = pool.input_word("a", 0, 3);
         assert_eq!(pool.name(a[0]), "a0");
         assert_eq!(pool.name(a[2]), "a2");
-        assert!(matches!(pool.kind(a[2]), VarKind::Input { word: 0, bit: 2 }));
+        assert!(matches!(
+            pool.kind(a[2]),
+            VarKind::Input { word: 0, bit: 2 }
+        ));
     }
 
     #[test]

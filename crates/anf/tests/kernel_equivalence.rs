@@ -217,8 +217,9 @@ fn from_terms_matches_reference_normalisation() {
         let mut rng = Rng(0xF407 + si as u64);
         for case in 0..CASES {
             // Duplicates on purpose: draw terms, then repeat a prefix.
-            let mut terms: Vec<Monomial> =
-                (0..rng.below(20)).map(|_| random_monomial(&mut rng, shape)).collect();
+            let mut terms: Vec<Monomial> = (0..rng.below(20))
+                .map(|_| random_monomial(&mut rng, shape))
+                .collect();
             let dup = terms.len().min(rng.below(6) as usize);
             let prefix: Vec<Monomial> = terms[..dup].to_vec();
             terms.extend(prefix);
@@ -294,16 +295,16 @@ fn truth_table_round_trip_matches_eval() {
     // Möbius inverse against the original expression.
     let mut rng = Rng(0x7247);
     let mut pool = VarPool::new();
-    let vars: Vec<Var> = (0..8).map(|i| pool.var_or_input(&format!("t{i}"))).collect();
+    let vars: Vec<Var> = (0..8)
+        .map(|i| pool.var_or_input(&format!("t{i}")))
+        .collect();
     for case in 0..60 {
         let n = rng.below(14) as usize;
         let expr = Anf::from_terms(
             (0..n)
                 .map(|_| {
                     let mask = rng.below(1 << 8) as usize;
-                    Monomial::from_vars(
-                        (0..8).filter(|j| mask >> j & 1 == 1).map(|j| vars[j]),
-                    )
+                    Monomial::from_vars((0..8).filter(|j| mask >> j & 1 == 1).map(|j| vars[j]))
                 })
                 .collect(),
         );

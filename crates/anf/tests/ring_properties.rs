@@ -13,9 +13,7 @@ fn anf() -> impl Strategy<Value = Anf> {
         Anf::from_terms(
             masks
                 .into_iter()
-                .map(|m| {
-                    Monomial::from_vars((0..N_VARS).filter(|i| m >> i & 1 == 1).map(Var))
-                })
+                .map(|m| Monomial::from_vars((0..N_VARS).filter(|i| m >> i & 1 == 1).map(Var)))
                 .collect(),
         )
     })

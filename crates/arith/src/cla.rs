@@ -76,7 +76,15 @@ impl Cla {
         let p: Vec<NodeId> = (0..w).map(|i| nl.xor(a[i], b[i])).collect();
         // Recursively: compute carries into every position.
         let zero = nl.constant(false);
-        let carries = self.carry_network(&mut nl, &GpLevel { g: g.clone(), p: p.clone() }, zero, group);
+        let carries = self.carry_network(
+            &mut nl,
+            &GpLevel {
+                g: g.clone(),
+                p: p.clone(),
+            },
+            zero,
+            group,
+        );
         for i in 0..w {
             let s = nl.xor(p[i], carries[i]);
             nl.set_output(&format!("s{i}"), s);
@@ -196,7 +204,11 @@ mod tests {
         let cla = Cla::new(16);
         let depth = |nl: &Netlist| {
             let lv = nl.levels();
-            nl.outputs().iter().map(|&(_, n)| lv[n.index()]).max().unwrap()
+            nl.outputs()
+                .iter()
+                .map(|&(_, n)| lv[n.index()])
+                .max()
+                .unwrap()
         };
         let d1 = depth(&cla.netlist(1));
         let d4 = depth(&cla.netlist(4));

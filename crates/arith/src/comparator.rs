@@ -148,8 +148,14 @@ mod tests {
     fn spec_matches_netlists_exhaustively_at_6() {
         let cmp = Comparator::new(6);
         let spec = cmp.spec();
-        assert_eq!(check_equiv_anf(&cmp.progressive_netlist(), &spec, 64, 3), None);
-        assert_eq!(check_equiv_anf(&cmp.subtracter_netlist(), &spec, 64, 5), None);
+        assert_eq!(
+            check_equiv_anf(&cmp.progressive_netlist(), &spec, 64, 3),
+            None
+        );
+        assert_eq!(
+            check_equiv_anf(&cmp.subtracter_netlist(), &spec, 64, 5),
+            None
+        );
     }
 
     #[test]

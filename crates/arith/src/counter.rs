@@ -69,11 +69,7 @@ impl Counter {
     pub fn adder_tree_netlist(&self) -> Netlist {
         let mut nl = Netlist::new();
         // Each operand is a little-endian vector of nodes.
-        let mut operands: Vec<Vec<NodeId>> = self
-            .bits
-            .iter()
-            .map(|&v| vec![nl.input(v)])
-            .collect();
+        let mut operands: Vec<Vec<NodeId>> = self.bits.iter().map(|&v| vec![nl.input(v)]).collect();
         while operands.len() > 1 {
             let mut next = Vec::with_capacity(operands.len() / 2 + 1);
             let mut it = operands.into_iter();
@@ -177,7 +173,13 @@ mod tests {
         let c = Counter::new(16);
         let nl = c.adder_tree_netlist();
         let inputs = random_operands(5, 16, 64);
-        let got = run_ints(&nl, &[&c.bits], std::slice::from_ref(&inputs), "z", c.out_bits());
+        let got = run_ints(
+            &nl,
+            &[&c.bits],
+            std::slice::from_ref(&inputs),
+            "z",
+            c.out_bits(),
+        );
         for (lane, &v) in inputs.iter().enumerate() {
             assert_eq!(got[lane], c.reference(v));
         }

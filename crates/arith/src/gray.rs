@@ -215,7 +215,11 @@ mod tests {
         let g = Gray::new(16);
         let depth = |nl: &Netlist| {
             let lv = nl.levels();
-            nl.outputs().iter().map(|&(_, n)| lv[n.index()]).max().unwrap()
+            nl.outputs()
+                .iter()
+                .map(|&(_, n)| lv[n.index()])
+                .max()
+                .unwrap()
         };
         assert_eq!(depth(&g.prefix_decode_netlist()), 4);
         assert_eq!(depth(&g.ripple_decode_netlist()), 15);

@@ -139,7 +139,11 @@ mod tests {
     #[test]
     fn lzd_vs_lod_asymmetry() {
         // Same width: LZD's RM form must be far larger than LOD's.
-        let lod: usize = Lod::new(16).spec().iter().map(|(_, e)| e.term_count()).sum();
+        let lod: usize = Lod::new(16)
+            .spec()
+            .iter()
+            .map(|(_, e)| e.term_count())
+            .sum();
         let lzd: usize = crate::lzd::Lzd::new(16)
             .spec()
             .iter()

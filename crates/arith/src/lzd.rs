@@ -221,7 +221,13 @@ mod tests {
         let lzd = Lzd::new(16);
         let nl = lzd.oklobdzija_netlist();
         let inputs: Vec<u64> = (0..64).map(|i| (1u64 << (i % 16)) | (i as u64)).collect();
-        let got = run_ints(&nl, &[&lzd.bits], std::slice::from_ref(&inputs), "z", lzd.out_bits());
+        let got = run_ints(
+            &nl,
+            &[&lzd.bits],
+            std::slice::from_ref(&inputs),
+            "z",
+            lzd.out_bits(),
+        );
         for (lane, &v) in inputs.iter().enumerate() {
             let masked = v & 0xFFFF;
             assert_eq!(got[lane], lzd.reference(masked), "input {masked:#018b}");
@@ -240,7 +246,11 @@ mod tests {
         // The RM form of the LZD grows exponentially (the reason the
         // paper cannot run the 32-bit LZD).
         let small: usize = Lzd::new(8).spec().iter().map(|(_, e)| e.term_count()).sum();
-        let big: usize = Lzd::new(16).spec().iter().map(|(_, e)| e.term_count()).sum();
+        let big: usize = Lzd::new(16)
+            .spec()
+            .iter()
+            .map(|(_, e)| e.term_count())
+            .sum();
         assert!(big > 16 * small);
     }
 

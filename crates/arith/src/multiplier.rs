@@ -193,7 +193,11 @@ mod tests {
         let m = Multiplier::new(8);
         let depth = |nl: &Netlist| {
             let lv = nl.levels();
-            nl.outputs().iter().map(|&(_, n)| lv[n.index()]).max().unwrap()
+            nl.outputs()
+                .iter()
+                .map(|&(_, n)| lv[n.index()])
+                .max()
+                .unwrap()
         };
         assert!(depth(&m.wallace_netlist()) < depth(&m.array_netlist()));
     }

@@ -54,7 +54,11 @@ impl Parity {
     ///
     /// Panics for `n > 24` (the description would not fit in memory).
     pub fn sop(&self) -> Sop {
-        assert!(self.n <= 24, "minterm SOP of parity-{} is infeasible", self.n);
+        assert!(
+            self.n <= 24,
+            "minterm SOP of parity-{} is infeasible",
+            self.n
+        );
         let cubes = (0..1u64 << self.n)
             .filter(|m| m.count_ones() % 2 == 1)
             .map(|m| {
@@ -149,7 +153,11 @@ mod tests {
         let tree = p.tree_netlist();
         let depth = |nl: &Netlist| {
             let lv = nl.levels();
-            nl.outputs().iter().map(|&(_, n)| lv[n.index()]).max().unwrap()
+            nl.outputs()
+                .iter()
+                .map(|&(_, n)| lv[n.index()])
+                .max()
+                .unwrap()
         };
         assert_eq!(depth(&tree), 4);
         assert_eq!(depth(&chain), 15);

@@ -72,11 +72,7 @@ impl ThreeInputAdder {
                 Anf::var(self.c[i]),
             );
             s.push(ai.xor(&bi).xor(&ci));
-            t.push(
-                ai.and(&bi)
-                    .xor(&bi.and(&ci))
-                    .xor(&ci.and(&ai)),
-            );
+            t.push(ai.and(&bi).xor(&bi.and(&ci)).xor(&ci.and(&ai)));
         }
         // Final addition S + (T << 1) with the standard carry recursion.
         let mut out = Vec::with_capacity(self.out_bits());

@@ -122,8 +122,16 @@ impl Bdd {
     pub fn new() -> Self {
         Bdd {
             nodes: vec![
-                Node { level: TERMINAL_LEVEL, lo: BddRef::FALSE, hi: BddRef::FALSE },
-                Node { level: TERMINAL_LEVEL, lo: BddRef::TRUE, hi: BddRef::TRUE },
+                Node {
+                    level: TERMINAL_LEVEL,
+                    lo: BddRef::FALSE,
+                    hi: BddRef::FALSE,
+                },
+                Node {
+                    level: TERMINAL_LEVEL,
+                    lo: BddRef::TRUE,
+                    hi: BddRef::TRUE,
+                },
             ],
             unique: HashMap::new(),
             ite_cache: HashMap::new(),
@@ -582,18 +590,24 @@ mod tests {
         let lookup = |i: usize| sat.iter().find(|(v, _)| v.index() == i).unwrap().1;
         assert!(lookup(0) && !lookup(1) && lookup(2));
         assert_eq!(bdd.any_sat(BddRef::FALSE), None);
-        assert_eq!(bdd.any_sat(BddRef::TRUE), Some(vec![
-            (bdd.order()[0], false),
-            (bdd.order()[1], false),
-            (bdd.order()[2], false),
-        ]));
+        assert_eq!(
+            bdd.any_sat(BddRef::TRUE),
+            Some(vec![
+                (bdd.order()[0], false),
+                (bdd.order()[1], false),
+                (bdd.order()[2], false),
+            ])
+        );
     }
 
     #[test]
     fn from_anf_matches_eval() {
         let mut pool = VarPool::new();
         let expr = Anf::parse("a*b ^ c ^ a*c ^ 1", &mut pool).unwrap();
-        let vars: Vec<Var> = ["a", "b", "c"].iter().map(|n| pool.find(n).unwrap()).collect();
+        let vars: Vec<Var> = ["a", "b", "c"]
+            .iter()
+            .map(|n| pool.find(n).unwrap())
+            .collect();
         let mut bdd = Bdd::new();
         let f = bdd.from_anf(&expr).unwrap();
         for bits in 0..8u32 {

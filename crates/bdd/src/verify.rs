@@ -392,9 +392,7 @@ mod tests {
             "maj".to_owned(),
             Anf::parse("a*b ^ b*c", &mut pool).unwrap(),
         )];
-        assert!(check_netlist_vs_anf(&nl, &wrong, &order)
-            .unwrap()
-            .is_some());
+        assert!(check_netlist_vs_anf(&nl, &wrong, &order).unwrap().is_some());
     }
 
     #[test]

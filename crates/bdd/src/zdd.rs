@@ -92,8 +92,16 @@ impl Zdd {
     pub fn new() -> Self {
         Zdd {
             nodes: vec![
-                Node { level: TERMINAL_LEVEL, lo: ZddRef::ZERO, hi: ZddRef::ZERO },
-                Node { level: TERMINAL_LEVEL, lo: ZddRef::ONE, hi: ZddRef::ONE },
+                Node {
+                    level: TERMINAL_LEVEL,
+                    lo: ZddRef::ZERO,
+                    hi: ZddRef::ZERO,
+                },
+                Node {
+                    level: TERMINAL_LEVEL,
+                    lo: ZddRef::ONE,
+                    hi: ZddRef::ONE,
+                },
             ],
             unique: HashMap::new(),
             xor_cache: HashMap::new(),
@@ -219,8 +227,16 @@ impl Zdd {
         }
         let (nf, ng) = (self.node(f), self.node(g));
         let top = nf.level.min(ng.level);
-        let (f0, f1) = if nf.level == top { (nf.lo, nf.hi) } else { (f, ZddRef::ZERO) };
-        let (g0, g1) = if ng.level == top { (ng.lo, ng.hi) } else { (g, ZddRef::ZERO) };
+        let (f0, f1) = if nf.level == top {
+            (nf.lo, nf.hi)
+        } else {
+            (f, ZddRef::ZERO)
+        };
+        let (g0, g1) = if ng.level == top {
+            (ng.lo, ng.hi)
+        } else {
+            (g, ZddRef::ZERO)
+        };
         // (x·f1 ⊕ f0)(x·g1 ⊕ g0)
         //   = x·(f1g1 ⊕ f1g0 ⊕ f0g1) ⊕ f0g0      [x² = x]
         let f1g1 = self.mul(f1, g1);
@@ -513,7 +529,10 @@ mod tests {
         let mut pool = VarPool::new();
         let mut zdd = Zdd::new();
         let (e, z) = parse(&mut zdd, &mut pool, "a*b ^ b*c ^ c*a ^ a ^ 1");
-        let vars: Vec<Var> = ["a", "b", "c"].iter().map(|n| pool.find(n).unwrap()).collect();
+        let vars: Vec<Var> = ["a", "b", "c"]
+            .iter()
+            .map(|n| pool.find(n).unwrap())
+            .collect();
         for bits in 0..8u32 {
             let assign = |v: Var| {
                 let pos = vars.iter().position(|&q| q == v).unwrap();

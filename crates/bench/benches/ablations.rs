@@ -21,8 +21,16 @@ fn run(name: &str, cfg: PdConfig) {
     type Case = (&'static str, pd_anf::VarPool, Vec<(String, Anf)>);
     let cases: Vec<Case> = vec![
         ("lzd12", Lzd::new(12).pool.clone(), Lzd::new(12).spec()),
-        ("maj11", Majority::new(11).pool.clone(), Majority::new(11).spec()),
-        ("cnt12", Counter::new(12).pool.clone(), Counter::new(12).spec()),
+        (
+            "maj11",
+            Majority::new(11).pool.clone(),
+            Majority::new(11).spec(),
+        ),
+        (
+            "cnt12",
+            Counter::new(12).pool.clone(),
+            Counter::new(12).spec(),
+        ),
         ("add10", Adder::new(10).pool.clone(), Adder::new(10).spec()),
     ];
     for (cname, pool, spec) in cases {
@@ -44,11 +52,7 @@ fn exhaustive_reference() {
     // (a miniature of the paper's reference [12]).
     use pd_anf::{TruthTable, Var, VarPool};
     use std::collections::HashMap;
-    fn optimum_gates(
-        tt: &TruthTable,
-        vars: &[Var],
-        memo: &mut HashMap<Vec<u64>, usize>,
-    ) -> usize {
+    fn optimum_gates(tt: &TruthTable, vars: &[Var], memo: &mut HashMap<Vec<u64>, usize>) -> usize {
         let key: Vec<u64> = (0..tt.len()).map(|i| u64::from(tt.get(i))).collect();
         if let Some(&c) = memo.get(&key) {
             return c;
@@ -87,8 +91,8 @@ fn exhaustive_reference() {
     println!("\nPD vs exhaustive Shannon optimum (mux-count metric, 5 inputs):");
     let mut pool = VarPool::new();
     let vars = pool.input_word("x", 0, 5);
-    let maj5 = pd_core::examples::majority_anf(&mut VarPool::new(), 5)
-        .map_vars(|v| vars[v.index()]);
+    let maj5 =
+        pd_core::examples::majority_anf(&mut VarPool::new(), 5).map_vars(|v| vars[v.index()]);
     let mut functions: Vec<(&str, Anf)> = vec![("maj5", maj5)];
     functions.push((
         "xor5",

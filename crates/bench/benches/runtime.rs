@@ -163,11 +163,27 @@ fn bench_decompose(c: &mut Criterion) {
     let mut g = c.benchmark_group("decompose");
     g.sample_size(10);
     let cases: Vec<Case> = vec![
-        ("maj7", Majority::new(7).pool.clone(), Majority::new(7).spec()),
-        ("maj15", Majority::new(15).pool.clone(), Majority::new(15).spec()),
+        (
+            "maj7",
+            Majority::new(7).pool.clone(),
+            Majority::new(7).spec(),
+        ),
+        (
+            "maj15",
+            Majority::new(15).pool.clone(),
+            Majority::new(15).spec(),
+        ),
         ("lzd12", Lzd::new(12).pool.clone(), Lzd::new(12).spec()),
-        ("counter12", Counter::new(12).pool.clone(), Counter::new(12).spec()),
-        ("adder10", Adder::new(10).pool.clone(), Adder::new(10).spec()),
+        (
+            "counter12",
+            Counter::new(12).pool.clone(),
+            Counter::new(12).spec(),
+        ),
+        (
+            "adder10",
+            Adder::new(10).pool.clone(),
+            Adder::new(10).spec(),
+        ),
     ];
     for (name, pool, spec) in cases {
         g.bench_function(name, |b| {

@@ -112,7 +112,13 @@ pub fn factorisation_rows() -> Vec<FxRow> {
 
     // Full Table 1 width: the 32-bit LOD row.
     let lod32 = Lod::new(32);
-    rows.push(run_circuit("lod32", &lod32.pool, lod32.sop(), lod32.spec(), &lib));
+    rows.push(run_circuit(
+        "lod32",
+        &lod32.pool,
+        lod32.sop(),
+        lod32.spec(),
+        &lib,
+    ));
 
     let m = Majority::new(13);
     rows.push(run_circuit(
@@ -154,7 +160,13 @@ pub fn print_fx_rows(rows: &[FxRow]) -> String {
     );
     out.push_str(&format!(
         "{:<9} {:>9} {:>9} {:>5}   {:>22} {:>22} {:>22}  ok\n",
-        "circuit", "SOP lits", "fx lits", "divs", "flat SOP", "kernel extraction", "progressive dec."
+        "circuit",
+        "SOP lits",
+        "fx lits",
+        "divs",
+        "flat SOP",
+        "kernel extraction",
+        "progressive dec."
     ));
     for r in rows {
         let cell = |(a, d): (f64, f64)| format!("{a:>11.1}µm² {d:>5.3}ns");

@@ -64,8 +64,7 @@ pub fn fig12_interconnect() -> String {
 /// Fig. 3: the hierarchy report of a decomposition (LZD-16 by default).
 pub fn fig3_hierarchy() -> String {
     let lzd = Lzd::new(16);
-    let d = ProgressiveDecomposer::new(PdConfig::default())
-        .decompose(lzd.pool.clone(), lzd.spec());
+    let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(lzd.pool.clone(), lzd.spec());
     let mut out = String::new();
     let _ = writeln!(out, "Fig. 3 — building-block hierarchy of the 16-bit LZD");
     out.push_str(&d.hierarchy_report());
@@ -106,19 +105,27 @@ pub fn fig4_online() -> String {
     let online_report = report(&nl, &lib);
     let ripple_report = report(&adder.rca_netlist(), &lib);
     let mut out = String::new();
-    let _ = writeln!(out, "Fig. 4 / Theorem 1 — online algorithm ⇒ hierarchy ({width}-bit adder)");
+    let _ = writeln!(
+        out,
+        "Fig. 4 / Theorem 1 — online algorithm ⇒ hierarchy ({width}-bit adder)"
+    );
     let _ = writeln!(out, "  serial/ripple description : {ripple_report}");
-    let _ = writeln!(out, "  online-prefix hierarchy   : {online_report} (verified: {verified})");
+    let _ = writeln!(
+        out,
+        "  online-prefix hierarchy   : {online_report} (verified: {verified})"
+    );
     out
 }
 
 /// Fig. 6: the execution trace of PD on the 7-bit majority function.
 pub fn fig6_trace() -> String {
     let m = Majority::new(7);
-    let d = ProgressiveDecomposer::new(PdConfig::default())
-        .decompose(m.pool.clone(), m.spec());
+    let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(m.pool.clone(), m.spec());
     let mut out = String::new();
-    let _ = writeln!(out, "Fig. 6 — Progressive Decomposition on the 7-bit majority");
+    let _ = writeln!(
+        out,
+        "Fig. 6 — Progressive Decomposition on the 7-bit majority"
+    );
     out.push_str(&render_trace(&d.trace, &d.pool));
     let verified = d.check_equivalence(512, 6).is_none();
     let _ = writeln!(out, "verified against spec: {verified}");
@@ -146,7 +153,10 @@ pub fn render_trace(trace: &[TraceEvent], pool: &VarPool) -> String {
                 let _ = writeln!(out, "  null-space merges: {n}");
             }
             TraceEvent::LinearMinimised(n) => {
-                let _ = writeln!(out, "  linear-dependence minimisation removed {n} leader(s)");
+                let _ = writeln!(
+                    out,
+                    "  linear-dependence minimisation removed {n} leader(s)"
+                );
             }
             TraceEvent::SizeReduced(b, a) => {
                 let _ = writeln!(out, "  size reduction: {b} -> {a} literals");
@@ -167,8 +177,7 @@ pub fn render_trace(trace: &[TraceEvent], pool: &VarPool) -> String {
                     let _ = writeln!(out, "  leader {} = {}", pool.name(*v), e.display(pool));
                 }
                 if !passthrough.is_empty() {
-                    let names: Vec<&str> =
-                        passthrough.iter().map(|&v| pool.name(v)).collect();
+                    let names: Vec<&str> = passthrough.iter().map(|&v| pool.name(v)).collect();
                     let _ = writeln!(out, "  passthrough: {}", names.join(", "));
                 }
             }

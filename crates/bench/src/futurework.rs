@@ -159,7 +159,9 @@ pub fn scaling_rows() -> Vec<ScalingRow> {
 /// Formats the report.
 pub fn print_scaling(rows: &[ScalingRow]) -> String {
     let mut out = String::new();
-    out.push_str("=== future work (§7): explicit Reed–Muller size vs ZDD ring representation ===\n");
+    out.push_str(
+        "=== future work (§7): explicit Reed–Muller size vs ZDD ring representation ===\n",
+    );
     out.push_str(&format!(
         "{:<8} {:>7} {:>26} {:>10}\n",
         "circuit", "inputs", "explicit RM terms", "ZDD nodes"

@@ -530,7 +530,10 @@ mod tests {
         let pd = &rows[1];
         // The robust direction at small widths is area; delay parity is
         // only expected at the paper's full 16-bit size.
-        assert!(pd.area_um2 < sop.area_um2, "PD should be smaller than flat SOP");
+        assert!(
+            pd.area_um2 < sop.area_um2,
+            "PD should be smaller than flat SOP"
+        );
     }
 
     #[test]

@@ -113,7 +113,10 @@ mod tests {
         let store = DiskStore::open(scratch_dir("roundtrip")).unwrap();
         assert_eq!(store.load("abc123").unwrap(), None);
         store.store("abc123", "{\"x\": 1}\n").unwrap();
-        assert_eq!(store.load("abc123").unwrap().as_deref(), Some("{\"x\": 1}\n"));
+        assert_eq!(
+            store.load("abc123").unwrap().as_deref(),
+            Some("{\"x\": 1}\n")
+        );
         assert!(store.contains("abc123").unwrap());
         for bad in ["", "../escape", "UPPER", "a/b", "a b"] {
             assert!(store.load(bad).is_err(), "key {bad:?} must be rejected");

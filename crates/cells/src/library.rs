@@ -205,8 +205,7 @@ mod tests {
     fn fa_macro_beats_discrete_in_area() {
         let lib = CellLibrary::umc130();
         let fa = lib.cell(CellKind::FaSum).area_um2 + lib.cell(CellKind::FaCarry).area_um2;
-        let discrete =
-            2.0 * lib.cell(CellKind::Xor2).area_um2 + lib.cell(CellKind::Maj3).area_um2;
+        let discrete = 2.0 * lib.cell(CellKind::Xor2).area_um2 + lib.cell(CellKind::Maj3).area_um2;
         assert!(
             fa < discrete,
             "the FA macro must be denser than XOR+XOR+MAJ ({fa} vs {discrete})"

@@ -187,9 +187,7 @@ pub fn map(netlist: &Netlist) -> MappedNetlist {
             Some(Plan::Absorbed) => continue,
             Some(Plan::Cell(kind)) => {
                 let fanins: Vec<NodeId> = match (kind, gate) {
-                    (CellKind::FaCarry | CellKind::FaSum, _) => {
-                        fa_operands[&id].to_vec()
-                    }
+                    (CellKind::FaCarry | CellKind::FaSum, _) => fa_operands[&id].to_vec(),
                     // NAND/NOR/XNOR: operands of the absorbed inner gate.
                     (CellKind::Nand2 | CellKind::Nor2 | CellKind::Xnor2, Gate::Not(inner)) => {
                         netlist.gate(inner).fanins().collect()
@@ -242,9 +240,7 @@ pub fn map_greedy(netlist: &Netlist) -> MappedNetlist {
             Gate::And(a, b) => push_cell(&mut out, CellKind::And2, vec![a, b], id),
             Gate::Or(a, b) => push_cell(&mut out, CellKind::Or2, vec![a, b], id),
             Gate::Xor(a, b) => push_cell(&mut out, CellKind::Xor2, vec![a, b], id),
-            Gate::Mux { sel, lo, hi } => {
-                push_cell(&mut out, CellKind::Mux2, vec![sel, lo, hi], id)
-            }
+            Gate::Mux { sel, lo, hi } => push_cell(&mut out, CellKind::Mux2, vec![sel, lo, hi], id),
             Gate::Maj(a, b, c) => push_cell(&mut out, CellKind::Maj3, vec![a, b, c], id),
         }
     }

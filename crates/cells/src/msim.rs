@@ -87,7 +87,12 @@ pub fn simulate_mapped64(
 /// all-zero/all-one patterns) and compares all outputs.
 ///
 /// Returns the name of the first differing output, if any.
-pub fn check_mapping(original: &Netlist, mapped: &MappedNetlist, rounds: usize, seed: u64) -> Option<String> {
+pub fn check_mapping(
+    original: &Netlist,
+    mapped: &MappedNetlist,
+    rounds: usize,
+    seed: u64,
+) -> Option<String> {
     let inputs: Vec<Var> = original.inputs().iter().map(|&(v, _)| v).collect();
     let mut state = seed;
     let mut next = move || {

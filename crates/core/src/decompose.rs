@@ -655,7 +655,11 @@ impl FoundBasis {
         iteration: u32,
         laps: &mut Laps,
     ) -> IterationOutcome {
-        debug_assert_eq!(self.search, Search::All, "a trial's identities are incomplete");
+        debug_assert_eq!(
+            self.search,
+            Search::All,
+            "a trial's identities are incomplete"
+        );
         let new_l = self.rewritten_list(selectors);
         // No eliminated leader may remain referenced by an identity.
         let mut new_identities = std::mem::take(&mut self.identities);
@@ -666,7 +670,10 @@ impl FoundBasis {
         laps.lap("rewrite");
         let basis: Vec<(Var, Anf)> = self.basis().cloned().collect();
         let mut events = self.events;
-        events.push(TraceEvent::BasisFinal(basis.clone(), self.passthrough.clone()));
+        events.push(TraceEvent::BasisFinal(
+            basis.clone(),
+            self.passthrough.clone(),
+        ));
         events.push(TraceEvent::Rewritten(
             new_l.iter().map(Anf::literal_count).sum(),
         ));
@@ -894,8 +901,7 @@ impl Decomposition {
         } else {
             let mut rng = SplitMix::new(seed);
             for _ in 0..random_rounds {
-                let stimulus: HashMap<Var, u64> =
-                    inputs.iter().map(|&v| (v, rng.next())).collect();
+                let stimulus: HashMap<Var, u64> = inputs.iter().map(|&v| (v, rng.next())).collect();
                 if let Some(m) = check(&stimulus, 64) {
                     return Some(m);
                 }
@@ -967,11 +973,7 @@ impl Decomposition {
             .flat_map(|b| b.basis.iter())
             .map(|(_, e)| e.literal_count())
             .sum();
-        let outputs: usize = self
-            .outputs
-            .iter()
-            .map(|(_, e)| e.literal_count())
-            .sum();
+        let outputs: usize = self.outputs.iter().map(|(_, e)| e.literal_count()).sum();
         basis + outputs
     }
 }
@@ -1014,7 +1016,9 @@ pub mod examples {
     /// Panics if `n` is even or zero.
     pub fn majority_anf(pool: &mut VarPool, n: usize) -> Anf {
         assert!(n % 2 == 1 && n > 0, "majority needs an odd input count");
-        let vars: Vec<Var> = (0..n).map(|i| pool.input(&format!("a{}", i + 1), 0, i)).collect();
+        let vars: Vec<Var> = (0..n)
+            .map(|i| pool.input(&format!("a{}", i + 1), 0, i))
+            .collect();
         let k = n.div_ceil(2);
         let mut terms = Vec::new();
         for s in (k..=n).filter(|&s| (k..=s).filter(|&j| j & s == j).count() % 2 == 1) {
@@ -1072,10 +1076,7 @@ mod tests {
     fn small_xor_converges() {
         let d = decompose_str(&["a ^ b ^ c ^ d"]);
         assert!(d.check_equivalence(64, 1).is_none());
-        assert!(d
-            .outputs
-            .iter()
-            .all(|(_, e)| e.is_literal_or_constant()));
+        assert!(d.outputs.iter().all(|(_, e)| e.is_literal_or_constant()));
     }
 
     #[test]
@@ -1109,9 +1110,9 @@ mod tests {
             "expected the s3 = s1*s2 substitution"
         );
         // Identities like s1·s4 = 0 must be on record in the trace.
-        let found_zero_product = d.trace.iter().any(|e| {
-            matches!(e, TraceEvent::IdentityFound(x) if x.term_count() == 1 && x.degree() == 2)
-        });
+        let found_zero_product = d.trace.iter().any(
+            |e| matches!(e, TraceEvent::IdentityFound(x) if x.term_count() == 1 && x.degree() == 2),
+        );
         assert!(found_zero_product, "expected zero-product identities");
     }
 
@@ -1146,11 +1147,20 @@ mod tests {
             let want: Vec<Var> = (next_id..next_id + ids.len() as u32).map(Var).collect();
             assert_eq!(ids, want, "block #{} leader ids", b.iteration);
             for v in &ids {
-                assert_eq!(d.pool.kind(*v), VarKind::Derived { iteration: b.iteration });
+                assert_eq!(
+                    d.pool.kind(*v),
+                    VarKind::Derived {
+                        iteration: b.iteration
+                    }
+                );
             }
             next_id += ids.len() as u32;
         }
-        assert_eq!(next_id as usize, d.pool.len(), "every leader belongs to a block");
+        assert_eq!(
+            next_id as usize,
+            d.pool.len(),
+            "every leader belongs to a block"
+        );
         assert!(
             (20..next_id).any(|i| d.pool.name(Var(i)) != format!("s{i}")),
             "the name-skip loop never ran"
@@ -1165,10 +1175,7 @@ mod tests {
             .decompose(pool, vec![("maj".into(), maj)]);
         assert!(d.check_equivalence(64, 5).is_none());
         let nl = d.to_netlist();
-        assert_eq!(
-            pd_netlist::sim::check_equiv_anf(&nl, &d.spec, 64, 11),
-            None
-        );
+        assert_eq!(pd_netlist::sim::check_equiv_anf(&nl, &d.spec, 64, 11), None);
     }
 
     #[test]
@@ -1307,7 +1314,10 @@ mod tests {
         assert!(count(|c| c.identities_known) >= 1000, "non-empty stores");
         assert!(count(|c| c.substituted) >= 100, "substitution trials");
         assert!(count(|c| c.large) >= 1000, "trials past Var(128)");
-        assert!(count(|c| c.large && c.substituted) >= 50, "substitution trials past Var(128)");
+        assert!(
+            count(|c| c.large && c.substituted) >= 50,
+            "substitution trials past Var(128)"
+        );
     }
 
     /// A seeded [`FoundBasis`] over variable ids from `base`: 1–6 pairs
@@ -1318,7 +1328,9 @@ mod tests {
     fn random_found_basis(state: &mut u64, base: u32) -> (FoundBasis, Vec<Var>) {
         let group: Vec<Var> = (0..4).map(|i| Var(base + i)).collect();
         let outer_vars: Vec<Var> = (4..9).map(|i| Var(base + i)).collect();
-        let selectors: Vec<Var> = (0..1 + next(state) % 3).map(|i| Var(base + 9 + i as u32)).collect();
+        let selectors: Vec<Var> = (0..1 + next(state) % 3)
+            .map(|i| Var(base + 9 + i as u32))
+            .collect();
         let n_vars = base as usize + 12;
         let tagged = |state: &mut u64, max: u64| {
             Anf::from_terms(
@@ -1346,7 +1358,9 @@ mod tests {
                     (0..1 + next(state) % 3)
                         .map(|_| {
                             let bits = 1 + next(state) % 15;
-                            Monomial::from_vars((0..4).filter(|i| bits >> i & 1 == 1).map(|i| group[i]))
+                            Monomial::from_vars(
+                                (0..4).filter(|i| bits >> i & 1 == 1).map(|i| group[i]),
+                            )
                         })
                         .collect(),
                 )

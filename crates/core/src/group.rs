@@ -255,11 +255,7 @@ mod tests {
         let a = pool.input_word("a", 0, 2);
         let b = pool.input_word("b", 1, 2);
         let c = pool.input_word("c", 2, 2);
-        let expr = Anf::xor_all(
-            [a[0], b[0], c[0], a[1], b[1], c[1]]
-                .map(Anf::var)
-                .iter(),
-        );
+        let expr = Anf::xor_all([a[0], b[0], c[0], a[1], b[1], c[1]].map(Anf::var).iter());
         let cfg = PdConfig::default();
         let g = find_group(&[expr], &pool, &VarSet::new(), &cfg, |_| 0).unwrap();
         let want: VarSet = [a[0], b[0], c[0]].into_iter().collect();
@@ -271,7 +267,13 @@ mod tests {
         let mut pool = VarPool::new();
         let a = pool.input_word("a", 0, 8);
         // Only a4..a7 appear in the expression.
-        let expr = Anf::xor_all(a[4..].iter().map(|&v| Anf::var(v)).collect::<Vec<_>>().iter());
+        let expr = Anf::xor_all(
+            a[4..]
+                .iter()
+                .map(|&v| Anf::var(v))
+                .collect::<Vec<_>>()
+                .iter(),
+        );
         let cfg = PdConfig::default();
         let g = find_group(&[expr], &pool, &VarSet::new(), &cfg, |_| 0).unwrap();
         let want: VarSet = a[4..].iter().copied().collect();

@@ -443,19 +443,15 @@ mod tests {
         // The paper's §5.5 example: majority-of-7 first group {a1..a4}
         // yields the elementary symmetric basis s1..s4 of a 4-bit counter.
         let mut pool = VarPool::new();
-        let a: Vec<Var> = (0..4).map(|i| pool.input(&format!("a{}", i + 1), 0, i)).collect();
+        let a: Vec<Var> = (0..4)
+            .map(|i| pool.input(&format!("a{}", i + 1), 0, i))
+            .collect();
         let e1 = Anf::parse("a1 ^ a2 ^ a3 ^ a4", &mut pool).unwrap();
         let e2 = Anf::parse("a1*a2 ^ a1*a3 ^ a1*a4 ^ a2*a3 ^ a2*a4 ^ a3*a4", &mut pool).unwrap();
-        let e3 =
-            Anf::parse("a1*a2*a3 ^ a1*a2*a4 ^ a1*a3*a4 ^ a2*a3*a4", &mut pool).unwrap();
+        let e3 = Anf::parse("a1*a2*a3 ^ a1*a2*a4 ^ a1*a3*a4 ^ a2*a3*a4", &mut pool).unwrap();
         let e4 = Anf::parse("a1*a2*a3*a4", &mut pool).unwrap();
         let s: Vec<Var> = (1..=4).map(|i| pool.derived(&format!("s{i}"), 1)).collect();
-        let basis = vec![
-            (s[0], e1),
-            (s[1], e2),
-            (s[2], e3),
-            (s[3], e4),
-        ];
+        let basis = vec![(s[0], e1), (s[1], e2), (s[2], e3), (s[3], e4)];
         (pool, a, basis)
     }
 
@@ -573,7 +569,9 @@ mod tests {
                 .map(|_| {
                     let mask = next(state);
                     Monomial::from_vars(
-                        (0..vars.len()).filter(|&i| mask >> i & 1 == 1).map(|i| vars[i]),
+                        (0..vars.len())
+                            .filter(|&i| mask >> i & 1 == 1)
+                            .map(|i| vars[i]),
                     )
                 })
                 .collect(),

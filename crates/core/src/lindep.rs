@@ -64,7 +64,8 @@ fn drop_pairs(pl: &mut PairList, deps: &[(usize, Vec<usize>)]) {
         keep[*dep_idx] = false;
     }
     let mut keep_iter = keep.into_iter();
-    pl.pairs.retain(|_| keep_iter.next().expect("mask covers pairs"));
+    pl.pairs
+        .retain(|_| keep_iter.next().expect("mask covers pairs"));
 }
 
 /// Applies every inner-side dependency found by one elimination pass.
@@ -85,7 +86,8 @@ fn apply_inner_dependencies(pl: &mut PairList) -> usize {
     }
     let removed = deps.len();
     drop_pairs(pl, &deps);
-    pl.pairs.retain(|p| !p.outer.is_zero() && !p.inner.is_zero());
+    pl.pairs
+        .retain(|p| !p.outer.is_zero() && !p.inner.is_zero());
     removed
 }
 
@@ -108,7 +110,8 @@ fn apply_outer_dependencies(pl: &mut PairList) -> usize {
     }
     let removed = deps.len();
     drop_pairs(pl, &deps);
-    pl.pairs.retain(|p| !p.outer.is_zero() && !p.inner.is_zero());
+    pl.pairs
+        .retain(|p| !p.outer.is_zero() && !p.inner.is_zero());
     removed
 }
 
@@ -157,11 +160,7 @@ mod tests {
             Anf::parse("r", &mut pool).unwrap(),
         );
         let mut pl = PairList::default();
-        for (inner, outer) in [
-            (a.clone(), p),
-            (b.clone(), q),
-            (a.xor(&b), r),
-        ] {
+        for (inner, outer) in [(a.clone(), p), (b.clone(), q), (a.xor(&b), r)] {
             pl.pairs.push(crate::pairs::Pair {
                 inner,
                 outer,
@@ -179,11 +178,7 @@ mod tests {
     fn outer_dependency_folds_inner() {
         // X with outers {p, q, p⊕q}: outer-side dependency.
         let mut pool = VarPool::new();
-        let (mut pl, x) = pairlist(
-            &mut pool,
-            "a*p ^ b*q ^ a*b*p ^ a*b*q",
-            &["a", "b"],
-        );
+        let (mut pl, x) = pairlist(&mut pool, "a*p ^ b*q ^ a*b*p ^ a*b*q", &["a", "b"]);
         // pairs: (a,p), (b,q), (ab, p^q)
         assert_eq!(pl.pairs.len(), 3);
         let removed = minimize(&mut pl, 100_000);

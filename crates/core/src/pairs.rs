@@ -74,11 +74,7 @@ impl PairList {
     /// result is identical to the sequential scan. Outers and `rest` come
     /// out canonical without renormalising (see the module docs); only
     /// expressions with terms past index 128 pay a sortedness check.
-    pub fn split(
-        expr: &Anf,
-        group: &VarSet,
-        var_nullspace: &HashMap<Var, NullSpace>,
-    ) -> PairList {
+    pub fn split(expr: &Anf, group: &VarSet, var_nullspace: &HashMap<Var, NullSpace>) -> PairList {
         let locals: Vec<ChunkSplit> =
             pd_par::par_chunks(expr.terms_slice(), Self::PAR_SPLIT_MIN, |chunk| {
                 ChunkSplit::scan(chunk, group)
@@ -88,7 +84,10 @@ impl PairList {
         for local in locals {
             all.append(local);
         }
-        let all_small = expr.terms_slice().last().is_none_or(|t| t.as_small().is_some());
+        let all_small = expr
+            .terms_slice()
+            .last()
+            .is_none_or(|t| t.as_small().is_some());
         let mut pairs: Vec<Pair> = all
             .inners
             .into_iter()
@@ -254,9 +253,7 @@ impl PairList {
                 for j in i + 1..self.pairs.len() {
                     // With no generators on either side the only reachable
                     // target is 0, and equal outers were already merged.
-                    if self.pairs[i].nullspace.is_empty()
-                        && self.pairs[j].nullspace.is_empty()
-                    {
+                    if self.pairs[i].nullspace.is_empty() && self.pairs[j].nullspace.is_empty() {
                         continue;
                     }
                     let diff = self.pairs[i].outer.xor(&self.pairs[j].outer);
@@ -507,7 +504,12 @@ mod tests {
         assert_eq!(pl.to_expr(), x, "split preserves the expression");
         pl.merge_fixpoint();
         assert_eq!(pl.to_expr(), x, "merging preserves the expression");
-        assert_eq!(pl.pairs.len(), 2, "paper's A' has two pairs: {:?}", pl.pairs);
+        assert_eq!(
+            pl.pairs.len(),
+            2,
+            "paper's A' has two pairs: {:?}",
+            pl.pairs
+        );
         let inner_set: Vec<Anf> = pl.pairs.iter().map(|p| p.inner.clone()).collect();
         let want1 = Anf::parse("a ^ b*c", &mut pool).unwrap();
         let want2 = Anf::parse("a*b ^ a*c", &mut pool).unwrap();
@@ -534,9 +536,18 @@ mod tests {
             pool.find("c").unwrap(),
         );
         let mut ns = HashMap::new();
-        ns.insert(a, NullSpace::from_gens(vec![Anf::parse("z", &mut pool).unwrap()]));
-        ns.insert(b, NullSpace::from_gens(vec![Anf::parse("x", &mut pool).unwrap()]));
-        ns.insert(c, NullSpace::from_gens(vec![Anf::parse("y", &mut pool).unwrap()]));
+        ns.insert(
+            a,
+            NullSpace::from_gens(vec![Anf::parse("z", &mut pool).unwrap()]),
+        );
+        ns.insert(
+            b,
+            NullSpace::from_gens(vec![Anf::parse("x", &mut pool).unwrap()]),
+        );
+        ns.insert(
+            c,
+            NullSpace::from_gens(vec![Anf::parse("y", &mut pool).unwrap()]),
+        );
         let mut pl = PairList::split(&x, &group, &ns);
         pl.merge_fixpoint();
         assert_eq!(pl.pairs.len(), 3, "A' has three pairs before rule 3");
@@ -615,10 +626,8 @@ mod tests {
                 let (a, b) = (group_vars[0], group_vars[1 + (next() % 3) as usize]);
                 x.xor_assign(&Anf::var(a).and(&Anf::var(b)).and(&random_outer(next())));
             }
-            let var_ns: HashMap<Var, NullSpace> = group
-                .iter()
-                .map(|v| (v, store.var_nullspace(v)))
-                .collect();
+            let var_ns: HashMap<Var, NullSpace> =
+                group.iter().map(|v| (v, store.var_nullspace(v))).collect();
             let mut lazy = PairList::split(&x, &group, &var_ns);
             lazy.merge_fixpoint();
             let cap = if case.is_multiple_of(4) { 2 } else { 64 };
@@ -637,7 +646,10 @@ mod tests {
             fired += usize::from(got > 0);
             cases += 1;
         }
-        assert!(fired * 4 > cases, "rule 3 fired in only {fired} of {cases} cases");
+        assert!(
+            fired * 4 > cases,
+            "rule 3 fired in only {fired} of {cases} cases"
+        );
     }
 
     #[test]
@@ -717,7 +729,11 @@ mod tests {
             } else {
                 (next(&mut state) % 300) as usize
             };
-            let x = Anf::from_terms((0..len).map(|_| random_monomial(&vars, &mut state)).collect());
+            let x = Anf::from_terms(
+                (0..len)
+                    .map(|_| random_monomial(&vars, &mut state))
+                    .collect(),
+            );
             let group: VarSet = (0..1 + next(&mut state) % 5)
                 .map(|_| vars[(next(&mut state) % 20) as usize])
                 .collect();
@@ -745,8 +761,14 @@ mod tests {
             chunked += usize::from(x.term_count() >= PairList::PAR_SPLIT_MIN);
         }
         assert!(large >= 120, "only {large} cases had terms past index 128");
-        assert!(unsorted >= 10, "only {unsorted} cases had an unsorted bucket");
-        assert!(chunked >= 25, "only {chunked} cases were long enough to chunk");
+        assert!(
+            unsorted >= 10,
+            "only {unsorted} cases had an unsorted bucket"
+        );
+        assert!(
+            chunked >= 25,
+            "only {chunked} cases were long enough to chunk"
+        );
     }
 
     /// `pl` with every variable id raised by `by`.
@@ -797,7 +819,10 @@ mod tests {
                 if n < 2 {
                     break;
                 }
-                let (a, b) = ((next(&mut state) % n) as usize, (next(&mut state) % n) as usize);
+                let (a, b) = (
+                    (next(&mut state) % n) as usize,
+                    (next(&mut state) % n) as usize,
+                );
                 if next(&mut state).is_multiple_of(2) {
                     pl.pairs[a].inner = pl.pairs[b].inner.clone();
                 } else {
@@ -811,7 +836,10 @@ mod tests {
             pl.merge_fixpoint();
             assert_eq!(snapshot(&pl), snapshot(&want), "case {case}");
         }
-        assert!(left_unsorted >= 100, "only {left_unsorted} lists were left unsorted");
+        assert!(
+            left_unsorted >= 100,
+            "only {left_unsorted} lists were left unsorted"
+        );
         assert!(merged >= 100, "rules 1-2 merged in only {merged} cases");
     }
 
@@ -823,8 +851,16 @@ mod tests {
         // sees the second outer first. Rule-1 results keep the place of
         // their first pair, so the fold comes first and rule 2 keeps its
         // null-space.
-        let (a, b, q, p, k, x, y, z) =
-            (Var(0), Var(1), Var(10), Var(11), Var(12), Var(20), Var(21), Var(22));
+        let (a, b, q, p, k, x, y, z) = (
+            Var(0),
+            Var(1),
+            Var(10),
+            Var(11),
+            Var(12),
+            Var(20),
+            Var(21),
+            Var(22),
+        );
         let pair = |inner: Anf, outer: Var, gen: Anf| Pair {
             inner,
             outer: Anf::var(outer).and(&Anf::var(k)),

@@ -241,8 +241,11 @@ pub fn refine_metered(
         // pass a fraction of the worklist's gain in wall time.
         let mut close_cfg = cfg.clone();
         close_cfg.exhaustive_group_limit = close_cfg.exhaustive_group_limit.min(1500);
-        let sub = ProgressiveDecomposer::new(close_cfg)
-            .decompose_metered(d.pool.clone(), d.outputs.clone(), meter);
+        let sub = ProgressiveDecomposer::new(close_cfg).decompose_metered(
+            d.pool.clone(),
+            d.outputs.clone(),
+            meter,
+        );
         stats.closed_blocks += sub.blocks.len();
         let closed = sub.blocks.len();
         d.pool = sub.pool;
@@ -415,12 +418,7 @@ fn leader_cse(d: &mut Decomposition) -> usize {
 /// starts dirty; a patch re-dirties the blocks whose basis it rewrote and
 /// the producers feeding any rewritten slot (their pair-list coefficients
 /// changed).
-fn drain_worklist(
-    d: &mut Decomposition,
-    cfg: &PdConfig,
-    stats: &mut RefineStats,
-    timing: bool,
-) {
+fn drain_worklist(d: &mut Decomposition, cfg: &PdConfig, stats: &mut RefineStats, timing: bool) {
     // A block may be re-refined when a patch rewrote its basis or its
     // consumers; the cap bounds the pathological ping-pong.
     const MAX_PASSES_PER_BLOCK: usize = 8;
@@ -550,11 +548,8 @@ fn refine_block(
     if vset.is_empty() {
         return None;
     }
-    let mut leader_expr: HashMap<Var, Anf> = block
-        .basis
-        .iter()
-        .map(|(v, e)| (*v, e.clone()))
-        .collect();
+    let mut leader_expr: HashMap<Var, Anf> =
+        block.basis.iter().map(|(v, e)| (*v, e.clone())).collect();
     for &p in &block.passthrough {
         leader_expr.insert(p, Anf::var(p));
     }
@@ -731,11 +726,12 @@ fn refine_block(
     // expanded products in the consumers, save the basis entry. Accepted
     // when not more literals overall (ties favour the smaller hierarchy).
     for i in 0..reps.len() {
-        let Some(own) = reps[i].as_literal() else { continue };
+        let Some(own) = reps[i].as_literal() else {
+            continue;
+        };
         // Group variables pass through for free; only leader entries (an
         // original basis member or a fresh local) can be saved.
-        let is_leader = block.basis.iter().any(|(v, _)| *v == own)
-            || locals.contains(&own);
+        let is_leader = block.basis.iter().any(|(v, _)| *v == own) || locals.contains(&own);
         if !is_leader {
             continue;
         }
@@ -752,10 +748,8 @@ fn refine_block(
                 .iter()
                 .map(|(_, b)| b.literal_count() + b.term_count())
                 .sum::<usize>();
-        let expanded: Vec<(usize, Anf)> = buckets[i]
-            .iter()
-            .map(|(j, b)| (*j, inner.and(b)))
-            .collect();
+        let expanded: Vec<(usize, Anf)> =
+            buckets[i].iter().map(|(j, b)| (*j, inner.and(b))).collect();
         let inline_cost: usize = expanded.iter().map(|(_, e)| e.literal_count()).sum();
         if inline_cost <= keep_cost {
             if let Some(k) = locals.iter().position(|&w| w == own) {
@@ -811,10 +805,7 @@ fn refine_block(
             consumers.push((*slot, new));
         }
     }
-    if consumers.is_empty()
-        && basis == block.basis
-        && passthrough == block.passthrough
-    {
+    if consumers.is_empty() && basis == block.basis && passthrough == block.passthrough {
         return None;
     }
     let mut group_set = VarSet::new();
@@ -897,9 +888,7 @@ fn apply_patch(d: &mut Decomposition, patch: Patch) -> Vec<usize> {
         }
     }
     for (bj, b) in d.blocks.iter().enumerate() {
-        if bj != patch.block
-            && b.basis.iter().any(|(v, _)| affected.contains(*v))
-        {
+        if bj != patch.block && b.basis.iter().any(|(v, _)| affected.contains(*v)) {
             dirtied.push(bj);
         }
     }
@@ -1005,10 +994,7 @@ mod tests {
             passthrough: vec![],
             substitutions: vec![],
         };
-        let spec = vec![(
-            "y".to_owned(),
-            e.clone().and(&e),
-        )];
+        let spec = vec![("y".to_owned(), e.clone().and(&e))];
         let d = Decomposition {
             spec: spec.clone(),
             blocks: vec![mk_block(1, s1, &e), mk_block(2, s2, &e)],

@@ -58,7 +58,8 @@ pub fn improve(pl: &mut PairList) -> (usize, usize) {
                 if let Some((pi, pj)) = try_rewrite(&pl.pairs[i], &pl.pairs[j]) {
                     pl.pairs[i] = pi;
                     pl.pairs[j] = pj;
-                    pl.pairs.retain(|p| !p.inner.is_zero() && !p.outer.is_zero());
+                    pl.pairs
+                        .retain(|p| !p.inner.is_zero() && !p.outer.is_zero());
                     pl.merge_fixpoint();
                     changed = true;
                     guard += 1;

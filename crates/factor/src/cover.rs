@@ -235,7 +235,10 @@ impl Cover {
     /// Builds a cover, dropping contradictory cubes, sorting and
     /// deduplicating.
     pub fn from_cubes<I: IntoIterator<Item = Cube>>(cubes: I) -> Self {
-        let mut v: Vec<Cube> = cubes.into_iter().filter(|c| !c.is_contradictory()).collect();
+        let mut v: Vec<Cube> = cubes
+            .into_iter()
+            .filter(|c| !c.is_contradictory())
+            .collect();
         v.sort_unstable();
         v.dedup();
         Cover { cubes: v }
@@ -243,9 +246,11 @@ impl Cover {
 
     /// Imports a [`pd_netlist::Sop`] description.
     pub fn from_sop(sop: &Sop) -> Self {
-        Self::from_cubes(sop.0.iter().map(|c| {
-            Cube::new(c.0.iter().map(|&(v, pol)| Lit::new(v, pol)))
-        }))
+        Self::from_cubes(
+            sop.0
+                .iter()
+                .map(|c| Cube::new(c.0.iter().map(|&(v, pol)| Lit::new(v, pol)))),
+        )
     }
 
     /// Exports to a [`pd_netlist::Sop`] description.
@@ -253,7 +258,14 @@ impl Cover {
         Sop(self
             .cubes
             .iter()
-            .map(|c| SopCube(c.lits().iter().map(|l| (l.var(), l.is_positive())).collect()))
+            .map(|c| {
+                SopCube(
+                    c.lits()
+                        .iter()
+                        .map(|l| (l.var(), l.is_positive()))
+                        .collect(),
+                )
+            })
             .collect())
     }
 
@@ -530,13 +542,20 @@ mod tests {
         let f = cover(&mut pool, "a + b");
         let g = cover(&mut pool, "c + !a");
         let p = f.mul(&g);
-        let names: Vec<Var> = ["a", "b", "c"].iter().map(|n| pool.find(n).unwrap()).collect();
+        let names: Vec<Var> = ["a", "b", "c"]
+            .iter()
+            .map(|n| pool.find(n).unwrap())
+            .collect();
         for bits in 0..8u32 {
             let assign = |v: Var| {
                 let i = names.iter().position(|&q| q == v).unwrap();
                 bits >> i & 1 == 1
             };
-            assert_eq!(p.eval(assign), f.eval(assign) && g.eval(assign), "bits {bits}");
+            assert_eq!(
+                p.eval(assign),
+                f.eval(assign) && g.eval(assign),
+                "bits {bits}"
+            );
         }
     }
 
@@ -574,7 +593,10 @@ mod tests {
         let mut pool = VarPool::new();
         let f = cover(&mut pool, "a!b + bc + !a!c");
         let anf = f.to_anf(1 << 12).unwrap();
-        let names: Vec<Var> = ["a", "b", "c"].iter().map(|n| pool.find(n).unwrap()).collect();
+        let names: Vec<Var> = ["a", "b", "c"]
+            .iter()
+            .map(|n| pool.find(n).unwrap())
+            .collect();
         for bits in 0..8u32 {
             let assign = |v: Var| {
                 let i = names.iter().position(|&q| q == v).unwrap();

@@ -57,11 +57,7 @@ pub fn divide(f: &Cover, d: &Cover) -> (Cover, Cover) {
     }
     let mut quotient: Option<BTreeSet<Cube>> = None;
     for di in d.cubes() {
-        let qi: BTreeSet<Cube> = f
-            .cubes()
-            .iter()
-            .filter_map(|c| di.quotient_of(c))
-            .collect();
+        let qi: BTreeSet<Cube> = f.cubes().iter().filter_map(|c| di.quotient_of(c)).collect();
         quotient = Some(match quotient {
             None => qi,
             Some(prev) => prev.intersection(&qi).cloned().collect(),

@@ -8,8 +8,8 @@
 
 use crate::cover::{Cover, Cube, Lit};
 use crate::divide::divide_cube;
-use pd_netlist::{Netlist, NodeId};
 use pd_anf::Var;
+use pd_netlist::{Netlist, NodeId};
 
 /// A factored combinational form over literals.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -64,17 +64,13 @@ impl FactorTree {
                 }
             }
             FactorTree::And(children) => {
-                let nodes: Vec<NodeId> = children
-                    .iter()
-                    .map(|c| c.synthesize(nl, resolve))
-                    .collect();
+                let nodes: Vec<NodeId> =
+                    children.iter().map(|c| c.synthesize(nl, resolve)).collect();
                 nl.and_many(&nodes)
             }
             FactorTree::Or(children) => {
-                let nodes: Vec<NodeId> = children
-                    .iter()
-                    .map(|c| c.synthesize(nl, resolve))
-                    .collect();
+                let nodes: Vec<NodeId> =
+                    children.iter().map(|c| c.synthesize(nl, resolve)).collect();
                 nl.or_many(&nodes)
             }
         }
@@ -217,7 +213,10 @@ mod tests {
         assert_eq!(t.literal_count(), 3);
         check_function_preserved(&pool, &f, &t);
         let lone = cover(&mut pool, "d");
-        assert_eq!(quick_factor(&lone), FactorTree::Lit(Lit::pos(pool.find("d").unwrap())));
+        assert_eq!(
+            quick_factor(&lone),
+            FactorTree::Lit(Lit::pos(pool.find("d").unwrap()))
+        );
     }
 
     #[test]

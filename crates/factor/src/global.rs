@@ -136,7 +136,14 @@ impl DivisorTable {
         match self.entries.get(&key) {
             Some(e) => Some(e.var),
             None => {
-                self.entries.insert(key, DivisorEntry { var, rank, reuses: 0 });
+                self.entries.insert(
+                    key,
+                    DivisorEntry {
+                        var,
+                        rank,
+                        reuses: 0,
+                    },
+                );
                 None
             }
         }
@@ -327,8 +334,15 @@ impl GlobalNetwork {
 
     /// Total ANF literal count of the network (cones + divisors).
     pub fn literal_count(&self) -> usize {
-        self.cones.iter().map(|c| c.expr.literal_count()).sum::<usize>()
-            + self.divisors.iter().map(|(_, e, _)| e.literal_count()).sum::<usize>()
+        self.cones
+            .iter()
+            .map(|c| c.expr.literal_count())
+            .sum::<usize>()
+            + self
+                .divisors
+                .iter()
+                .map(|(_, e, _)| e.literal_count())
+                .sum::<usize>()
     }
 
     /// The shared divisor table (committed divisors, hash-consed).
@@ -524,9 +538,7 @@ impl GlobalNetwork {
             }
             for i in 0..terms.len() {
                 for j in i + 1..terms.len() {
-                    let c = Monomial::from_vars(
-                        terms[i].vars().filter(|v| terms[j].contains(*v)),
-                    );
+                    let c = Monomial::from_vars(terms[i].vars().filter(|v| terms[j].contains(*v)));
                     if c.is_one() {
                         continue;
                     }
@@ -590,8 +602,8 @@ impl GlobalNetwork {
                 continue;
             }
             let old = cone.expr.literal_count() as isize;
-            let new = q.literal_count() as isize + q.term_count() as isize
-                + r.literal_count() as isize;
+            let new =
+                q.literal_count() as isize + q.term_count() as isize + r.literal_count() as isize;
             if new < old {
                 gain += old - new;
             }
@@ -672,7 +684,11 @@ impl GlobalNetwork {
         let mut bound: VarSet = VarSet::new();
         for i in order {
             let cone = &self.cones[i];
-            let expr = if with_divisors { &cone.expr } else { &cone.original };
+            let expr = if with_divisors {
+                &cone.expr
+            } else {
+                &cone.original
+            };
             stitch(expr, &defs, &mut bound, &mut nl, &mut synth);
             let node = synth.emit(&mut nl, expr);
             if let Some(v) = cone.leader {
@@ -779,8 +795,8 @@ mod tests {
                     let delta = est.estimate(&cone.expr) - est.estimate(&new_expr);
                     if delta > 0.0 {
                         gain += delta;
-                        lit_delta += cone.expr.literal_count() as isize
-                            - new_expr.literal_count() as isize;
+                        lit_delta +=
+                            cone.expr.literal_count() as isize - new_expr.literal_count() as isize;
                         rewrites.push((ci, new_expr));
                     }
                 }
@@ -834,7 +850,11 @@ mod tests {
         let exprs = |n: &GlobalNetwork| n.cones.iter().map(|c| c.expr.clone()).collect::<Vec<_>>();
         assert_eq!(exprs(&fast), exprs(&slow), "{label}: rewritten cones");
         let leaked = !slow_stats.budget_exhausted && slow_stats.rounds < cfg.max_rounds;
-        assert_eq!(slow_pool.len(), fast_pool.len() + usize::from(leaked), "{label}: pool");
+        assert_eq!(
+            slow_pool.len(),
+            fast_pool.len() + usize::from(leaked),
+            "{label}: pool"
+        );
         assert_eq!(
             fast_pool.len(),
             pool.len() + fast_stats.divisors,
@@ -875,8 +895,16 @@ mod tests {
     fn pricing_matches_reference_on_golden_factor_inputs() {
         // The circuits pinned in FLOW_GOLDEN (tests/table1_circuits.rs).
         for name in [
-            "maj15", "maj13", "counter12", "lzd12", "gray16", "adder10", "comparator10",
-            "three8", "adder12", "lod16",
+            "maj15",
+            "maj13",
+            "counter12",
+            "lzd12",
+            "gray16",
+            "adder10",
+            "comparator10",
+            "three8",
+            "adder12",
+            "lod16",
         ] {
             let (net, pool) = flow_factor_input(name);
             assert_pricing_matches_reference(name, &net, &pool);
@@ -895,7 +923,9 @@ mod tests {
             (state >> 33) as usize % n
         };
         let mut pool = VarPool::new();
-        let all: Vec<Var> = (0..pool_len).map(|i| pool.input(&format!("i{i}"), 0, i)).collect();
+        let all: Vec<Var> = (0..pool_len)
+            .map(|i| pool.input(&format!("i{i}"), 0, i))
+            .collect();
         let vars: Vec<Var> = (0..12).map(|_| all[next(pool_len)]).collect();
         let cube = |next: &mut dyn FnMut(usize) -> usize, degree: usize| {
             Anf::from_terms(vec![Monomial::from_vars(
@@ -949,8 +979,14 @@ mod tests {
                 straddled_192 |= across(192);
             }
         }
-        assert!(straddled_128, "no run committed divisors on both sides of Var(128)");
-        assert!(straddled_192, "no run committed divisors on both sides of Var(192)");
+        assert!(
+            straddled_128,
+            "no run committed divisors on both sides of Var(128)"
+        );
+        assert!(
+            straddled_192,
+            "no run committed divisors on both sides of Var(192)"
+        );
     }
 
     #[test]
@@ -979,7 +1015,10 @@ mod tests {
         // from the same monomials in different orders must share one
         // table entry.
         let mut pool = VarPool::new();
-        let vars: Vec<Var> = ["a", "b", "c"].iter().map(|n| pool.var_or_input(n)).collect();
+        let vars: Vec<Var> = ["a", "b", "c"]
+            .iter()
+            .map(|n| pool.var_or_input(n))
+            .collect();
         let t1 = Monomial::from_vars([vars[0], vars[1]]);
         let t2 = Monomial::from_vars([vars[1], vars[2]]);
         let e1 = Anf::from_terms(vec![t1.clone(), t2.clone()]);
@@ -989,7 +1028,11 @@ mod tests {
         let d1 = pool.var_or_input("d1");
         let mut table = DivisorTable::new();
         assert_eq!(table.insert(d0, 0, &e1), None);
-        assert_eq!(table.insert(d1, 3, &e2), Some(d0), "permuted spelling reuses d0");
+        assert_eq!(
+            table.insert(d1, 3, &e2),
+            Some(d0),
+            "permuted spelling reuses d0"
+        );
         assert_eq!(table.len(), 1);
         table.note_reuse(&e2);
         assert_eq!(table.reuse_count(), 1);
@@ -1050,13 +1093,18 @@ mod tests {
         let mut pool = VarPool::new();
         let s = pool.derived("s", 1);
         let e = anf(&mut pool, "a*b ^ c");
-        let out = Anf::var(s).and(&anf(&mut pool, "d")).xor(&anf(&mut pool, "c"));
+        let out = Anf::var(s)
+            .and(&anf(&mut pool, "d"))
+            .xor(&anf(&mut pool, "c"));
         let mut net = GlobalNetwork::new();
         net.add_leader(0, s, &e);
         net.add_output("y", &out);
         net.extract(&mut pool, &GlobalConfig::default());
         let nl = net.synthesize();
-        let spec = vec![("y".to_owned(), e.and(&anf(&mut pool, "d")).xor(&anf(&mut pool, "c")))];
+        let spec = vec![(
+            "y".to_owned(),
+            e.and(&anf(&mut pool, "d")).xor(&anf(&mut pool, "c")),
+        )];
         assert_eq!(pd_netlist::sim::check_equiv_anf(&nl, &spec, 32, 11), None);
     }
 

@@ -58,7 +58,9 @@ pub mod minimize;
 pub use cover::{Cover, Cube, Lit};
 pub use divide::{anf_divide, divide, divide_cube, recompose};
 pub use factor::{quick_factor, FactorTree};
-pub use global::{canonical_terms, DivisorEntry, DivisorTable, GlobalConfig, GlobalNetwork, GlobalStats};
+pub use global::{
+    canonical_terms, DivisorEntry, DivisorTable, GlobalConfig, GlobalNetwork, GlobalStats,
+};
 pub use kernel::{kernels, kernels_capped, KernelPair};
 pub use minimize::{minimize_cover, minimum_cover, prime_implicants, Implicant};
 pub use network::{factor_and_synthesize, ExtractConfig, ExtractStats, FactorNetwork};

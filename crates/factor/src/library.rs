@@ -41,7 +41,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         assert!(load_library(&dir).is_empty(), "missing file");
         let path = dir.join(LIBRARY_FILE);
-        std::fs::write(&path, "pd-divisor-library/v1\n3\ta0*b0\n1\ta4^b4\nbad line\n").unwrap();
+        std::fs::write(
+            &path,
+            "pd-divisor-library/v1\n3\ta0*b0\n1\ta4^b4\nbad line\n",
+        )
+        .unwrap();
         assert_eq!(load_library(&dir), ["a0*b0", "a4^b4"]);
         std::fs::write(&path, "other-format\n3\ta0*b0\n").unwrap();
         assert!(load_library(&dir).is_empty(), "unknown header");

@@ -54,7 +54,10 @@ pub fn prime_implicants(n_vars: usize, on_set: &[u32]) -> Vec<Implicant> {
     let m = mask(n_vars);
     let mut current: HashSet<Implicant> = on_set
         .iter()
-        .map(|&v| Implicant { value: v & m, dont_care: 0 })
+        .map(|&v| Implicant {
+            value: v & m,
+            dont_care: 0,
+        })
         .collect();
     let mut primes: Vec<Implicant> = Vec::new();
     while !current.is_empty() {
@@ -118,8 +121,7 @@ pub fn minimum_cover(n_vars: usize, on_set: &[u32]) -> Vec<Implicant> {
     };
     // Essential primes: the sole cover of some minterm.
     for &minterm in &uncovered.clone() {
-        let covering: Vec<&Implicant> =
-            primes.iter().filter(|p| p.covers(minterm)).collect();
+        let covering: Vec<&Implicant> = primes.iter().filter(|p| p.covers(minterm)).collect();
         if covering.len() == 1 && !chosen.contains(covering[0]) {
             chosen.push(*covering[0]);
         }

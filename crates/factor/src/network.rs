@@ -120,15 +120,10 @@ impl FactorNetwork {
     /// variables (see [`Cover::from_anf`]). The flow pipeline uses this to
     /// hand each decomposition block's leaders — small-support functions by
     /// construction — to the algebraic extraction loop.
-    pub fn from_anf_outputs(
-        outputs: &[(String, pd_anf::Anf)],
-        max_support: usize,
-    ) -> Option<Self> {
+    pub fn from_anf_outputs(outputs: &[(String, pd_anf::Anf)], max_support: usize) -> Option<Self> {
         let covers = outputs
             .iter()
-            .map(|(name, expr)| {
-                Cover::from_anf(expr, max_support).map(|c| (name.clone(), c))
-            })
+            .map(|(name, expr)| Cover::from_anf(expr, max_support).map(|c| (name.clone(), c)))
             .collect::<Option<Vec<_>>>()?;
         Some(Self::from_covers(&covers))
     }
@@ -228,8 +223,8 @@ impl FactorNetwork {
                 continue;
             }
             let old = node.cover.literal_count() as isize;
-            let new = q.literal_count() as isize + q.cube_count() as isize
-                + r.literal_count() as isize;
+            let new =
+                q.literal_count() as isize + q.cube_count() as isize + r.literal_count() as isize;
             saved += old - new;
         }
         saved - divisor.literal_count() as isize
@@ -341,9 +336,7 @@ impl FactorNetwork {
         self.nodes
             .iter()
             .filter_map(|n| match &n.kind {
-                NodeKind::Output(name) => {
-                    Some((name.clone(), expand_cover(&n.cover, &expanded)))
-                }
+                NodeKind::Output(name) => Some((name.clone(), expand_cover(&n.cover, &expanded))),
                 NodeKind::Divisor(_) => None,
             })
             .collect()
@@ -458,8 +451,7 @@ mod tests {
         // Both outputs contain the divisor (c + d).
         let f = cover(&mut pool, "ac + ad");
         let g = cover(&mut pool, "bc + bd + e");
-        let mut net =
-            FactorNetwork::from_covers(&[("f".to_owned(), f), ("g".to_owned(), g)]);
+        let mut net = FactorNetwork::from_covers(&[("f".to_owned(), f), ("g".to_owned(), g)]);
         let before = net.literal_count();
         let stats = net.extract(&mut pool, &ExtractConfig::default());
         assert!(stats.rounds >= 1);
@@ -504,10 +496,7 @@ mod tests {
             ("f".to_owned(), f.to_anf(1 << 16).unwrap()),
             ("g".to_owned(), g.to_anf(1 << 16).unwrap()),
         ];
-        let mut net = FactorNetwork::from_covers(&[
-            ("f".to_owned(), f),
-            ("g".to_owned(), g),
-        ]);
+        let mut net = FactorNetwork::from_covers(&[("f".to_owned(), f), ("g".to_owned(), g)]);
         net.extract(&mut pool, &ExtractConfig::default());
         let nl = net.synthesize();
         assert_eq!(pd_netlist::sim::check_equiv_anf(&nl, &spec, 16, 9), None);
@@ -520,10 +509,8 @@ mod tests {
         // nest: first (c+d) (or (a+b)), then reuse it.
         let f = cover(&mut pool, "ac + ad + bc + bd + e");
         let g = cover(&mut pool, "ac + ad + bc + bd + h");
-        let mut net = FactorNetwork::from_covers(&[
-            ("f".to_owned(), f.clone()),
-            ("g".to_owned(), g.clone()),
-        ]);
+        let mut net =
+            FactorNetwork::from_covers(&[("f".to_owned(), f.clone()), ("g".to_owned(), g.clone())]);
         net.extract(&mut pool, &ExtractConfig::default());
         // The shared block costs at most (2+2) once plus 2 uses + tails.
         assert!(net.literal_count() <= 12, "got {}", net.literal_count());

@@ -19,10 +19,7 @@ fn pool_with_vars() -> (VarPool, Vec<Var>) {
 
 /// A random cover: each cube is (presence mask, phase mask).
 fn cover_strategy(max_cubes: usize) -> impl Strategy<Value = Vec<(u8, u8)>> {
-    proptest::collection::vec(
-        (0u8..(1 << N_VARS), 0u8..(1 << N_VARS)),
-        0..max_cubes,
-    )
+    proptest::collection::vec((0u8..(1 << N_VARS), 0u8..(1 << N_VARS)), 0..max_cubes)
 }
 
 fn decode_cover(cubes: &[(u8, u8)], vars: &[Var]) -> Cover {

@@ -178,7 +178,13 @@ mod tests {
             .as_ref()
             .expect_err("no retry rescues a single-rung counterexample");
         assert!(
-            matches!(err, FlowError::Mismatch { stage: StageKind::Decompose, .. }),
+            matches!(
+                err,
+                FlowError::Mismatch {
+                    stage: StageKind::Decompose,
+                    ..
+                }
+            ),
             "unexpected error: {err}"
         );
         for i in [0, 2] {

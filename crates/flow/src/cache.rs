@@ -80,11 +80,7 @@ pub fn config_fingerprint(cfg: &FlowConfig) -> String {
 /// upfront (see the module docs for the chain construction). Each key is
 /// `<hash>.<stage>` — valid for [`pd_cache::DiskStore`] and
 /// self-describing when listing a cache directory.
-pub fn stage_keys(
-    pool: &VarPool,
-    outputs: &[(String, Anf)],
-    cfg: &FlowConfig,
-) -> [String; 5] {
+pub fn stage_keys(pool: &VarPool, outputs: &[(String, Anf)], cfg: &FlowConfig) -> [String; 5] {
     let mut bytes = Vec::new();
     encode_pool(pool, &mut bytes);
     encode_outputs(outputs, &mut bytes);
@@ -322,7 +318,10 @@ fn named_anfs_from_json(j: &Json) -> Option<Vec<(String, Anf)>> {
         .iter()
         .map(|pair| {
             let pair = pair.as_arr()?;
-            Some((pair.first()?.as_str()?.to_owned(), anf_from_json(pair.get(1)?)?))
+            Some((
+                pair.first()?.as_str()?.to_owned(),
+                anf_from_json(pair.get(1)?)?,
+            ))
         })
         .collect()
 }
@@ -445,9 +444,7 @@ pub fn netlist_to_json(nl: &Netlist) -> Json {
             Json::Arr(
                 nl.outputs()
                     .iter()
-                    .map(|(name, n)| {
-                        Json::Arr(vec![Json::from(name.as_str()), node_to_json(*n)])
-                    })
+                    .map(|(name, n)| Json::Arr(vec![Json::from(name.as_str()), node_to_json(*n)]))
                     .collect(),
             ),
         ),
@@ -535,9 +532,7 @@ pub fn mapped_to_json(m: &MappedNetlist) -> Json {
             Json::Arr(
                 m.outputs
                     .iter()
-                    .map(|(name, n)| {
-                        Json::Arr(vec![Json::from(name.as_str()), node_to_json(*n)])
-                    })
+                    .map(|(name, n)| Json::Arr(vec![Json::from(name.as_str()), node_to_json(*n)]))
                     .collect(),
             ),
         ),
@@ -599,10 +594,7 @@ pub fn sta_to_json(r: &AreaDelayReport) -> Json {
                 r.histogram
                     .iter()
                     .map(|(k, &n)| {
-                        Json::Arr(vec![
-                            Json::from(cell_kind_name(*k).as_str()),
-                            Json::from(n),
-                        ])
+                        Json::Arr(vec![Json::from(cell_kind_name(*k).as_str()), Json::from(n)])
                     })
                     .collect(),
             ),
@@ -677,10 +669,7 @@ mod tests {
     fn small_decomposition() -> Decomposition {
         let mut pool = VarPool::new();
         let spec = vec![
-            (
-                "s".to_owned(),
-                Anf::parse("a ^ b ^ c", &mut pool).unwrap(),
-            ),
+            ("s".to_owned(), Anf::parse("a ^ b ^ c", &mut pool).unwrap()),
             (
                 "co".to_owned(),
                 Anf::parse("a*b ^ b*c ^ c*a", &mut pool).unwrap(),
@@ -746,10 +735,7 @@ mod tests {
     #[test]
     fn corrupt_netlist_entries_are_misses_not_panics() {
         // A fanin pointing forward violates topological order.
-        let doc = Json::parse(
-            r#"{"gates": [["not", 1], ["c1"]], "outputs": [["y", 0]]}"#,
-        )
-        .unwrap();
+        let doc = Json::parse(r#"{"gates": [["not", 1], ["c1"]], "outputs": [["y", 0]]}"#).unwrap();
         assert!(netlist_from_json(&doc).is_none());
         // An output out of range.
         let doc = Json::parse(r#"{"gates": [["c1"]], "outputs": [["y", 9]]}"#).unwrap();

@@ -65,7 +65,12 @@ pub enum Json {
 impl Json {
     /// Convenience constructor for object values.
     pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// Looks up a key of an object value (first match).
@@ -216,7 +221,10 @@ fn expect(bytes: &[u8], pos: &mut usize, token: u8) -> Result<(), JsonError> {
         *pos += 1;
         Ok(())
     } else {
-        Err(JsonError::new(*pos, format!("expected {:?}", token as char)))
+        Err(JsonError::new(
+            *pos,
+            format!("expected {:?}", token as char),
+        ))
     }
 }
 
@@ -432,7 +440,10 @@ mod tests {
     fn escapes_and_nests() {
         let j = Json::obj(vec![
             ("name", Json::from("a\"b\\c\nd")),
-            ("xs", Json::Arr(vec![Json::from(1.5), Json::Null, Json::from(true)])),
+            (
+                "xs",
+                Json::Arr(vec![Json::from(1.5), Json::Null, Json::from(true)]),
+            ),
             ("n", Json::from(3usize)),
         ]);
         let s = j.pretty();
@@ -452,7 +463,10 @@ mod tests {
     fn parse_round_trips_pretty_output() {
         let j = Json::obj(vec![
             ("s", Json::from("quote \" slash \\ nl \n done")),
-            ("nums", Json::Arr(vec![Json::from(1usize), Json::from(-2.5), Json::Null])),
+            (
+                "nums",
+                Json::Arr(vec![Json::from(1usize), Json::from(-2.5), Json::Null]),
+            ),
             ("flag", Json::from(false)),
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::Obj(vec![])),
@@ -559,9 +573,7 @@ mod tests {
 
     #[test]
     fn writer_parser_round_trip_property() {
-        let mut rng = pt::TestRng::new(pt::seed_for(
-            "writer_parser_round_trip_property",
-        ));
+        let mut rng = pt::TestRng::new(pt::seed_for("writer_parser_round_trip_property"));
         for case in 0..200 {
             let doc = random_json(&mut rng, 3);
             let text = doc.pretty();
@@ -595,7 +607,13 @@ mod tests {
         // Non-BMP characters arrive as UTF-16 surrogate pairs.
         let j = Json::parse("\"\\ud83d\\ude00\"").unwrap();
         assert_eq!(j.as_str(), Some("😀"));
-        assert!(Json::parse("\"\\ud83d\"").is_err(), "unpaired high surrogate");
-        assert!(Json::parse("\"\\ud83d\\u0041\"").is_err(), "bad low surrogate");
+        assert!(
+            Json::parse("\"\\ud83d\"").is_err(),
+            "unpaired high surrogate"
+        );
+        assert!(
+            Json::parse("\"\\ud83d\\u0041\"").is_err(),
+            "bad low surrogate"
+        );
     }
 }

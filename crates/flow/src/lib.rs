@@ -119,11 +119,7 @@ pub struct FlowInput {
 
 impl FlowInput {
     /// Bundles a named specification.
-    pub fn new(
-        name: impl Into<String>,
-        pool: VarPool,
-        outputs: Vec<(String, Anf)>,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, pool: VarPool, outputs: Vec<(String, Anf)>) -> Self {
         FlowInput {
             name: name.into(),
             pool,
@@ -1190,11 +1186,7 @@ impl Flow {
     fn reduce_incremental(&mut self, cfg: PdConfig) -> Result<StageReport, FlowError> {
         let mut report = StageReport::new(StageKind::Reduce);
         let t = std::time::Instant::now();
-        let mut d = self
-            .decomposition
-            .as_ref()
-            .expect("decompose ran")
-            .clone();
+        let mut d = self.decomposition.as_ref().expect("decompose ran").clone();
         let stats = refine(&mut d, &cfg);
         let nl = d.to_netlist();
         report.wall_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -1235,8 +1227,7 @@ impl Flow {
     /// The `Reduce` stage ladder: incremental → skip. A config that
     /// enables neither refinement pass runs the pass-through alone.
     fn stage_reduce(&mut self) -> Result<StageReport, FlowError> {
-        let refines = self.cfg.pd.enable_linear_minimisation
-            || self.cfg.pd.enable_size_reduction;
+        let refines = self.cfg.pd.enable_linear_minimisation || self.cfg.pd.enable_size_reduction;
         if !refines {
             let mut report = self.reduce_skip()?;
             if let Some(note) = self.inert_fault_note(StageKind::Reduce) {
@@ -1286,8 +1277,11 @@ impl Flow {
         });
         report.gates = Some(live_gates(&nl));
         report.shared_divisors = Some(if extracted { stats.shared_divisors } else { 0 });
-        report.divisor_reuse_count =
-            Some(if extracted { stats.divisor_reuse_count } else { 0 });
+        report.divisor_reuse_count = Some(if extracted {
+            stats.divisor_reuse_count
+        } else {
+            0
+        });
         report.effort_spent = Some(stats.effort_spent);
         if stats.budget_exhausted {
             report.note_degradation(format!(
@@ -1418,10 +1412,7 @@ mod tests {
             .enumerate()
             .map(|(i, s)| (format!("y{i}"), Anf::parse(s, &mut pool).unwrap()))
             .collect();
-        Flow::new(
-            FlowInput::new("test", pool, outputs),
-            FlowConfig::default(),
-        )
+        Flow::new(FlowInput::new("test", pool, outputs), FlowConfig::default())
     }
 
     #[test]
@@ -1466,10 +1457,7 @@ mod tests {
             verify: false,
             ..FlowConfig::default()
         };
-        let mut flow = Flow::new(
-            FlowInput::new("noverify", pool, vec![("y".into(), e)]),
-            cfg,
-        );
+        let mut flow = Flow::new(FlowInput::new("noverify", pool, vec![("y".into(), e)]), cfg);
         let summary = flow.run_to_completion().unwrap();
         assert!(summary.stages.iter().all(|s| s.verified.is_none()));
         assert!(summary.stages.iter().all(|s| s.verify_ms == 0.0));
@@ -1515,7 +1503,10 @@ mod tests {
                 s.stage
             );
         }
-        assert!(summary.stages[4].verify_peak_nodes.is_none(), "STA checks nothing");
+        assert!(
+            summary.stages[4].verify_peak_nodes.is_none(),
+            "STA checks nothing"
+        );
     }
 
     fn faulted_cfg(fault: &str) -> FlowConfig {
@@ -1537,9 +1528,16 @@ mod tests {
             .run_to_completion()
             .expect("capacity at the final rung must not kill the flow");
         let dec = &summary.stages[0];
-        assert_eq!(dec.verified, Some(false), "boundary is explicitly unverified");
+        assert_eq!(
+            dec.verified,
+            Some(false),
+            "boundary is explicitly unverified"
+        );
         assert!(
-            dec.degradation_reason.as_deref().unwrap().contains("unverified"),
+            dec.degradation_reason
+                .as_deref()
+                .unwrap()
+                .contains("unverified"),
             "{:?}",
             dec.degradation_reason
         );
@@ -1586,10 +1584,7 @@ mod tests {
         let e = Anf::parse("a*b ^ c", &mut pool).unwrap();
         let mut cfg = faulted_cfg("factor:capacity:1");
         cfg.verify = false;
-        let mut flow = Flow::new(
-            FlowInput::new("starved", pool, vec![("y".into(), e)]),
-            cfg,
-        );
+        let mut flow = Flow::new(FlowInput::new("starved", pool, vec![("y".into(), e)]), cfg);
         let summary = flow.run_to_completion().unwrap();
         let fac = &summary.stages[2];
         assert!(fac.verified.is_none());

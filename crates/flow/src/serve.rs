@@ -146,7 +146,10 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, pool: Arc<Worker
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        match (&mut reader).take(MAX_REQUEST_BYTES).read_until(b'\n', &mut buf) {
+        match (&mut reader)
+            .take(MAX_REQUEST_BYTES)
+            .read_until(b'\n', &mut buf)
+        {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
@@ -187,10 +190,7 @@ fn write_response(writer: &mut TcpStream, response: &Json) -> std::io::Result<()
 }
 
 fn error_response(msg: &str) -> Json {
-    Json::obj(vec![
-        ("ok", Json::from(false)),
-        ("error", Json::from(msg)),
-    ])
+    Json::obj(vec![("ok", Json::from(false)), ("error", Json::from(msg))])
 }
 
 /// Answers one request line. The flag is `true` for `shutdown`, which
@@ -380,7 +380,13 @@ mod tests {
         // The poisoned job resolves (to an error outcome), siblings stay
         // green.
         let p = wait_done(&mut conn, poison);
-        let slot = &p.get("stats").unwrap().get("circuits").unwrap().as_arr().unwrap()[0];
+        let slot = &p
+            .get("stats")
+            .unwrap()
+            .get("circuits")
+            .unwrap()
+            .as_arr()
+            .unwrap()[0];
         assert!(
             slot.get("error")
                 .and_then(Json::as_str)
@@ -389,9 +395,22 @@ mod tests {
         );
         for (name, job) in healthy.iter().zip(&job_ids) {
             let r = wait_done(&mut conn, *job);
-            let slot = &r.get("stats").unwrap().get("circuits").unwrap().as_arr().unwrap()[0];
-            assert_eq!(slot.get("name").and_then(Json::as_str), Some(*name), "{r:?}");
-            assert!(slot.get("error").is_none(), "sibling of poison failed: {r:?}");
+            let slot = &r
+                .get("stats")
+                .unwrap()
+                .get("circuits")
+                .unwrap()
+                .as_arr()
+                .unwrap()[0];
+            assert_eq!(
+                slot.get("name").and_then(Json::as_str),
+                Some(*name),
+                "{r:?}"
+            );
+            assert!(
+                slot.get("error").is_none(),
+                "sibling of poison failed: {r:?}"
+            );
         }
 
         // Early result on a fresh job reports not-finished, unknown ops
@@ -436,7 +455,13 @@ mod tests {
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
         let job = r.get("job").and_then(Json::as_num).unwrap() as u64;
         let done = wait_done(&mut conn, job);
-        let slot = &done.get("stats").unwrap().get("circuits").unwrap().as_arr().unwrap()[0];
+        let slot = &done
+            .get("stats")
+            .unwrap()
+            .get("circuits")
+            .unwrap()
+            .as_arr()
+            .unwrap()[0];
         assert!(slot.get("error").is_none(), "{done:?}");
 
         let r = request(&mut conn, "{\"op\": \"shutdown\"}");

@@ -38,8 +38,7 @@ use crate::json::Json;
 use crate::{FaultPlan, FlowConfig, FlowError, FlowInput};
 use pd_anf::{Anf, VarPool};
 use pd_arith::{
-    Adder, Cla, Comparator, Counter, Gray, Lod, Lzd, Majority, Multiplier, Parity,
-    ThreeInputAdder,
+    Adder, Cla, Comparator, Counter, Gray, Lod, Lzd, Majority, Multiplier, Parity, ThreeInputAdder,
 };
 
 /// Default widths instantiating every `pd-arith` generator once — the
@@ -88,9 +87,8 @@ fn split_width(name: &str) -> Option<(&str, usize)> {
 pub fn circuit_by_name(name: &str) -> Result<FlowInput, String> {
     let (kind, w) = split_width(name)
         .ok_or_else(|| format!("circuit {name:?} has no width suffix (try e.g. \"maj15\")"))?;
-    let input = |pool: &VarPool, spec: Vec<(String, Anf)>| {
-        Ok(FlowInput::new(name, pool.clone(), spec))
-    };
+    let input =
+        |pool: &VarPool, spec: Vec<(String, Anf)>| Ok(FlowInput::new(name, pool.clone(), spec));
     match kind {
         "maj" | "majority" => {
             if w % 2 == 0 || w == 0 {
@@ -166,8 +164,7 @@ pub fn parse_text_spec(text: &str, pool: &mut VarPool) -> Result<Vec<(String, An
         if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
             return Err(format!("line {}: bad output name {name:?}", lineno + 1));
         }
-        let expr =
-            Anf::parse(expr, pool).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let expr = Anf::parse(expr, pool).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         outputs.push((name.to_owned(), expr));
     }
     if outputs.is_empty() {
@@ -184,8 +181,7 @@ pub fn parse_text_spec(text: &str, pool: &mut VarPool) -> Result<Vec<(String, An
 ///
 /// I/O, parse, and extraction failures, each naming the path.
 pub fn load_circuit(path: &str) -> Result<FlowInput, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut pool = VarPool::new();
     let outputs = if path.ends_with(".v") {
         let nl = pd_netlist::from_verilog(&text, &mut pool)
@@ -291,7 +287,9 @@ impl FlowSpec {
                 .as_num()
                 .ok_or_else(|| format!("key {key:?} must be a number"))?;
             if n < 0.0 || n.fract() != 0.0 || n > usize::MAX as f64 {
-                return Err(format!("key {key:?} must be a non-negative integer, got {n}"));
+                return Err(format!(
+                    "key {key:?} must be a non-negative integer, got {n}"
+                ));
             }
             Ok(n as usize)
         };
@@ -453,10 +451,9 @@ mod tests {
         assert_eq!(spec.circuits, vec!["maj7"]);
 
         // Known keys still type-check, and structural errors still error.
-        assert!(FlowSpec::parse(
-            r#"{"circuits": ["maj7"], "strict": false, "verify": "yes"}"#
-        )
-        .is_err());
+        assert!(
+            FlowSpec::parse(r#"{"circuits": ["maj7"], "strict": false, "verify": "yes"}"#).is_err()
+        );
         assert!(FlowSpec::parse(r#"{"circuits": [], "strict": false}"#).is_err());
         assert!(FlowSpec::parse(r#"{"circuits": ["maj7"], "strict": 1}"#).is_err());
 
@@ -524,7 +521,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.config.budget_reduce, 500);
-        assert_eq!(spec.config.budget_decompose, u64::MAX, "unset stays unlimited");
+        assert_eq!(
+            spec.config.budget_decompose,
+            u64::MAX,
+            "unset stays unlimited"
+        );
         assert_eq!(
             spec.config.fault,
             Some(FaultPlan {
@@ -560,7 +561,13 @@ mod tests {
         // Syntax errors carry the byte offset of the failure…
         let e = FlowSpec::parse("{\"circuits\": [").unwrap_err();
         assert!(
-            matches!(e, FlowError::BadSpec { position: Some(_), .. }),
+            matches!(
+                e,
+                FlowError::BadSpec {
+                    position: Some(_),
+                    ..
+                }
+            ),
             "{e}"
         );
         // …semantic errors name the offending key.

@@ -30,7 +30,10 @@ pub fn to_dot(netlist: &Netlist, pool: &VarPool, name: &str) -> String {
         }
     }
     for (oname, node) in netlist.outputs() {
-        let _ = writeln!(out, "  \"out_{oname}\" [label=\"{oname}\", shape=doublecircle];");
+        let _ = writeln!(
+            out,
+            "  \"out_{oname}\" [label=\"{oname}\", shape=doublecircle];"
+        );
         let _ = writeln!(out, "  {node} -> \"out_{oname}\";");
     }
     let _ = writeln!(out, "}}");
@@ -156,7 +159,10 @@ mod tests {
         assert!(v.contains(" ? "), "mux must render as ternary: {v}");
         assert!(v.contains(" | "), "or/maj must render: {v}");
         // The constant-true AND folds away, so no literal should remain.
-        assert!(!v.contains("1'b1") || v.contains("1'b1"), "constant path exercised");
+        assert!(
+            !v.contains("1'b1") || v.contains("1'b1"),
+            "constant path exercised"
+        );
     }
 
     #[test]

@@ -132,7 +132,9 @@ mod tests {
     fn cap_aborts() {
         // A wide XOR-of-ANDs has a big polynomial at the OR node.
         let mut pool = VarPool::new();
-        let vars: Vec<_> = (0..10).map(|i| pool.input(&format!("x{i}"), 0, i)).collect();
+        let vars: Vec<_> = (0..10)
+            .map(|i| pool.input(&format!("x{i}"), 0, i))
+            .collect();
         let mut nl = Netlist::new();
         let nodes: Vec<_> = vars.iter().map(|&v| nl.input(v)).collect();
         let r = nl.or_many(&nodes);

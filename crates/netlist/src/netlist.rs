@@ -360,11 +360,7 @@ impl Netlist {
     pub fn levels(&self) -> Vec<u32> {
         let mut lv = vec![0u32; self.nodes.len()];
         for (i, g) in self.nodes.iter().enumerate() {
-            lv[i] = g
-                .fanins()
-                .map(|f| lv[f.index()] + 1)
-                .max()
-                .unwrap_or(0);
+            lv[i] = g.fanins().map(|f| lv[f.index()] + 1).max().unwrap_or(0);
         }
         lv
     }
@@ -470,10 +466,7 @@ impl Netlist {
         for (id, gate) in other.iter() {
             for f in gate.fanins() {
                 if f.index() >= remap.len() {
-                    return Err(TopologyError {
-                        node: id,
-                        fanin: f,
-                    });
+                    return Err(TopologyError { node: id, fanin: f });
                 }
             }
             let new = match gate {
@@ -703,10 +696,7 @@ mod tests {
             .expect_err("forward reference must be rejected");
         assert_eq!(err.node, NodeId(0));
         assert_eq!(err.fanin, NodeId(1));
-        assert!(
-            err.to_string().contains("topologically ordered"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("topologically ordered"), "{err}");
         // A self-reference is equally out of order.
         let mut cyclic = Netlist::new();
         cyclic.nodes.push(Gate::Not(NodeId(0)));

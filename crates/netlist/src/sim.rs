@@ -159,11 +159,7 @@ fn lane_mask(lanes: usize) -> u64 {
     }
 }
 
-fn exhaustive_check(
-    netlist: &Netlist,
-    spec: &[(String, Anf)],
-    vars: &[Var],
-) -> Option<Mismatch> {
+fn exhaustive_check(netlist: &Netlist, spec: &[(String, Anf)], vars: &[Var]) -> Option<Mismatch> {
     let n = vars.len();
     let total = 1usize << n;
     let batches = total.div_ceil(64);
@@ -252,10 +248,7 @@ mod tests {
         let (na, nb) = (nl.input(a), nl.input(b));
         let x = nl.xor(na, nb);
         nl.set_output("y", x);
-        let spec = vec![(
-            "y".to_owned(),
-            Anf::var(a).xor(&Anf::var(b)),
-        )];
+        let spec = vec![("y".to_owned(), Anf::var(a).xor(&Anf::var(b)))];
         assert_eq!(check_equiv_anf(&nl, &spec, 8, 1), None);
     }
 
@@ -288,10 +281,7 @@ mod tests {
         nl.set_output("mux", x);
         let maj_spec = Anf::parse("a*b ^ b*c ^ c*a", &mut pool).unwrap();
         let mux_spec = Anf::parse("b ^ a*b ^ a*c", &mut pool).unwrap();
-        let spec = vec![
-            ("maj".to_owned(), maj_spec),
-            ("mux".to_owned(), mux_spec),
-        ];
+        let spec = vec![("maj".to_owned(), maj_spec), ("mux".to_owned(), mux_spec)];
         assert_eq!(check_equiv_anf(&nl, &spec, 8, 7), None);
     }
 

@@ -116,10 +116,7 @@ mod tests {
         let mut nl = Netlist::new();
         let y = sop.synthesize(&mut nl);
         nl.set_output("y", y);
-        assert_eq!(
-            check_equiv_anf(&nl, &[("y".to_owned(), spec)], 8, 11),
-            None
-        );
+        assert_eq!(check_equiv_anf(&nl, &[("y".to_owned(), spec)], 8, 11), None);
     }
 
     #[test]

@@ -41,7 +41,12 @@ impl fmt::Display for NetlistStats {
         write!(
             f,
             "{} gates, {} wires, depth {}, max fanout {} (inputs: {}), avg fanout {:.2}",
-            self.gates, self.edges, self.depth, self.max_fanout, self.input_max_fanout, self.avg_fanout
+            self.gates,
+            self.edges,
+            self.depth,
+            self.max_fanout,
+            self.input_max_fanout,
+            self.avg_fanout
         )
     }
 }

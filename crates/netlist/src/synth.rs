@@ -183,8 +183,7 @@ impl Synthesizer {
             return (Decision::OrOfLiterals, (support.len() - 1) as f64);
         }
         let over_budget = self.planned >= PLAN_BUDGET;
-        let candidates: Vec<Var> = if support.len() <= FULL_SEARCH_SUPPORT_LIMIT && !over_budget
-        {
+        let candidates: Vec<Var> = if support.len() <= FULL_SEARCH_SUPPORT_LIMIT && !over_budget {
             support.iter().collect()
         } else {
             vec![most_frequent_var(expr).expect("nonlinear expression has variables")]
@@ -198,8 +197,7 @@ impl Synthesizer {
             if q.is_zero() {
                 continue; // v does not actually occur
             }
-            let gate_cost =
-                f64::from(u8::from(!q.is_one())) + f64::from(u8::from(!r.is_zero()));
+            let gate_cost = f64::from(u8::from(!q.is_one())) + f64::from(u8::from(!r.is_zero()));
             let cost_q = self.cost(&q);
             let cost_r = self.cost(&r);
             let c = gate_cost + cost_q + cost_r;
@@ -294,8 +292,7 @@ impl Synthesizer {
             }
             Decision::Monomial => {
                 let term = expr.terms().next().expect("one term").clone();
-                let nodes: Vec<NodeId> =
-                    term.vars().map(|v| self.node_for_var(nl, v)).collect();
+                let nodes: Vec<NodeId> = term.vars().map(|v| self.node_for_var(nl, v)).collect();
                 nl.and_many(&nodes)
             }
             Decision::Linear => {
@@ -556,7 +553,11 @@ mod tests {
                 Call::Estimate(e) => {
                     let fresh = reference::ReferenceSynthesizer::default().estimate(e);
                     let a = fast.estimate(e);
-                    assert_eq!(a.to_bits(), fresh.to_bits(), "call {i}: estimate {a} vs {fresh}");
+                    assert_eq!(
+                        a.to_bits(),
+                        fresh.to_bits(),
+                        "call {i}: estimate {a} vs {fresh}"
+                    );
                 }
                 Call::Emit(e) | Call::EmitBind(e, _) => {
                     let (a, b) = (fast.emit(&mut nl_fast, e), slow.emit(&mut nl_slow, e));

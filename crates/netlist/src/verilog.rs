@@ -121,7 +121,10 @@ pub fn from_verilog(text: &str, pool: &mut VarPool) -> Result<Netlist, ParseVeri
             let name = name.trim();
             check_identifier(name, line)?;
             if !outputs.iter().any(|o| o == name) {
-                return Err(err(line, format!("assign target {name:?} is not an output")));
+                return Err(err(
+                    line,
+                    format!("assign target {name:?} is not an output"),
+                ));
             }
             let node = parse_expr(expr, line, &signals, &mut nl)?;
             nl.set_output(name, node);
@@ -442,10 +445,13 @@ endmodule
         nl.set_output("mj", mj);
         let back = roundtrip(&nl, &pool);
         for bits in 0..8u32 {
-            let assignment: std::collections::HashMap<_, _> =
-                [(a, bits & 1 == 1), (b, bits >> 1 & 1 == 1), (c, bits >> 2 & 1 == 1)]
-                    .into_iter()
-                    .collect();
+            let assignment: std::collections::HashMap<_, _> = [
+                (a, bits & 1 == 1),
+                (b, bits >> 1 & 1 == 1),
+                (c, bits >> 2 & 1 == 1),
+            ]
+            .into_iter()
+            .collect();
             assert_eq!(
                 crate::sim::evaluate(&nl, &assignment),
                 crate::sim::evaluate(&back, &assignment),
@@ -459,12 +465,36 @@ endmodule
         let pool = VarPool::new();
         let cases = [
             ("wire x = a;\nendmodule\n", 1, "module"),
-            ("module m(a);\n  input a;\n  wire w = undefined_sig;\nendmodule\n", 3, "undefined"),
-            ("module m(a);\n  input a;\n  input a;\nendmodule\n", 3, "redefined"),
-            ("module m(a, y);\n  input a;\n  output y;\n  assign y = a &;\nendmodule\n", 4, "operand"),
-            ("module m(a, y);\n  input a;\n  output y;\n  assign z = a;\nendmodule\n", 4, "not an output"),
-            ("module m(a, y);\n  input a;\n  output y;\n  assign y = a\nendmodule\n", 4, "';'"),
-            ("module m(a, y);\n  input a;\n  output y;\nendmodule\n", 4, "never assigned"),
+            (
+                "module m(a);\n  input a;\n  wire w = undefined_sig;\nendmodule\n",
+                3,
+                "undefined",
+            ),
+            (
+                "module m(a);\n  input a;\n  input a;\nendmodule\n",
+                3,
+                "redefined",
+            ),
+            (
+                "module m(a, y);\n  input a;\n  output y;\n  assign y = a &;\nendmodule\n",
+                4,
+                "operand",
+            ),
+            (
+                "module m(a, y);\n  input a;\n  output y;\n  assign z = a;\nendmodule\n",
+                4,
+                "not an output",
+            ),
+            (
+                "module m(a, y);\n  input a;\n  output y;\n  assign y = a\nendmodule\n",
+                4,
+                "';'",
+            ),
+            (
+                "module m(a, y);\n  input a;\n  output y;\nendmodule\n",
+                4,
+                "never assigned",
+            ),
         ];
         for (src, line, needle) in cases {
             let e = from_verilog(src, &mut pool.clone()).expect_err(src);

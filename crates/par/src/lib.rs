@@ -220,11 +220,7 @@ pub fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -
 /// `chunk` is rounded up so each window is a multiple of `align` (pass 1
 /// for no alignment) — callers whose transform couples elements within an
 /// aligned block (butterflies, block XORs) stay correct under any split.
-pub fn par_apply_mut<T: Send>(
-    data: &mut [T],
-    align: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
+pub fn par_apply_mut<T: Send>(data: &mut [T], align: usize, f: impl Fn(usize, &mut [T]) + Sync) {
     let align = align.max(1);
     let workers = effective_workers(data.len());
     if workers <= 1 || data.len() <= align {
@@ -465,10 +461,7 @@ fn worker_loop(shard: &Shard, shutdown: &AtomicBool) {
         } else if shutdown.load(Ordering::SeqCst) {
             return;
         } else {
-            queue = shard
-                .ready
-                .wait(queue)
-                .unwrap_or_else(|e| e.into_inner());
+            queue = shard.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -563,7 +556,11 @@ mod tests {
     fn valid_thread_counts_parse() {
         assert_eq!(parse_thread_count(Some("1")), Ok(Some(1)));
         assert_eq!(parse_thread_count(Some("8")), Ok(Some(8)));
-        assert_eq!(parse_thread_count(Some(" 4 ")), Ok(Some(4)), "whitespace trimmed");
+        assert_eq!(
+            parse_thread_count(Some(" 4 ")),
+            Ok(Some(4)),
+            "whitespace trimmed"
+        );
     }
 
     #[test]
@@ -599,10 +596,13 @@ mod tests {
         for i in 0..32usize {
             let done = Arc::clone(&done);
             let order = Arc::clone(&order);
-            pool.submit(7, Box::new(move || {
-                order.lock().unwrap().push(i);
-                done.fetch_add(1, Ordering::SeqCst);
-            }));
+            pool.submit(
+                7,
+                Box::new(move || {
+                    order.lock().unwrap().push(i);
+                    done.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
         }
         drop(pool);
         assert_eq!(done.load(Ordering::SeqCst), 32);
@@ -617,15 +617,22 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         for i in 0..20u64 {
             let done = Arc::clone(&done);
-            pool.submit(i, Box::new(move || {
-                if i % 4 == 0 {
-                    panic!("injected task panic");
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-            }));
+            pool.submit(
+                i,
+                Box::new(move || {
+                    if i % 4 == 0 {
+                        panic!("injected task panic");
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
         }
         drop(pool);
-        assert_eq!(done.load(Ordering::SeqCst), 15, "non-panicking tasks all ran");
+        assert_eq!(
+            done.load(Ordering::SeqCst),
+            15,
+            "non-panicking tasks all ran"
+        );
     }
 
     #[test]
@@ -633,17 +640,23 @@ mod tests {
         let pool = WorkerPool::new(1);
         let ids = Arc::new(Mutex::new(Vec::new()));
         let ids2 = Arc::clone(&ids);
-        pool.submit(0, Box::new(move || {
-            // Inside a pool worker, par_map must degrade to the serial
-            // loop: every element is mapped on this very thread.
-            let items: Vec<usize> = (0..8).collect();
-            let threads = par_map(&items, |_| std::thread::current().id());
-            ids2.lock().unwrap().extend(threads);
-        }));
+        pool.submit(
+            0,
+            Box::new(move || {
+                // Inside a pool worker, par_map must degrade to the serial
+                // loop: every element is mapped on this very thread.
+                let items: Vec<usize> = (0..8).collect();
+                let threads = par_map(&items, |_| std::thread::current().id());
+                ids2.lock().unwrap().extend(threads);
+            }),
+        );
         drop(pool);
         let ids = ids.lock().unwrap();
         assert_eq!(ids.len(), 8);
-        assert!(ids.iter().all(|&t| t == ids[0]), "no nested threads spawned");
+        assert!(
+            ids.iter().all(|&t| t == ids[0]),
+            "no nested threads spawned"
+        );
     }
 
     #[test]

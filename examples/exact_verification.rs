@@ -17,7 +17,8 @@ fn main() {
         spec.len()
     );
 
-    let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(lod.pool.clone(), spec.clone());
+    let d =
+        ProgressiveDecomposer::new(PdConfig::default()).decompose(lod.pool.clone(), spec.clone());
     let netlist = d.to_netlist();
     println!(
         "decomposed: {} iterations, {} blocks",

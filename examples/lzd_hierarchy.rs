@@ -18,8 +18,8 @@ fn main() {
 
     let flat = lzd.sop_netlist().sweep();
     let manual = lzd.oklobdzija_netlist().sweep();
-    let d = ProgressiveDecomposer::new(PdConfig::default())
-        .decompose(lzd.pool.clone(), spec.clone());
+    let d =
+        ProgressiveDecomposer::new(PdConfig::default()).decompose(lzd.pool.clone(), spec.clone());
     assert!(d.check_equivalence(512, 1).is_none());
     let pd = d.to_netlist().sweep();
 

@@ -14,14 +14,15 @@ fn main() {
         spec[0].1.term_count()
     );
 
-    let d = ProgressiveDecomposer::new(PdConfig::default())
-        .decompose(m.pool.clone(), spec.clone());
+    let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(m.pool.clone(), spec.clone());
     assert!(d.check_equivalence(512, 7).is_none());
 
     // Walk the trace like the paper's Fig. 6.
     for ev in &d.trace {
         match ev {
-            TraceEvent::IterationStart { iteration, group, .. } => {
+            TraceEvent::IterationStart {
+                iteration, group, ..
+            } => {
                 let names: Vec<&str> = group.iter().map(|&v| d.pool.name(v)).collect();
                 println!("iteration {iteration}: group {{{}}}", names.join(", "));
             }

@@ -12,11 +12,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pool = VarPool::new();
     let x = Anf::parse("(a^b)*(p^c*d) ^ (c^d)*(p^a*b)", &mut pool)?;
     println!("input (canonical Reed–Muller): {}", x.display(&pool));
-    println!("  {} terms, {} literals\n", x.term_count(), x.literal_count());
+    println!(
+        "  {} terms, {} literals\n",
+        x.term_count(),
+        x.literal_count()
+    );
 
     // Decompose with the paper's configuration (k = 4).
-    let d = ProgressiveDecomposer::new(PdConfig::default())
-        .decompose(pool, vec![("x".into(), x)]);
+    let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(pool, vec![("x".into(), x)]);
 
     // Machine-check the hierarchy against the specification.
     assert!(d.check_equivalence(256, 42).is_none(), "must be equivalent");

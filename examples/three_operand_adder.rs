@@ -16,8 +16,7 @@ fn main() {
     let spec = t.spec();
     let lib = CellLibrary::umc130();
 
-    let d = ProgressiveDecomposer::new(PdConfig::default())
-        .decompose(t.pool.clone(), spec.clone());
+    let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(t.pool.clone(), spec.clone());
     assert!(d.check_equivalence(512, 3).is_none());
 
     // The first blocks should be 3:2 counters on {a_i, b_i, c_i}.
@@ -33,8 +32,17 @@ fn main() {
     }
 
     println!("\n{width}-bit three-input adder");
-    println!("  flat A+B+C        : {}", report(&synthesize_outputs(&spec), &lib));
-    println!("  RCA(RCA(A,B),C)   : {}", report(&t.rca_rca_netlist(), &lib));
+    println!(
+        "  flat A+B+C        : {}",
+        report(&synthesize_outputs(&spec), &lib)
+    );
+    println!(
+        "  RCA(RCA(A,B),C)   : {}",
+        report(&t.rca_rca_netlist(), &lib)
+    );
     println!("  PD                : {}", report(&d.to_netlist(), &lib));
-    println!("  CSA + adder       : {}", report(&t.csa_adder_netlist(), &lib));
+    println!(
+        "  CSA + adder       : {}",
+        report(&t.csa_adder_netlist(), &lib)
+    );
 }

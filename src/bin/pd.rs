@@ -167,10 +167,7 @@ fn parse_args() -> Result<Options, String> {
 /// Reads a specification from a path or stdin, delegating to the shared
 /// loaders in `pd_flow::spec` (text format, or structural Verilog for
 /// `.v` files) so `pd <file>` and `pd flow <file>` parse identically.
-fn read_spec(
-    path: &str,
-    pool: &mut VarPool,
-) -> Result<Vec<(String, Anf)>, String> {
+fn read_spec(path: &str, pool: &mut VarPool) -> Result<Vec<(String, Anf)>, String> {
     use progressive_decomposition::flow::spec::{load_circuit, parse_text_spec};
     if path == "-" {
         let mut s = String::new();
@@ -257,7 +254,9 @@ fn run_flow(args: &[String]) -> Result<(), String> {
     } else {
         let mut inputs = Vec::new();
         for name in target.split(',').filter(|s| !s.is_empty()) {
-            inputs.extend(progressive_decomposition::flow::spec::resolve_circuit(name)?);
+            inputs.extend(progressive_decomposition::flow::spec::resolve_circuit(
+                name,
+            )?);
         }
         if inputs.is_empty() {
             return Err("no circuits named".into());
@@ -306,7 +305,15 @@ fn run_flow(args: &[String]) -> Result<(), String> {
                 );
                 println!(
                     "  {:<10} {:>10} {:>10} {:>4} {:>9} {:>7} {:>7} {:>10} {:>8}",
-                    "stage", "wall ms", "verify ms", "ok", "literals", "gates", "cells", "area", "delay"
+                    "stage",
+                    "wall ms",
+                    "verify ms",
+                    "ok",
+                    "literals",
+                    "gates",
+                    "cells",
+                    "area",
+                    "delay"
                 );
                 for s in &summary.stages {
                     let StageReport {
@@ -342,7 +349,9 @@ fn run_flow(args: &[String]) -> Result<(), String> {
                             "  {:<10} ! degraded to {} ({})",
                             "",
                             s.degraded.as_deref().unwrap_or("<same rung>"),
-                            s.degradation_reason.as_deref().unwrap_or("no reason recorded"),
+                            s.degradation_reason
+                                .as_deref()
+                                .unwrap_or("no reason recorded"),
                         );
                     }
                 }
@@ -392,8 +401,8 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    let server = Server::bind(addr.as_str(), workers)
-        .map_err(|e| format!("binding {addr}: {e}"))?;
+    let server =
+        Server::bind(addr.as_str(), workers).map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     println!(
         "pd serve: listening on {bound} with {} worker shard(s)",

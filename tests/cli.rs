@@ -19,7 +19,11 @@ fn run_with_stdin(args: &[&str], stdin: &str) -> (bool, String, String) {
     // `pd` rejects bad flags before it reads stdin and may exit before
     // the write: a broken pipe is then expected, and the exit status and
     // stderr below still tell.
-    let written = child.stdin.as_mut().expect("piped").write_all(stdin.as_bytes());
+    let written = child
+        .stdin
+        .as_mut()
+        .expect("piped")
+        .write_all(stdin.as_bytes());
     if let Err(e) = written {
         assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
     }
@@ -47,8 +51,7 @@ fn decomposes_spec_from_stdin() {
 
 #[test]
 fn exact_factor_and_zdd_reports() {
-    let (ok, stdout, stderr) =
-        run_with_stdin(&["--exact", "--factor", "--zdd", "-"], FULL_ADDER);
+    let (ok, stdout, stderr) = run_with_stdin(&["--exact", "--factor", "--zdd", "-"], FULL_ADDER);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("exact (BDD)"));
     assert!(stdout.contains("kernel extraction"));
@@ -93,7 +96,10 @@ fn bad_spec_reports_line_and_fails() {
 fn trace_shows_leaders() {
     let (ok, stdout, _) = run_with_stdin(&["--trace", "-"], FULL_ADDER);
     assert!(ok);
-    assert!(stdout.contains("leader"), "trace must list leaders: {stdout}");
+    assert!(
+        stdout.contains("leader"),
+        "trace must list leaders: {stdout}"
+    );
 }
 
 #[test]

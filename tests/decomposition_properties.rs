@@ -21,9 +21,7 @@ fn spec_strategy() -> impl Strategy<Value = (VarPool, Vec<(String, Anf)>)> {
                 let terms = masks
                     .into_iter()
                     .map(|m| {
-                        Monomial::from_vars(
-                            (0..N_VARS).filter(|j| m >> j & 1 == 1).map(|j| all[j]),
-                        )
+                        Monomial::from_vars((0..N_VARS).filter(|j| m >> j & 1 == 1).map(|j| all[j]))
                     })
                     .collect();
                 (format!("y{i}"), Anf::from_terms(terms))

@@ -44,7 +44,11 @@ fn extreme_group_sizes_stay_correct() {
         let d = ProgressiveDecomposer::new(PdConfig::default().with_group_size(k))
             .decompose(pool, spec.clone());
         assert_eq!(d.check_equivalence(128, 5), None, "k = {k}");
-        assert_eq!(check_equiv_anf(&d.to_netlist(), &spec, 128, 7), None, "k = {k}");
+        assert_eq!(
+            check_equiv_anf(&d.to_netlist(), &spec, 128, 7),
+            None,
+            "k = {k}"
+        );
     }
 }
 
@@ -156,8 +160,7 @@ fn multiplier4_decomposes_without_blowup() {
     // `pd_anf::nullspace` keeps the representation bounded.
     let m = Multiplier::new(4);
     let spec = m.spec();
-    let d =
-        ProgressiveDecomposer::new(PdConfig::default()).decompose(m.pool.clone(), spec.clone());
+    let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(m.pool.clone(), spec.clone());
     assert_eq!(d.check_equivalence(128, 41), None);
     assert_eq!(check_equiv_anf(&d.to_netlist(), &spec, 128, 43), None);
 }
@@ -168,7 +171,9 @@ fn decomposer_handles_spec_with_shared_subexpressions_across_outputs() {
     // of a 6-input adder tree share all their carries.
     let mut pool = VarPool::new();
     let bits = pool.input_word("a", 0, 6);
-    let sum: Anf = bits.iter().fold(Anf::zero(), |acc, &b| acc.xor(&Anf::var(b)));
+    let sum: Anf = bits
+        .iter()
+        .fold(Anf::zero(), |acc, &b| acc.xor(&Anf::var(b)));
     let pairs: Vec<Anf> = bits
         .chunks(2)
         .map(|c| Anf::var(c[0]).and(&Anf::var(c[1])))

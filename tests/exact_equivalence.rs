@@ -42,7 +42,10 @@ fn lod32_pd_exactly_matches_spec() {
     let lod = Lod::new(32);
     let pd = pd_netlist(&lod.pool, lod.spec());
     let order = interleaved_order(&lod.pool);
-    assert_eq!(check_netlist_vs_anf(&pd, &lod.spec(), &order).unwrap(), None);
+    assert_eq!(
+        check_netlist_vs_anf(&pd, &lod.spec(), &order).unwrap(),
+        None
+    );
     assert_eq!(
         check_netlist_vs_anf(&lod.sop_netlist(), &lod.spec(), &order).unwrap(),
         None
@@ -148,8 +151,12 @@ fn parity24_pd_exactly_equals_tree() {
 fn gray24_decoders_exact() {
     let g = Gray::new(24);
     assert_eq!(
-        check_equal_interleaved(&g.pool, &g.ripple_decode_netlist(), &g.prefix_decode_netlist())
-            .unwrap(),
+        check_equal_interleaved(
+            &g.pool,
+            &g.ripple_decode_netlist(),
+            &g.prefix_decode_netlist()
+        )
+        .unwrap(),
         None
     );
     let pd = pd_netlist(&g.pool, g.decode_spec());

@@ -53,7 +53,9 @@ fn run_faulted(dir: &std::path::Path, fault: &str) -> (Option<i32>, Json) {
 
 /// Pulls the single circuit object out of a stats document.
 fn circuit(doc: &Json) -> &Json {
-    &doc.get("circuits").and_then(Json::as_arr).expect("circuits")[0]
+    &doc.get("circuits")
+        .and_then(Json::as_arr)
+        .expect("circuits")[0]
 }
 
 /// Finds the named stage's report within a circuit object.
@@ -71,7 +73,11 @@ fn stage<'a>(circuit: &'a Json, name: &str) -> &'a Json {
 /// Factor's `skip` — run no oracle and report no verdict; that is not a
 /// failure, the netlist they hand on was verified upstream.)
 fn assert_boundaries_green(circuit: &Json, fault: &str) {
-    for s in circuit.get("stages").and_then(Json::as_arr).expect("stages") {
+    for s in circuit
+        .get("stages")
+        .and_then(Json::as_arr)
+        .expect("stages")
+    {
         let name = s.get("stage").and_then(Json::as_str).unwrap_or("?");
         assert_ne!(
             s.get("verified").and_then(Json::as_bool),
@@ -101,9 +107,18 @@ fn every_fault_mode_on_every_stage_degrades_or_fails_typed() {
         // Budget faults zero the stage's effort meter: stages with a
         // meter record the exhaustion and keep going; stages without one
         // record the fault as inert.
-        ("decompose:budget:1", Noted("decompose", "effort budget exhausted")),
-        ("reduce:budget:1", Noted("reduce", "effort budget exhausted")),
-        ("factor:budget:1", Noted("factor", "effort budget exhausted")),
+        (
+            "decompose:budget:1",
+            Noted("decompose", "effort budget exhausted"),
+        ),
+        (
+            "reduce:budget:1",
+            Noted("reduce", "effort budget exhausted"),
+        ),
+        (
+            "factor:budget:1",
+            Noted("factor", "effort budget exhausted"),
+        ),
         ("techmap:budget:1", Noted("techmap", "inert")),
         ("sta:budget:1", Noted("sta", "inert")),
         // Mismatch faults poison the stage's verify verdict: ladders
@@ -245,7 +260,11 @@ fn degraded_reduce_stays_green_on_all_builtin_circuits() {
     );
     let doc = Json::parse(&std::fs::read_to_string(&out_path).expect("stats written"))
         .expect("stats parse");
-    for c in doc.get("circuits").and_then(Json::as_arr).expect("circuits") {
+    for c in doc
+        .get("circuits")
+        .and_then(Json::as_arr)
+        .expect("circuits")
+    {
         let name = c.get("name").and_then(Json::as_str).unwrap_or("?");
         let s = stage(c, "reduce");
         assert_eq!(

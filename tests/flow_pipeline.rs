@@ -34,7 +34,11 @@ fn expr_text(masks: &[u16], n_vars: usize) -> String {
 }
 
 /// Builds the flow input for a random two-output specification.
-fn flow_input_for(masks_a: &[u16], masks_b: &[u16], n_vars: usize) -> (VarPool, Vec<(String, Anf)>) {
+fn flow_input_for(
+    masks_a: &[u16],
+    masks_b: &[u16],
+    n_vars: usize,
+) -> (VarPool, Vec<(String, Anf)>) {
     let mut pool = VarPool::new();
     // Declare the variables in index order so specs are reproducible.
     for i in 0..n_vars {
@@ -128,10 +132,16 @@ fn env_combos_agree_and_verify_via_subprocess() {
                 );
                 let doc = std::fs::read_to_string(&out_path).expect("stats written");
                 let parsed = Json::parse(&doc).expect("stats parse");
-                let circuits = parsed.get("circuits").and_then(Json::as_arr).expect("circuits");
+                let circuits = parsed
+                    .get("circuits")
+                    .and_then(Json::as_arr)
+                    .expect("circuits");
                 // Every transforming stage's oracle verdict must be green;
                 // a skipped Factor transforms nothing and checks nothing.
-                let stages = circuits[0].get("stages").and_then(Json::as_arr).expect("stages");
+                let stages = circuits[0]
+                    .get("stages")
+                    .and_then(Json::as_arr)
+                    .expect("stages");
                 for s in stages {
                     let name = s.get("stage").and_then(Json::as_str).unwrap_or("?");
                     let skipped = name == "factor" && skip;
@@ -215,8 +225,14 @@ fn generator_verdicts_agree_across_threads_via_subprocess() {
             );
             let parsed = Json::parse(&std::fs::read_to_string(&out_path).expect("stats"))
                 .expect("stats parse");
-            let circuits = parsed.get("circuits").and_then(Json::as_arr).expect("circuits");
-            let stages = circuits[0].get("stages").and_then(Json::as_arr).expect("stages");
+            let circuits = parsed
+                .get("circuits")
+                .and_then(Json::as_arr)
+                .expect("circuits");
+            let stages = circuits[0]
+                .get("stages")
+                .and_then(Json::as_arr)
+                .expect("stages");
             let fingerprint: Vec<String> = stages
                 .iter()
                 .map(|s| {

@@ -77,7 +77,10 @@ fn adder_prefix_states_match_the_serial_reference() {
     let mut pool = VarPool::new();
     let steps = adder_steps(&mut pool, 7);
     let (nl, spec) = prefix_netlist(&steps, false);
-    assert_eq!(pd_netlist::sim::check_equiv_anf(&nl, &spec, 64, 0xAD0), None);
+    assert_eq!(
+        pd_netlist::sim::check_equiv_anf(&nl, &spec, 64, 0xAD0),
+        None
+    );
 }
 
 #[test]
@@ -85,7 +88,10 @@ fn comparator_prefix_states_match_the_serial_reference() {
     let mut pool = VarPool::new();
     let steps = comparator_steps(&mut pool, 6);
     let (nl, spec) = prefix_netlist(&steps, false);
-    assert_eq!(pd_netlist::sim::check_equiv_anf(&nl, &spec, 64, 0xC3A), None);
+    assert_eq!(
+        pd_netlist::sim::check_equiv_anf(&nl, &spec, 64, 0xC3A),
+        None
+    );
 }
 
 #[test]
@@ -137,10 +143,14 @@ fn prefix_construction_agrees_with_progressive_decomposition_exactly() {
         let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(pool.clone(), spec);
         assert_eq!(d.check_equivalence(64, 0xB0B), None, "{name}: pd vs spec");
         let pd_nl = d.to_netlist();
-        let verdict =
-            progressive_decomposition::bdd::verify::check_equal_interleaved(&pool, &prefix_nl, &pd_nl)
-                .expect("small generators fit comfortably under the node cap");
-        assert_eq!(verdict, None, "{name}: prefix netlist vs decomposed netlist");
+        let verdict = progressive_decomposition::bdd::verify::check_equal_interleaved(
+            &pool, &prefix_nl, &pd_nl,
+        )
+        .expect("small generators fit comfortably under the node cap");
+        assert_eq!(
+            verdict, None,
+            "{name}: prefix netlist vs decomposed netlist"
+        );
     }
 }
 
@@ -151,7 +161,9 @@ fn random_generators_match_the_serial_reference_and_decomposition() {
     // sequence deterministic across platforms.
     let mut state: u64 = 0x9E3779B97F4A7C15;
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 33) as u16
     };
     for round in 0..8u64 {
@@ -166,9 +178,7 @@ fn random_generators_match_the_serial_reference_and_decomposition() {
                     let terms = (0..4)
                         .filter(|j| mask >> j & 1 == 1)
                         .map(|j| {
-                            Monomial::from_vars(
-                                (0..2).filter(|k| j >> k & 1 == 1).map(|k| vars[k]),
-                            )
+                            Monomial::from_vars((0..2).filter(|k| j >> k & 1 == 1).map(|k| vars[k]))
                         })
                         .collect();
                     Anf::from_terms(terms)

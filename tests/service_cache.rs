@@ -38,7 +38,10 @@ fn flow_with_cache(circuits: &str, cache: &Path, out: &Path) -> Json {
 }
 
 fn circuits_of(stats: &Json) -> &[Json] {
-    stats.get("circuits").and_then(Json::as_arr).expect("circuits array")
+    stats
+        .get("circuits")
+        .and_then(Json::as_arr)
+        .expect("circuits array")
 }
 
 fn stage_metric(circuit: &Json, stage: &str, key: &str) -> Option<f64> {
@@ -61,10 +64,7 @@ fn warm_rerun_serves_verified_stages_bit_identically() {
 
     for (c, w) in circuits_of(&cold).iter().zip(circuits_of(&warm)) {
         let name = c.get("name").and_then(Json::as_str).unwrap();
-        for (stage, doc, want) in STAGES
-            .iter()
-            .flat_map(|s| [(s, c, "miss"), (s, w, "hit")])
-        {
+        for (stage, doc, want) in STAGES.iter().flat_map(|s| [(s, c, "miss"), (s, w, "hit")]) {
             let cache_mark = doc
                 .get("stages")
                 .and_then(Json::as_arr)
@@ -192,7 +192,10 @@ fn stage_entries_do_not_depend_on_cache_history() {
     let out = temp_dir("history-out");
     let a = temp_dir("history-a");
     let b = temp_dir("history-b");
-    for (dir, order) in [(&a, ["adder12", "comparator10"]), (&b, ["comparator10", "adder12"])] {
+    for (dir, order) in [
+        (&a, ["adder12", "comparator10"]),
+        (&b, ["comparator10", "adder12"]),
+    ] {
         for circuit in order {
             let tag = dir.file_name().unwrap().to_str().unwrap();
             flow_with_cache(circuit, dir, &out.join(format!("{tag}-{circuit}.json")));
@@ -206,7 +209,10 @@ fn stage_entries_do_not_depend_on_cache_history() {
         "both orders store the same keys"
     );
     for (key, path) in &entries_a {
-        let (x, y) = (entry_without_timings(path), entry_without_timings(&entries_b[key]));
+        let (x, y) = (
+            entry_without_timings(path),
+            entry_without_timings(&entries_b[key]),
+        );
         assert!(
             x == y,
             "{key} depends on the cache history:\n{}\nvs\n{}",
@@ -217,7 +223,12 @@ fn stage_entries_do_not_depend_on_cache_history() {
     // The directories hold stage entries and nothing else.
     for dir in [&a, &b] {
         let files = std::fs::read_dir(dir).expect("cache dir").count();
-        assert_eq!(files, 10, "{}: stray files beside the stage entries", dir.display());
+        assert_eq!(
+            files,
+            10,
+            "{}: stray files beside the stage entries",
+            dir.display()
+        );
     }
     for dir in [out, a, b] {
         let _ = std::fs::remove_dir_all(dir);
@@ -269,7 +280,13 @@ fn serve_tcp_smoke() {
         }
         std::thread::sleep(std::time::Duration::from_millis(25));
     };
-    let circuit = &stats.get("stats").unwrap().get("circuits").unwrap().as_arr().unwrap()[0];
+    let circuit = &stats
+        .get("stats")
+        .unwrap()
+        .get("circuits")
+        .unwrap()
+        .as_arr()
+        .unwrap()[0];
     assert_eq!(circuit.get("name").and_then(Json::as_str), Some("maj5"));
     assert!(circuit.get("error").is_none(), "{stats:?}");
 

@@ -14,11 +14,7 @@ use progressive_decomposition::netlist::sim::check_equiv_anf;
 use progressive_decomposition::prelude::*;
 use std::collections::HashMap;
 
-fn decompose_and_check(
-    pool: VarPool,
-    spec: Vec<(String, Anf)>,
-    seed: u64,
-) -> Decomposition {
+fn decompose_and_check(pool: VarPool, spec: Vec<(String, Anf)>, seed: u64) -> Decomposition {
     let d = ProgressiveDecomposer::new(PdConfig::default()).decompose(pool, spec.clone());
     assert_eq!(d.check_equivalence(256, seed), None, "hierarchy mismatch");
     let nl = d.to_netlist();
@@ -119,7 +115,10 @@ fn every_baseline_matches_its_spec() {
     // Cross-check all the manual baselines against the RM specs at
     // exhaustive-checkable widths.
     let lzd = Lzd::new(8);
-    assert_eq!(check_equiv_anf(&lzd.sop_netlist(), &lzd.spec(), 64, 1), None);
+    assert_eq!(
+        check_equiv_anf(&lzd.sop_netlist(), &lzd.spec(), 64, 1),
+        None
+    );
 
     let c = Counter::new(10);
     assert_eq!(
@@ -136,8 +135,14 @@ fn every_baseline_matches_its_spec() {
 
     let cmp = Comparator::new(9);
     let spec = cmp.spec();
-    assert_eq!(check_equiv_anf(&cmp.progressive_netlist(), &spec, 64, 7), None);
-    assert_eq!(check_equiv_anf(&cmp.subtracter_netlist(), &spec, 64, 8), None);
+    assert_eq!(
+        check_equiv_anf(&cmp.progressive_netlist(), &spec, 64, 7),
+        None
+    );
+    assert_eq!(
+        check_equiv_anf(&cmp.subtracter_netlist(), &spec, 64, 8),
+        None
+    );
 
     let t = ThreeInputAdder::new(5);
     let spec = t.spec();
@@ -429,8 +434,10 @@ fn global_factor_beats_local_factor_on_the_headline_circuits() {
         let input = circuit_by_name(name).expect("headline circuits resolve");
         let (pool, spec) = (input.pool.clone(), input.outputs.clone());
         let mut flow = Flow::new(input, FlowConfig::default());
-        flow.run_next().unwrap_or_else(|e| panic!("{name}: decompose: {e}"));
-        flow.run_next().unwrap_or_else(|e| panic!("{name}: reduce: {e}"));
+        flow.run_next()
+            .unwrap_or_else(|e| panic!("{name}: decompose: {e}"));
+        flow.run_next()
+            .unwrap_or_else(|e| panic!("{name}: reduce: {e}"));
         let reduced = flow.decomposition().expect("reduce ran").clone();
         let summary = flow
             .run_to_completion()
@@ -453,10 +460,8 @@ fn global_factor_beats_local_factor_on_the_headline_circuits() {
 fn decomposition_is_deterministic() {
     // Two runs over the same spec must produce identical hierarchies.
     let m = Majority::new(9);
-    let d1 = ProgressiveDecomposer::new(PdConfig::default())
-        .decompose(m.pool.clone(), m.spec());
-    let d2 = ProgressiveDecomposer::new(PdConfig::default())
-        .decompose(m.pool.clone(), m.spec());
+    let d1 = ProgressiveDecomposer::new(PdConfig::default()).decompose(m.pool.clone(), m.spec());
+    let d2 = ProgressiveDecomposer::new(PdConfig::default()).decompose(m.pool.clone(), m.spec());
     assert_eq!(d1.blocks.len(), d2.blocks.len());
     for (b1, b2) in d1.blocks.iter().zip(&d2.blocks) {
         assert_eq!(b1.group, b2.group);
